@@ -5,38 +5,75 @@ import (
 	"testing"
 
 	"github.com/genet-go/genet/internal/abr"
+	"github.com/genet-go/genet/internal/cc"
 	"github.com/genet-go/genet/internal/env"
+	"github.com/genet-go/genet/internal/lb"
 	"github.com/genet-go/genet/internal/rl"
 )
 
-// TestTrainIterationVecSteadyStateAllocs pins the allocation budget of the
-// vectorized ABR train iteration (collect + merge + update) after warmup.
-// The steady state is a handful of allocations per iteration — episode
-// regeneration, observation encoding, GAE, and the sharded update all run
-// through pooled buffers — and this test fails if a regression reintroduces
-// per-step or per-episode garbage. The budget is 32 (the ISSUE 6 acceptance
-// bound); the measured steady state is ~3 (occasional arena/trace regrowth).
+// TestTrainIterationVecSteadyStateAllocs pins the allocation budget of one
+// vectorized train iteration (collect + merge + update) after warmup, for
+// each policy head and harness: ABR and LB train the categorical A2C agent,
+// CC the Gaussian PPO agent. The steady state is a handful of allocations
+// per iteration — episode regeneration, observation encoding, GAE, and the
+// sharded update all run through pooled buffers — and this test fails if a
+// regression reintroduces per-step or per-episode garbage. ABR's budget is
+// 32 (measured ~3, occasional arena/trace regrowth); the CC and LB budgets
+// are their measured steady states when the pins were introduced.
 func TestTrainIterationVecSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation pinning is not meaningful under -short")
 	}
-	rng := rand.New(rand.NewSource(10))
-	agent, err := rl.NewDiscreteAgent(rl.DefaultDiscreteConfig(abr.ObsSize, 6), rng)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name   string
+		budget float64
+		iter   func(rng *rand.Rand) (func(), error)
+	}{
+		{"abr", 32, func(rng *rand.Rand) (func(), error) {
+			agent, err := rl.NewDiscreteAgent(rl.DefaultDiscreteConfig(abr.ObsSize, 6), rng)
+			if err != nil {
+				return nil, err
+			}
+			agent.RolloutWorkers, agent.UpdateWorkers = 1, 1
+			venv := abr.NewVecEnv(abr.IntoFromConfig(env.ABRSpace(env.RL1).Default(nil)), 2)
+			return func() { agent.TrainIterationVec(venv, 100, rng) }, nil
+		}},
+		{"cc", 22, func(rng *rand.Rand) (func(), error) {
+			agent, err := rl.NewGaussianAgent(rl.DefaultGaussianConfig(cc.ObsSize, 1), rng)
+			if err != nil {
+				return nil, err
+			}
+			agent.RolloutWorkers, agent.UpdateWorkers = 1, 1
+			venv := cc.NewVecEnv(cc.IntoFromConfig(env.CCSpace(env.RL1).Default(nil)), 2)
+			return func() { agent.TrainIterationVec(venv, 100, rng) }, nil
+		}},
+		{"lb", 24, func(rng *rand.Rand) (func(), error) {
+			agent, err := rl.NewDiscreteAgent(rl.DefaultDiscreteConfig(lb.ObsSize, lb.NumServers), rng)
+			if err != nil {
+				return nil, err
+			}
+			agent.RolloutWorkers, agent.UpdateWorkers = 1, 1
+			venv := lb.NewVecEnv(lb.GenFromConfig(env.LBSpace(env.RL1).Default(nil)), 2)
+			return func() { agent.TrainIterationVec(venv, 100, rng) }, nil
+		}},
 	}
-	// Pin the rollout to one worker: AllocsPerRun disables parallelism
-	// assumptions poorly, and goroutine spawns in par.For would count.
-	// Results are bit-identical for any worker count, so this loses nothing.
-	agent.RolloutWorkers = 1
-	venv := abr.NewVecEnv(abr.IntoFromConfig(env.ABRSpace(env.RL1).Default(nil)), 2)
-	for i := 0; i < 30; i++ { // warm every pool and arena past its high-water mark
-		agent.TrainIterationVec(venv, 100, rng)
-	}
-	avg := testing.AllocsPerRun(50, func() {
-		agent.TrainIterationVec(venv, 100, rng)
-	})
-	if avg > 32 {
-		t.Fatalf("train iteration allocates %.1f/op in steady state, budget 32", avg)
+	// Every case pins the rollout and the update to one worker: goroutine
+	// spawns in par.ForN would count as allocations. Results are
+	// bit-identical for any worker count, so this loses nothing.
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			iter, err := tc.iter(rand.New(rand.NewSource(10)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 30; i++ { // warm every pool and arena past its high-water mark
+				iter()
+			}
+			avg := testing.AllocsPerRun(50, iter)
+			t.Logf("%s: %.1f allocs/op", tc.name, avg)
+			if avg > tc.budget {
+				t.Fatalf("train iteration allocates %.1f/op in steady state, budget %v", avg, tc.budget)
+			}
+		})
 	}
 }

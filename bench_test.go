@@ -234,24 +234,6 @@ func BenchmarkRLTrainIterationABR(b *testing.B) {
 	}
 }
 
-// BenchmarkRLTrainIterationABRScalar is the legacy per-env path the harnesses
-// used before the vectorized engine, kept for comparison.
-func BenchmarkRLTrainIterationABRScalar(b *testing.B) {
-	rng := rand.New(rand.NewSource(10))
-	agent, err := rl.NewDiscreteAgent(rl.DefaultDiscreteConfig(abr.ObsSize, 6), rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := env.ABRSpace(env.RL1).Default(nil)
-	gen := abr.GenFromConfig(cfg)
-	makeEnv := func(r *rand.Rand) rl.DiscreteEnv { return abr.NewRLEnv(gen) }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		agent.TrainIteration(makeEnv, 2, 100, rng)
-	}
-}
-
 // BenchmarkRLUpdate isolates the sharded minibatch update (GAE + gradients +
 // optimizer step) on a 200-transition ABR batch, recollected outside the
 // timer whenever the previous update invalidates the rollout cache.

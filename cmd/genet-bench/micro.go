@@ -256,9 +256,7 @@ func runMicro(outPath string, reps int) error {
 		}},
 		// RLTrainIterationABR is the production training hot path: the
 		// vectorized engine over the native in-place-regenerating ABR env,
-		// exactly what the harnesses run. RLTrainIterationABRScalar is the
-		// legacy per-env path, kept so the vec-vs-scalar gap stays visible
-		// from baseline to baseline.
+		// exactly what the harnesses run.
 		{"RLTrainIterationABR", func(b *testing.B) {
 			rng := rand.New(rand.NewSource(10))
 			agent, err := rl.NewDiscreteAgent(rl.DefaultDiscreteConfig(abr.ObsSize, actions), rng)
@@ -270,20 +268,6 @@ func runMicro(outPath string, reps int) error {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				agent.TrainIterationVec(venv, batch, rng)
-			}
-		}},
-		{"RLTrainIterationABRScalar", func(b *testing.B) {
-			rng := rand.New(rand.NewSource(10))
-			agent, err := rl.NewDiscreteAgent(rl.DefaultDiscreteConfig(abr.ObsSize, actions), rng)
-			if err != nil {
-				b.Fatal(err)
-			}
-			gen := abr.GenFromConfig(env.ABRSpace(env.RL1).Default(nil))
-			makeEnv := func(r *rand.Rand) rl.DiscreteEnv { return abr.NewRLEnv(gen) }
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				agent.TrainIteration(makeEnv, 2, batch, rng)
 			}
 		}},
 		{"CheckpointReadPooled", func(b *testing.B) {

@@ -17,50 +17,36 @@ type AgentStateHarness interface {
 	// SaveAgentState writes the agent's complete training state.
 	SaveAgentState(w io.Writer) error
 	// LoadAgentState replaces the agent with the state read from r. The
-	// restored configuration must match the harness's current agent;
-	// runtime-only knobs (metrics sink, worker count) carry over from the
-	// replaced agent.
+	// restored configuration must match the harness's current agent; the
+	// runtime attachments (rl.Runtime) carry over from the replaced agent.
 	LoadAgentState(r io.Reader) error
 }
 
-// replaceDiscreteAgent swaps *cur for the agent state in r after checking
-// the configs agree, carrying over the runtime-only fields.
-func replaceDiscreteAgent(cur **rl.DiscreteAgent, r io.Reader) error {
-	loaded, err := rl.LoadDiscreteAgentState(r)
+// replaceAgent swaps *cur for the agent state load reads from r after
+// checking the configs agree. The replaced agent's rl.Runtime (worker caps,
+// metrics, guard, faults, flight recorder) carries over whole, so a resumed
+// or rolled-back run keeps every attachment. parts exposes an agent's
+// config and runtime.
+func replaceAgent[A, C any](cur **A, r io.Reader, load func(io.Reader) (*A, error), parts func(*A) (C, *rl.Runtime)) error {
+	loaded, err := load(r)
 	if err != nil {
 		return err
 	}
-	old := *cur
-	if !reflect.DeepEqual(loaded.Config(), old.Config()) {
-		return fmt.Errorf("core: checkpointed agent config %+v does not match harness config %+v",
-			loaded.Config(), old.Config())
+	cfg, rt := parts(loaded)
+	oldCfg, oldRT := parts(*cur)
+	if !reflect.DeepEqual(cfg, oldCfg) {
+		return fmt.Errorf("core: checkpointed agent config %+v does not match harness config %+v", cfg, oldCfg)
 	}
-	loaded.Metrics = old.Metrics
-	loaded.UpdateWorkers = old.UpdateWorkers
-	loaded.Guard = old.Guard
-	loaded.Faults = old.Faults
+	*rt = *oldRT
 	*cur = loaded
 	return nil
 }
 
-// replaceGaussianAgent is replaceDiscreteAgent for the continuous-control
-// agent.
-func replaceGaussianAgent(cur **rl.GaussianAgent, r io.Reader) error {
-	loaded, err := rl.LoadGaussianAgentState(r)
-	if err != nil {
-		return err
-	}
-	old := *cur
-	if !reflect.DeepEqual(loaded.Config(), old.Config()) {
-		return fmt.Errorf("core: checkpointed agent config %+v does not match harness config %+v",
-			loaded.Config(), old.Config())
-	}
-	loaded.Metrics = old.Metrics
-	loaded.UpdateWorkers = old.UpdateWorkers
-	loaded.Guard = old.Guard
-	loaded.Faults = old.Faults
-	*cur = loaded
-	return nil
+func discreteParts(a *rl.DiscreteAgent) (rl.DiscreteConfig, *rl.Runtime) {
+	return a.Config(), &a.Runtime
+}
+func gaussianParts(a *rl.GaussianAgent) (rl.GaussianConfig, *rl.Runtime) {
+	return a.Config(), &a.Runtime
 }
 
 // SaveAgentState implements AgentStateHarness.
@@ -68,7 +54,7 @@ func (h *ABRHarness) SaveAgentState(w io.Writer) error { return h.Agent.SaveStat
 
 // LoadAgentState implements AgentStateHarness.
 func (h *ABRHarness) LoadAgentState(r io.Reader) error {
-	return replaceDiscreteAgent(&h.Agent, r)
+	return replaceAgent(&h.Agent, r, rl.LoadDiscreteAgentState, discreteParts)
 }
 
 // SaveAgentState implements AgentStateHarness.
@@ -76,7 +62,7 @@ func (h *LBHarness) SaveAgentState(w io.Writer) error { return h.Agent.SaveState
 
 // LoadAgentState implements AgentStateHarness.
 func (h *LBHarness) LoadAgentState(r io.Reader) error {
-	return replaceDiscreteAgent(&h.Agent, r)
+	return replaceAgent(&h.Agent, r, rl.LoadDiscreteAgentState, discreteParts)
 }
 
 // SaveAgentState implements AgentStateHarness.
@@ -84,5 +70,5 @@ func (h *CCHarness) SaveAgentState(w io.Writer) error { return h.Agent.SaveState
 
 // LoadAgentState implements AgentStateHarness.
 func (h *CCHarness) LoadAgentState(r io.Reader) error {
-	return replaceGaussianAgent(&h.Agent, r)
+	return replaceAgent(&h.Agent, r, rl.LoadGaussianAgentState, gaussianParts)
 }

@@ -212,7 +212,7 @@ func emitTrainIter(m *metrics.Registry, iter int, reward float64) {
 
 // endTrainIterSpan commits one train/iter span with its annotations;
 // harness Train loops pair it with Recorder.Start("train/iter") around each
-// TrainIteration call. The Enabled guard keeps the disabled path free of
+// TrainIterationVec call. The Enabled guard keeps the disabled path free of
 // the variadic arg slice.
 func endTrainIterSpan(rec *obs.Recorder, sp obs.Span, iter int, reward float64) {
 	if !rec.Enabled() {

@@ -8,6 +8,7 @@ import (
 
 	"github.com/genet-go/genet/internal/ckpt"
 	"github.com/genet-go/genet/internal/env"
+	"github.com/genet-go/genet/internal/obs"
 )
 
 // Resume-determinism golden tests: K rounds run straight must be
@@ -249,5 +250,49 @@ func TestResumeRejectsMismatchedAgentConfig(t *testing.T) {
 	}
 	if _, err := ResumeTrainer(tinyCCHarness(t), opts, path, CheckpointOptions{}); err == nil {
 		t.Fatal("checkpoint for a different agent architecture accepted")
+	}
+}
+
+// TestResumeKeepsAgentRecorder pins that a checkpoint resume carries every
+// runtime attachment over to the restored agent: the flight recorder set
+// before the resume must still receive the agent's rl/rollout and rl/update
+// spans, one of each per training iteration of the resumed rounds.
+func TestResumeKeepsAgentRecorder(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mk   func(t *testing.T) Harness
+	}{
+		{"abr", func(t *testing.T) Harness { return tinyABRHarness(t) }},
+		{"cc", func(t *testing.T) Harness { return tinyCCHarness(t) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := tinyOptions()
+			path := filepath.Join(t.TempDir(), "trainer.ckpt")
+			if _, err := NewTrainer(tc.mk(t), opts).RunCheckpointed(ckpt.NewRand(11), CheckpointOptions{
+				Path: path,
+				Stop: stopAfterPolls(3),
+			}); err != nil {
+				t.Fatal(err)
+			}
+
+			rec := obs.NewRecorder(4096)
+			opts.Recorder = rec
+			if _, err := ResumeTrainer(tc.mk(t), opts, path, CheckpointOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			spans := map[string]int{}
+			for _, e := range rec.Events() {
+				spans[e.Name]++
+			}
+			iters := spans["train/iter"]
+			if iters == 0 {
+				t.Fatal("resumed run recorded no train/iter spans")
+			}
+			for _, name := range []string{"rl/rollout", "rl/update"} {
+				if spans[name] != iters {
+					t.Errorf("%s spans = %d after resume, want one per train/iter (%d)", name, spans[name], iters)
+				}
+			}
+		})
 	}
 }

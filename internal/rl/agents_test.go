@@ -51,10 +51,9 @@ func TestDiscreteAgentLearnsContextualBandit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	makeEnv := func(r *rand.Rand) DiscreteEnv { return &bandit{nActions: 3} }
 	var last float64
 	for i := 0; i < 150; i++ {
-		last, _ = agent.TrainIteration(makeEnv, 2, 64, rng)
+		last, _ = agent.TrainIterationVec(banditVec(2), 64, rng)
 	}
 	// A learned policy collects most of the 8 available rewards.
 	if last < 6 {
@@ -147,9 +146,8 @@ func TestDiscreteCloneIndependent(t *testing.T) {
 	clone := agent.Clone()
 	obs := []float64{1, 0, 0}
 	before := agent.Probs(obs)
-	makeEnv := func(r *rand.Rand) DiscreteEnv { return &bandit{nActions: 3} }
 	for i := 0; i < 20; i++ {
-		clone.TrainIteration(makeEnv, 1, 32, rng)
+		clone.TrainIterationVec(banditVec(1), 32, rng)
 	}
 	after := agent.Probs(obs)
 	for i := range before {
@@ -234,9 +232,8 @@ func TestGaussianAgentLearnsTracking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	makeEnv := func(r *rand.Rand) ContinuousEnv { return &tracker{} }
 	for i := 0; i < 200; i++ {
-		agent.TrainIteration(makeEnv, 2, 64, rng)
+		agent.TrainIterationVec(trackerVec(2), 64, rng)
 	}
 	// The deterministic policy must track targets closely.
 	mse := 0.0
@@ -280,10 +277,12 @@ func TestGaussianLogProbConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	obs := []float64{0.3, -0.1}
-	action, logp := agent.Sample(obs, rng)
-	// Recompute the density by hand.
 	mean := agent.Mean(obs)
 	std := agent.Std()
+	var ar floatArena
+	action, tr := agent.sample(mean, std, rng, &ar)
+	logp := tr.LogProb
+	// Recompute the density by hand.
 	want := 0.0
 	for i := range mean {
 		z := (action[i] - mean[i]) / std[i]
@@ -327,9 +326,8 @@ func TestGaussianCloneIndependent(t *testing.T) {
 	clone := agent.Clone()
 	obs := []float64{0.4}
 	before := agent.Mean(obs)[0]
-	makeEnv := func(r *rand.Rand) ContinuousEnv { return &tracker{} }
 	for i := 0; i < 10; i++ {
-		clone.TrainIteration(makeEnv, 1, 32, rng)
+		clone.TrainIterationVec(trackerVec(1), 32, rng)
 	}
 	if agent.Mean(obs)[0] != before {
 		t.Fatal("training a clone mutated the original")
@@ -368,12 +366,11 @@ func TestTrainIterationDeterministicUnderParallelism(t *testing.T) {
 		return a
 	}
 	a1, a2 := mk(), mk()
-	makeEnv := func(r *rand.Rand) DiscreteEnv { return &bandit{nActions: 3} }
 	rng1 := rand.New(rand.NewSource(31))
 	rng2 := rand.New(rand.NewSource(31))
 	for i := 0; i < 10; i++ {
-		a1.TrainIteration(makeEnv, 4, 64, rng1)
-		a2.TrainIteration(makeEnv, 4, 64, rng2)
+		a1.TrainIterationVec(banditVec(4), 64, rng1)
+		a2.TrainIterationVec(banditVec(4), 64, rng2)
 	}
 	obs := []float64{1, 0, 0}
 	p1, p2 := a1.Probs(obs), a2.Probs(obs)
@@ -394,15 +391,32 @@ func TestGaussianTrainIterationDeterministic(t *testing.T) {
 		return a
 	}
 	a1, a2 := mk(), mk()
-	makeEnv := func(r *rand.Rand) ContinuousEnv { return &tracker{} }
 	rng1 := rand.New(rand.NewSource(33))
 	rng2 := rand.New(rand.NewSource(33))
 	for i := 0; i < 5; i++ {
-		a1.TrainIteration(makeEnv, 4, 64, rng1)
-		a2.TrainIteration(makeEnv, 4, 64, rng2)
+		a1.TrainIterationVec(trackerVec(4), 64, rng1)
+		a2.TrainIterationVec(trackerVec(4), 64, rng2)
 	}
 	obs := []float64{0.3}
 	if a1.Mean(obs)[0] != a2.Mean(obs)[0] {
 		t.Fatal("parallel PPO training nondeterministic")
 	}
+}
+
+// banditVec returns k fresh contextual bandits as one vectorized env.
+func banditVec(k int) DiscreteVecEnv {
+	envs := make([]DiscreteEnv, k)
+	for i := range envs {
+		envs[i] = &bandit{nActions: 3}
+	}
+	return VecDiscrete(envs...)
+}
+
+// trackerVec returns k fresh tracking tasks as one vectorized env.
+func trackerVec(k int) ContinuousVecEnv {
+	envs := make([]ContinuousEnv, k)
+	for i := range envs {
+		envs[i] = &tracker{}
+	}
+	return VecContinuous(envs...)
 }

@@ -25,11 +25,7 @@ func (a *floatArena) clone(xs []float64) []float64 {
 		return nil
 	}
 	if a.off+n > len(a.block) {
-		size := arenaBlockFloats
-		if n > size {
-			size = n
-		}
-		a.block = make([]float64, size)
+		a.block = make([]float64, max(n, arenaBlockFloats))
 		a.off = 0
 	}
 	dst := a.block[a.off : a.off+n : a.off+n]
@@ -38,19 +34,11 @@ func (a *floatArena) clone(xs []float64) []float64 {
 	return dst
 }
 
-// growFloats returns buf resized to n, reallocating only when capacity is
+// grow returns buf resized to n, reallocating only when capacity is
 // insufficient. Contents are unspecified.
-func growFloats(buf []float64, n int) []float64 {
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
-// growInts is growFloats for []int.
-func growInts(buf []int, n int) []int {
-	if cap(buf) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }

@@ -38,13 +38,12 @@ func TestDiscreteUpdateWorkerCountInvariance(t *testing.T) {
 	a1.UpdateWorkers = 1
 	a8.UpdateWorkers = 8
 
-	makeEnv := func(r *rand.Rand) DiscreteEnv { return &bandit{nActions: 3} }
 	rng1 := rand.New(rand.NewSource(99))
 	rng8 := rand.New(rand.NewSource(99))
 	for i := 0; i < 5; i++ {
 		// 2 envs x 100 steps = 200 transitions = 4 shards per update.
-		_, s1 := a1.TrainIteration(makeEnv, 2, 100, rng1)
-		_, s8 := a8.TrainIteration(makeEnv, 2, 100, rng8)
+		_, s1 := a1.TrainIterationVec(banditVec(2), 100, rng1)
+		_, s8 := a8.TrainIterationVec(banditVec(2), 100, rng8)
 		if s1 != s8 {
 			t.Fatalf("iter %d: UpdateStats diverge between 1 and 8 workers:\n%+v\n%+v", i, s1, s8)
 		}
@@ -69,12 +68,11 @@ func TestGaussianUpdateWorkerCountInvariance(t *testing.T) {
 	a1.UpdateWorkers = 1
 	a8.UpdateWorkers = 8
 
-	makeEnv := func(r *rand.Rand) ContinuousEnv { return &tracker{} }
 	rng1 := rand.New(rand.NewSource(77))
 	rng8 := rand.New(rand.NewSource(77))
 	for i := 0; i < 5; i++ {
-		_, s1 := a1.TrainIteration(makeEnv, 2, 100, rng1)
-		_, s8 := a8.TrainIteration(makeEnv, 2, 100, rng8)
+		_, s1 := a1.TrainIterationVec(trackerVec(2), 100, rng1)
+		_, s8 := a8.TrainIterationVec(trackerVec(2), 100, rng8)
 		if s1 != s8 {
 			t.Fatalf("iter %d: UpdateStats diverge between 1 and 8 workers:\n%+v\n%+v", i, s1, s8)
 		}
@@ -87,7 +85,7 @@ func TestGaussianUpdateWorkerCountInvariance(t *testing.T) {
 }
 
 // TestDiscreteUpdateCachedMatchesRecomputed pins the rollout-cache fast path
-// against the recompute path: updating from a TrainIteration-built batch
+// against the recompute path: updating from a Collect-built batch
 // (cache attached) must produce the same floats as updating an identical
 // agent from a hand-rebuilt batch with no cache.
 func TestDiscreteUpdateCachedMatchesRecomputed(t *testing.T) {
@@ -102,7 +100,7 @@ func TestDiscreteUpdateCachedMatchesRecomputed(t *testing.T) {
 	aCached, aPlain := mk(), mk()
 
 	batch := aCached.Collect(&bandit{nActions: 3}, 150, rand.New(rand.NewSource(5)))
-	if batch.cacheOwner != aCached {
+	if batch.cacheOwner != aCached.policy {
 		t.Fatal("Collect did not attach a rollout cache")
 	}
 	// Deep-copy the transitions into a cache-less batch for the plain agent.

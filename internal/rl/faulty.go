@@ -2,107 +2,40 @@ package rl
 
 import (
 	"math"
-	"math/rand"
 
 	"github.com/genet-go/genet/internal/faults"
 )
 
-// faultyDiscreteEnv wraps a training environment with the two
-// rollout-side injection sites: EnvStepPanic (the env dies mid-step,
-// exercising containment and quarantine) and TraceCorrupt (a poisoned
-// trace sample — NaN in the observation — flows into the policy and
-// surfaces later as a non-finite update, exercising the pre-apply
-// scan). Decision streams are keyed by the env's deterministic seed, so
-// chaos schedules are replayable regardless of worker scheduling.
+// faultyEnv wraps a training environment with the two rollout-side
+// injection sites: EnvStepPanic (the env dies mid-step, exercising
+// containment and quarantine) and TraceCorrupt (a poisoned trace sample —
+// NaN in the observation — flows into the policy and surfaces later as a
+// non-finite update, exercising the pre-apply scan). Decision streams are
+// keyed by the env's deterministic seed, so chaos schedules are replayable
+// regardless of worker scheduling.
 //
 // Corruption copies the observation into a wrapper-owned buffer before
 // poisoning it: the inner env may own (and reuse or re-read) the slice
 // it returned, and a fault injector must not corrupt simulator state —
 // only what the agent observes.
-type faultyDiscreteEnv struct {
-	inner     DiscreteEnv
+type faultyEnv[A any] struct {
+	scalarEnv[A]
 	panicSt   faults.Stream
 	corruptSt faults.Stream
 	obsBuf    []float64
 }
 
-func wrapFaultyDiscrete(e DiscreteEnv, in *faults.Injector, key int64) DiscreteEnv {
-	return &faultyDiscreteEnv{
-		inner:     e,
-		panicSt:   in.Stream(faults.EnvStepPanic, key),
-		corruptSt: in.Stream(faults.TraceCorrupt, key),
-	}
-}
-
-func (e *faultyDiscreteEnv) ObsSize() int                   { return e.inner.ObsSize() }
-func (e *faultyDiscreteEnv) NumActions() int                { return e.inner.NumActions() }
-func (e *faultyDiscreteEnv) Reset(rng *rand.Rand) []float64 { return e.inner.Reset(rng) }
-
-func (e *faultyDiscreteEnv) Step(action int) (obs []float64, reward float64, done bool) {
+func (e *faultyEnv[A]) Step(action A) (obs []float64, reward float64, done bool) {
 	if e.panicSt.Fire() {
 		panic(faults.Injected{Site: faults.EnvStepPanic})
 	}
-	obs, reward, done = e.inner.Step(action)
+	obs, reward, done = e.scalarEnv.Step(action)
 	if e.corruptSt.Fire() {
-		obs = e.corrupt(obs)
-	}
-	return obs, reward, done
-}
-
-func (e *faultyDiscreteEnv) corrupt(obs []float64) []float64 {
-	e.obsBuf = append(e.obsBuf[:0], obs...)
-	if len(e.obsBuf) > 0 {
-		e.obsBuf[0] = math.NaN()
-	}
-	return e.obsBuf
-}
-
-// allFinite reports whether every entry of xs is a finite number (the
-// log-std gradient scan in the Gaussian agent's pre-apply check).
-func allFinite(xs []float64) bool {
-	for _, v := range xs {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
+		e.obsBuf = append(e.obsBuf[:0], obs...)
+		if len(e.obsBuf) > 0 {
+			e.obsBuf[0] = math.NaN()
 		}
-	}
-	return true
-}
-
-// faultyContinuousEnv is the ContinuousEnv twin of faultyDiscreteEnv.
-type faultyContinuousEnv struct {
-	inner     ContinuousEnv
-	panicSt   faults.Stream
-	corruptSt faults.Stream
-	obsBuf    []float64
-}
-
-func wrapFaultyContinuous(e ContinuousEnv, in *faults.Injector, key int64) ContinuousEnv {
-	return &faultyContinuousEnv{
-		inner:     e,
-		panicSt:   in.Stream(faults.EnvStepPanic, key),
-		corruptSt: in.Stream(faults.TraceCorrupt, key),
-	}
-}
-
-func (e *faultyContinuousEnv) ObsSize() int                   { return e.inner.ObsSize() }
-func (e *faultyContinuousEnv) ActionDim() int                 { return e.inner.ActionDim() }
-func (e *faultyContinuousEnv) Reset(rng *rand.Rand) []float64 { return e.inner.Reset(rng) }
-
-func (e *faultyContinuousEnv) Step(action []float64) (obs []float64, reward float64, done bool) {
-	if e.panicSt.Fire() {
-		panic(faults.Injected{Site: faults.EnvStepPanic})
-	}
-	obs, reward, done = e.inner.Step(action)
-	if e.corruptSt.Fire() {
-		obs = e.corrupt(obs)
+		obs = e.obsBuf
 	}
 	return obs, reward, done
-}
-
-func (e *faultyContinuousEnv) corrupt(obs []float64) []float64 {
-	e.obsBuf = append(e.obsBuf[:0], obs...)
-	if len(e.obsBuf) > 0 {
-		e.obsBuf[0] = math.NaN()
-	}
-	return e.obsBuf
 }

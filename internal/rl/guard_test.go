@@ -2,6 +2,7 @@ package rl
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,12 +11,62 @@ import (
 	"github.com/genet-go/genet/internal/guard"
 )
 
+// guardAgent is one policy head behind the calls the table-driven guard
+// tests need: its runtime attachments, a TrainIterationVec over k fresh toy
+// envs, a full state snapshot, and a finiteness check of its networks.
+type guardAgent struct {
+	rt     *Runtime
+	train  func(k, steps int, rng *rand.Rand) UpdateStats
+	state  func(t *testing.T) []byte
+	finite func() bool
+}
+
+// guardHeads builds each head's guardAgent from rng: the categorical head
+// on contextual bandits, the Gaussian head on tracking tasks.
+var guardHeads = []struct {
+	name string
+	mk   func(t *testing.T, rng *rand.Rand) guardAgent
+}{
+	{"discrete", func(t *testing.T, rng *rand.Rand) guardAgent {
+		a, err := NewDiscreteAgent(DefaultDiscreteConfig(3, 3), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return guardAgent{
+			rt: &a.Runtime,
+			train: func(k, steps int, rng *rand.Rand) UpdateStats {
+				_, s := a.TrainIterationVec(banditVec(k), steps, rng)
+				return s
+			},
+			state:  func(t *testing.T) []byte { return stateBytes(t, a.SaveState) },
+			finite: func() bool { return a.policy.AllFinite() && a.value.AllFinite() },
+		}
+	}},
+	{"gaussian", func(t *testing.T, rng *rand.Rand) guardAgent {
+		a, err := NewGaussianAgent(DefaultGaussianConfig(1, 1), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return guardAgent{
+			rt: &a.Runtime,
+			train: func(k, steps int, rng *rand.Rand) UpdateStats {
+				_, s := a.TrainIterationVec(trackerVec(k), steps, rng)
+				return s
+			},
+			state: func(t *testing.T) []byte { return stateBytes(t, a.SaveState) },
+			finite: func() bool {
+				return a.policy.AllFinite() && a.value.AllFinite() && allFinite(a.logStd)
+			},
+		}
+	}},
+}
+
 // stateBytes snapshots the full agent state (nets + optimizer moments)
 // for bit-identity comparisons.
-func stateBytes(t *testing.T, a *DiscreteAgent) []byte {
+func stateBytes(t *testing.T, save func(io.Writer) error) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := a.SaveState(&buf); err != nil {
+	if err := save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -23,28 +74,25 @@ func stateBytes(t *testing.T, a *DiscreteAgent) []byte {
 
 func TestGuardEnabledIsBitIdenticalWithoutFaults(t *testing.T) {
 	// An armed guard observing a healthy run must be a pure observer:
-	// same seed, same floats, guard on or off.
-	run := func(g *guard.Guard) []byte {
-		rng := rand.New(rand.NewSource(7))
-		agent, err := NewDiscreteAgent(DefaultDiscreteConfig(3, 3), rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		agent.Guard = g
-		makeEnv := func(r *rand.Rand) DiscreteEnv { return &bandit{nActions: 3} }
-		for i := 0; i < 20; i++ {
-			agent.TrainIteration(makeEnv, 2, 64, rng)
-		}
-		var buf bytes.Buffer
-		if err := agent.SaveState(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	plain := run(nil)
-	guarded := run(guard.New(guard.Config{RollbackAfter: 3, QuarantineAfter: 3}))
-	if !bytes.Equal(plain, guarded) {
-		t.Fatal("guard-enabled zero-fault run diverged from unguarded run")
+	// same seed, same floats, guard on or off — although the guard moves
+	// collection onto the scalar fallback loop.
+	for _, h := range guardHeads {
+		t.Run(h.name, func(t *testing.T) {
+			run := func(g *guard.Guard) []byte {
+				rng := rand.New(rand.NewSource(7))
+				a := h.mk(t, rng)
+				a.rt.Guard = g
+				for i := 0; i < 20; i++ {
+					a.train(2, 64, rng)
+				}
+				return a.state(t)
+			}
+			plain := run(nil)
+			guarded := run(guard.New(guard.Config{RollbackAfter: 3, QuarantineAfter: 3}))
+			if !bytes.Equal(plain, guarded) {
+				t.Fatal("guard-enabled zero-fault run diverged from unguarded run")
+			}
+		})
 	}
 }
 
@@ -60,13 +108,12 @@ func TestGradPoisonSkipsUpdateAndPreservesParams(t *testing.T) {
 	in.Enable(faults.GradPoison, 1) // poison every apply
 	agent.Faults = in
 
-	makeEnv := func(r *rand.Rand) DiscreteEnv { return &bandit{nActions: 3} }
-	before := stateBytes(t, agent)
-	_, stats := agent.TrainIteration(makeEnv, 2, 64, rng)
+	before := stateBytes(t, agent.SaveState)
+	_, stats := agent.TrainIterationVec(banditVec(2), 64, rng)
 	if !stats.Skipped {
 		t.Fatal("poisoned update not reported as skipped")
 	}
-	after := stateBytes(t, agent)
+	after := stateBytes(t, agent.SaveState)
 	if !bytes.Equal(before, after) {
 		t.Fatal("skipped update still mutated agent state")
 	}
@@ -79,30 +126,33 @@ func TestGradPoisonSkipsUpdateAndPreservesParams(t *testing.T) {
 }
 
 func TestEnvStepPanicContainedAndSurvivorsTrain(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	agent, err := NewDiscreteAgent(DefaultDiscreteConfig(3, 3), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := guard.New(guard.Config{QuarantineAfter: 1})
-	agent.Guard = g
-	in := faults.New(2)
-	in.Enable(faults.EnvStepPanic, 10) // most rollouts die quickly
-	agent.Faults = in
+	for _, h := range guardHeads {
+		t.Run(h.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(5))
+			a := h.mk(t, rng)
+			g := guard.New(guard.Config{QuarantineAfter: 1})
+			a.rt.Guard = g
+			in := faults.New(2)
+			in.Enable(faults.EnvStepPanic, 10) // most rollouts die quickly
+			a.rt.Faults = in
 
-	makeEnv := func(r *rand.Rand) DiscreteEnv { return &bandit{nActions: 3} }
-	for i := 0; i < 5; i++ {
-		agent.TrainIteration(makeEnv, 4, 64, rng)
-	}
-	st := g.Snapshot()
-	if st.RolloutFaults == 0 {
-		t.Fatal("no rollout faults recorded despite every-10-steps panics")
-	}
-	if in.Fired(faults.EnvStepPanic) == 0 {
-		t.Fatal("injector never fired")
-	}
-	if !g.QuarantineNeeded() {
-		t.Fatal("quarantine not demanded after consecutive faulty rollouts")
+			for i := 0; i < 5; i++ {
+				a.train(4, 64, rng)
+			}
+			st := g.Snapshot()
+			if st.RolloutFaults == 0 {
+				t.Fatal("no rollout faults recorded despite every-10-steps panics")
+			}
+			if st.Updates == 0 {
+				t.Fatal("the surviving rollouts never reached an update")
+			}
+			if in.Fired(faults.EnvStepPanic) == 0 {
+				t.Fatal("injector never fired")
+			}
+			if !g.QuarantineNeeded() {
+				t.Fatal("quarantine not demanded after consecutive faulty rollouts")
+			}
+		})
 	}
 }
 
@@ -122,48 +172,47 @@ func TestRolloutPanicWithoutGuardStillCrashes(t *testing.T) {
 			t.Fatal("env panic did not propagate without a guard")
 		}
 	}()
-	agent.TrainIteration(func(r *rand.Rand) DiscreteEnv { return &bandit{nActions: 3} }, 2, 64, rng)
+	agent.TrainIterationVec(banditVec(2), 64, rng)
 }
 
 func TestTraceCorruptionSurfacesAsSkippedUpdate(t *testing.T) {
 	// A NaN observation flows through the forward pass into the loss and
 	// gradients; the pre-apply scan must catch it before the Adam step.
-	rng := rand.New(rand.NewSource(9))
-	agent, err := NewDiscreteAgent(DefaultDiscreteConfig(3, 3), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := guard.New(guard.Config{})
-	agent.Guard = g
-	makeEnv := func(r *rand.Rand) DiscreteEnv { return &bandit{nActions: 3} }
+	for _, h := range guardHeads {
+		t.Run(h.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(9))
+			a := h.mk(t, rng)
+			a.rt.Guard = guard.New(guard.Config{})
 
-	// Clean phase: no injector, the agent trains normally.
-	before := stateBytes(t, agent)
-	for i := 0; i < 3; i++ {
-		agent.TrainIteration(makeEnv, 2, 64, rng)
-	}
-	if bytes.Equal(before, stateBytes(t, agent)) {
-		t.Fatal("agent did not train during the clean phase")
-	}
+			// Clean phase: no injector, the agent trains normally.
+			before := a.state(t)
+			for i := 0; i < 3; i++ {
+				a.train(2, 64, rng)
+			}
+			if bytes.Equal(before, a.state(t)) {
+				t.Fatal("agent did not train during the clean phase")
+			}
 
-	// Corrupt phase: with NaN observations every ~5 steps, every batch is
-	// poisoned and the pre-apply scan must veto every optimizer step.
-	in := faults.New(4)
-	in.Enable(faults.TraceCorrupt, 5)
-	agent.Faults = in
-	var sawSkip bool
-	for i := 0; i < 3; i++ {
-		_, stats := agent.TrainIteration(makeEnv, 2, 64, rng)
-		sawSkip = sawSkip || stats.Skipped
-	}
-	if in.Fired(faults.TraceCorrupt) == 0 {
-		t.Fatal("trace corruption never fired")
-	}
-	if !sawSkip {
-		t.Fatal("corrupted observations never produced a skipped update")
-	}
-	if !agent.policy.AllFinite() || !agent.value.AllFinite() {
-		t.Fatal("guard let NaN reach the network parameters")
+			// Corrupt phase: with NaN observations every ~5 steps, every
+			// batch is poisoned and the pre-apply scan must veto every
+			// optimizer step.
+			in := faults.New(4)
+			in.Enable(faults.TraceCorrupt, 5)
+			a.rt.Faults = in
+			var sawSkip bool
+			for i := 0; i < 3; i++ {
+				sawSkip = a.train(2, 64, rng).Skipped || sawSkip
+			}
+			if in.Fired(faults.TraceCorrupt) == 0 {
+				t.Fatal("trace corruption never fired")
+			}
+			if !sawSkip {
+				t.Fatal("corrupted observations never produced a skipped update")
+			}
+			if !a.finite() {
+				t.Fatal("guard let NaN reach the parameters")
+			}
+		})
 	}
 }
 
@@ -180,8 +229,7 @@ func TestGaussianGradPoisonSkips(t *testing.T) {
 	in.Enable(faults.GradPoison, 1)
 	agent.Faults = in
 
-	makeEnv := func(r *rand.Rand) ContinuousEnv { return &ccToy{dim: 4, adim: 2} }
-	_, stats := agent.TrainIteration(makeEnv, 2, 64, rng)
+	_, stats := agent.TrainIterationVec(ccToyVec(2), 64, rng)
 	if !stats.Skipped {
 		t.Fatal("poisoned PPO update not reported as skipped")
 	}
@@ -213,4 +261,14 @@ func (e *ccToy) Step(action []float64) ([]float64, float64, bool) {
 	}
 	e.step++
 	return make([]float64, e.dim), r, e.step >= 8
+}
+
+// ccToyVec returns k fresh ccToy envs (4-dim obs, 2-dim actions) as one
+// vectorized env.
+func ccToyVec(k int) ContinuousVecEnv {
+	envs := make([]ContinuousEnv, k)
+	for i := range envs {
+		envs[i] = &ccToy{dim: 4, adim: 2}
+	}
+	return VecContinuous(envs...)
 }

@@ -6,6 +6,14 @@
 // continuous action spaces (the algorithm used by Aurora-style congestion
 // control).
 //
+// Both learners are one rollout/training core (agent.go), generic over the
+// action type: networks, optimizers, Runtime attachments, pools, the
+// lockstep and scalar collect loops, TrainIterationVec and the checks around
+// every optimizer apply. Each learner is a small policy head on it: the
+// categorical DiscreteAgent with a single-pass A2C update replaying the
+// rollout's activations, and the diagonal-Gaussian GaussianAgent with PPO
+// epochs over shuffled minibatches and a log-std Adam.
+//
 // Everything is deterministic given the caller-provided random sources.
 package rl
 
@@ -64,16 +72,16 @@ type Batch struct {
 	Episodes    int
 	TotalReward float64 // summed over all episodes
 
-	// Rollout activation caches recorded by DiscreteAgent.Collect. A2C is
-	// on-policy: parameters are frozen between Collect and Update, so the
-	// activations the rollout already computed are exactly the ones the
-	// update's backward pass needs. Update consumes them only when the batch
-	// was recorded by the same agent at its current parameter version
-	// (cacheOwner/cacheVersion guard), falling back to recomputing forwards
-	// otherwise — e.g. for hand-built batches or a second Update on the same
-	// batch.
+	// Rollout activation caches recorded by the collect loops. A2C is
+	// on-policy: parameters are frozen between collection and update, so
+	// the activations the rollout already computed are exactly the ones the
+	// update's backward pass needs. An update replays them only when the
+	// batch was recorded through its own policy network at the current
+	// parameter version (cacheOwner/cacheVersion guard), falling back to
+	// recomputing forwards otherwise — e.g. for hand-built batches or a
+	// second Update on the same batch.
 	pCache, vCache *nn.BatchCache
-	cacheOwner     *DiscreteAgent
+	cacheOwner     *nn.MLP
 	cacheVersion   uint64
 }
 

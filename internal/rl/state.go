@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"github.com/genet-go/genet/internal/nn"
 )
@@ -15,9 +16,10 @@ import (
 // Two stream kinds exist per agent, both single gob values with a leading
 // Version field:
 //
-//   - model streams (Save/Load*Agent): networks and logStd only, for
-//     handing a trained policy to evaluation tools. Lossy by design — no
-//     optimizer state — and therefore deprecated for mid-run persistence.
+//   - model streams (Save/Load*Agent): networks and logStd only — the
+//     model.bin format genet-train and fleet write and serve and
+//     genet-eval read. No optimizer state: a model is a policy to deploy
+//     or evaluate, not a training run to continue.
 //   - state streams (SaveState/Load*AgentState): the complete training
 //     state — config, networks, logStd, and every Adam moment and step
 //     counter — such that LoadState followed by Update is bit-identical to
@@ -73,9 +75,9 @@ type discreteStateWire struct {
 	VOpt    nn.AdamWire
 }
 
-// adamVecWire serializes the log-std Adam state (adamVec), which the legacy
-// Save dropped entirely: after an old-format round-trip the log-std moments
-// and step counter restarted from zero and the resumed run diverged.
+// adamVecWire serializes the log-std Adam state (adamVec), which model
+// streams leave out: a checkpoint without it would restart the log-std
+// moments and step counter from zero and the resumed run would diverge.
 type adamVecWire struct {
 	LR, B1, B2, Eps float64
 	M, V            []float64
@@ -93,96 +95,106 @@ type gaussianStateWire struct {
 	SOpt    adamVecWire
 }
 
-func (a *adamVec) wire() adamVecWire {
-	return adamVecWire{
-		LR: a.lr, B1: a.b1, B2: a.b2, Eps: a.eps,
-		M: append([]float64(nil), a.m...),
-		V: append([]float64(nil), a.v...),
-		T: a.t,
-	}
-}
-
-func adamVecFromWire(w adamVecWire, n int) (*adamVec, error) {
-	if len(w.M) != n || len(w.V) != n {
-		return nil, fmt.Errorf("rl: log-std optimizer state has %d/%d moments, want %d", len(w.M), len(w.V), n)
-	}
-	return &adamVec{
-		lr: w.LR, b1: w.B1, b2: w.B2, eps: w.Eps,
-		m: append([]float64(nil), w.M...),
-		v: append([]float64(nil), w.V...),
-		t: w.T,
-	}, nil
-}
-
-// equalInts reports element-wise equality.
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// discreteSizes returns the policy and value layer widths cfg implies.
-func discreteSizes(cfg DiscreteConfig) (policy, value []int) {
-	policy = append(append([]int{cfg.ObsSize}, cfg.Hidden...), cfg.NumActions)
-	value = append(append([]int{cfg.ObsSize}, cfg.Hidden...), 1)
-	return policy, value
-}
-
-// gaussianSizes returns the policy and value layer widths cfg implies.
-func gaussianSizes(cfg GaussianConfig) (policy, value []int) {
-	policy = append(append([]int{cfg.ObsSize}, cfg.Hidden...), cfg.ActionDim)
-	value = append(append([]int{cfg.ObsSize}, cfg.Hidden...), 1)
-	return policy, value
-}
-
-// validateDiscreteArch checks the loaded networks against every dimension
-// cfg implies — obs width, action count, and each hidden layer — so a config
-// mismatch fails at load time with a descriptive error instead of a shape
-// panic (or silent garbage) deep inside the first forward pass.
-func validateDiscreteArch(cfg DiscreteConfig, policy, value *nn.MLP) error {
-	wantP, wantV := discreteSizes(cfg)
-	if got := policy.Sizes(); !equalInts(got, wantP) {
+// validateNets checks loaded networks against every dimension an agent's
+// config implies — obs width, output width, and each hidden layer — so a
+// config mismatch fails at load time with a descriptive error instead of a
+// shape panic (or silent garbage) deep inside the first forward pass.
+func validateNets(obsSize int, hidden []int, out int, policy, value *nn.MLP) error {
+	wantP, wantV := netSizes(obsSize, hidden, out)
+	if got := policy.Sizes(); !slices.Equal(got, wantP) {
 		return fmt.Errorf("rl: loaded policy layers %v do not match config (obs=%d hidden=%v actions=%d wants %v)",
-			got, cfg.ObsSize, cfg.Hidden, cfg.NumActions, wantP)
+			got, obsSize, hidden, out, wantP)
 	}
-	if got := value.Sizes(); !equalInts(got, wantV) {
+	if got := value.Sizes(); !slices.Equal(got, wantV) {
 		return fmt.Errorf("rl: loaded value net layers %v do not match config (obs=%d hidden=%v wants %v)",
-			got, cfg.ObsSize, cfg.Hidden, wantV)
+			got, obsSize, hidden, wantV)
 	}
 	return nil
 }
 
-// validateGaussianArch is validateDiscreteArch for the Gaussian agent,
-// additionally checking the log-std vector length.
-func validateGaussianArch(cfg GaussianConfig, policy, value *nn.MLP, logStd []float64) error {
-	wantP, wantV := gaussianSizes(cfg)
-	if got := policy.Sizes(); !equalInts(got, wantP) {
-		return fmt.Errorf("rl: loaded policy layers %v do not match config (obs=%d hidden=%v actions=%d wants %v)",
-			got, cfg.ObsSize, cfg.Hidden, cfg.ActionDim, wantP)
-	}
-	if got := value.Sizes(); !equalInts(got, wantV) {
-		return fmt.Errorf("rl: loaded value net layers %v do not match config (obs=%d hidden=%v wants %v)",
-			got, cfg.ObsSize, cfg.Hidden, wantV)
-	}
+// validateLogStd checks a loaded log-std vector's length against cfg.
+func validateLogStd(cfg GaussianConfig, logStd []float64) error {
 	if len(logStd) != cfg.ActionDim {
 		return fmt.Errorf("rl: loaded log-std has %d dims, config wants %d", len(logStd), cfg.ActionDim)
 	}
 	return nil
 }
 
+// readModel reads a model stream into wire, whose Version, Policy and Value
+// fields version, pw and vw address, and returns the restored networks,
+// validated against the config dimensions. Streams that do not decode as a
+// versioned model value are read in the pre-versioned layout instead — two
+// consecutive raw network gobs — and legacy is then positioned after them,
+// for any trailing legacy data; it is nil for versioned streams.
+func readModel(r io.Reader, obsSize int, hidden []int, out int, wire any, version *int, pw, vw *nn.MLPWire) (policy, value *nn.MLP, legacy *bytes.Reader, err error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("rl: load: %w", err)
+	}
+	if gob.NewDecoder(bytes.NewReader(data)).Decode(wire) == nil && *version >= modelFormatVersion {
+		if policy, err = nn.MLPFromWire(*pw); err != nil {
+			return nil, nil, nil, fmt.Errorf("rl: load policy: %w", err)
+		}
+		if value, err = nn.MLPFromWire(*vw); err != nil {
+			return nil, nil, nil, fmt.Errorf("rl: load value net: %w", err)
+		}
+	} else {
+		legacy = bytes.NewReader(data)
+		if policy, err = nn.Load(legacy); err != nil {
+			return nil, nil, nil, fmt.Errorf("rl: load legacy policy: %w", err)
+		}
+		if value, err = nn.Load(legacy); err != nil {
+			return nil, nil, nil, fmt.Errorf("rl: load legacy value net: %w", err)
+		}
+	}
+	return policy, value, legacy, validateNets(obsSize, hidden, out, policy, value)
+}
+
+var (
+	errStateNoConfig = errors.New("rl: agent state stream carries no config (was it written with Save instead of SaveState?)")
+	// A model-only stream gob-decodes into a state wire shape with zeroed
+	// optimizers; accepting it would silently train with LR 0 after resume.
+	errStateNoOptimizer = errors.New("rl: stream lacks optimizer state (written with Save instead of SaveState?)")
+)
+
+// decodeState decodes one state stream into wire, whose Version field
+// version addresses, and checks the version is one this build reads.
+func decodeState(r io.Reader, wire any, version *int) error {
+	if err := gob.NewDecoder(r).Decode(wire); err != nil {
+		return fmt.Errorf("rl: load state: %w", err)
+	}
+	if *version < 1 || *version > stateFormatVersion {
+		return fmt.Errorf("rl: unsupported agent state version %d (this build reads <= %d)", *version, stateFormatVersion)
+	}
+	return nil
+}
+
+// restoreNets rebuilds a state stream's networks, validates them against
+// the config dimensions, and restores their Adam optimizers.
+func restoreNets(obsSize int, hidden []int, out int, pw, vw nn.MLPWire, po, vo nn.AdamWire) (policy, value *nn.MLP, pOpt, vOpt *nn.Adam, err error) {
+	if policy, err = nn.MLPFromWire(pw); err != nil {
+		return nil, nil, nil, nil, fmt.Errorf("rl: load state policy: %w", err)
+	}
+	if value, err = nn.MLPFromWire(vw); err != nil {
+		return nil, nil, nil, nil, fmt.Errorf("rl: load state value net: %w", err)
+	}
+	if err = validateNets(obsSize, hidden, out, policy, value); err != nil {
+		return nil, nil, nil, nil, err
+	}
+	if pOpt, err = nn.AdamFromWire(po, policy); err != nil {
+		return nil, nil, nil, nil, fmt.Errorf("rl: load state policy optimizer: %w", err)
+	}
+	if vOpt, err = nn.AdamFromWire(vo, value); err != nil {
+		return nil, nil, nil, nil, fmt.Errorf("rl: load state value optimizer: %w", err)
+	}
+	return policy, value, pOpt, vOpt, nil
+}
+
 // --- DiscreteAgent ---
 
-// Save serializes the agent's networks as one versioned gob value.
-//
-// Deprecated: Save drops the Adam optimizer state, so a save/load round-trip
-// mid-training diverges from an uninterrupted run. Use SaveState for
-// checkpoint/resume; Save remains for exporting inference-only models.
+// Save writes the agent's model stream: config and networks as one
+// versioned gob value, without optimizer state (use SaveState to checkpoint
+// training).
 func (a *DiscreteAgent) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(discreteModelWire{
 		Version: modelFormatVersion,
@@ -192,48 +204,18 @@ func (a *DiscreteAgent) Save(w io.Writer) error {
 	})
 }
 
-// LoadDiscreteAgent restores an agent saved with Save. The networks are
-// validated against cfg (observation width, action count, hidden sizes); a
-// mismatch is a descriptive error, never a deferred shape panic. Streams
-// written by the pre-versioned format (raw consecutive network gobs) are
-// still accepted.
-//
-// Deprecated: models loaded this way carry fresh optimizer state; use
-// SaveState/LoadDiscreteAgentState to continue training losslessly.
+// LoadDiscreteAgent restores an agent saved with Save, with fresh optimizer
+// state. The networks are validated against cfg (observation width, action
+// count, hidden sizes); a mismatch is a descriptive error, never a deferred
+// shape panic. Streams written by the pre-versioned format (raw
+// consecutive network gobs) are still accepted.
 func LoadDiscreteAgent(cfg DiscreteConfig, r io.Reader) (*DiscreteAgent, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("rl: load: %w", err)
-	}
-	var policy, value *nn.MLP
 	var wire discreteModelWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&wire); err == nil && wire.Version >= modelFormatVersion {
-		if policy, err = nn.MLPFromWire(wire.Policy); err != nil {
-			return nil, fmt.Errorf("rl: load policy: %w", err)
-		}
-		if value, err = nn.MLPFromWire(wire.Value); err != nil {
-			return nil, fmt.Errorf("rl: load value net: %w", err)
-		}
-	} else {
-		// Legacy format: two consecutive raw network gob streams.
-		br := bytes.NewReader(data)
-		if policy, err = nn.Load(br); err != nil {
-			return nil, fmt.Errorf("rl: load legacy policy: %w", err)
-		}
-		if value, err = nn.Load(br); err != nil {
-			return nil, fmt.Errorf("rl: load legacy value net: %w", err)
-		}
-	}
-	if err := validateDiscreteArch(cfg, policy, value); err != nil {
+	policy, value, _, err := readModel(r, cfg.ObsSize, cfg.Hidden, cfg.NumActions, &wire, &wire.Version, &wire.Policy, &wire.Value)
+	if err != nil {
 		return nil, err
 	}
-	a := &DiscreteAgent{
-		cfg: cfg, policy: policy, value: value,
-		pOpt: nn.NewAdam(cfg.LR), vOpt: nn.NewAdam(cfg.LR),
-	}
-	a.pGrads = policy.NewGrads()
-	a.vGrads = value.NewGrads()
-	return a, nil
+	return newDiscrete(cfg, policy, value), nil
 }
 
 // SaveState serializes the agent's complete training state: config,
@@ -252,62 +234,34 @@ func (a *DiscreteAgent) SaveState(w io.Writer) error {
 }
 
 // LoadDiscreteAgentState restores an agent saved with SaveState. The
-// configuration is part of the stream; runtime-only knobs (UpdateWorkers,
-// Metrics) are left at their zero values for the caller to set.
+// configuration is part of the stream; the Runtime attachments are left at
+// their zero values for the caller to set.
 func LoadDiscreteAgentState(r io.Reader) (*DiscreteAgent, error) {
 	var wire discreteStateWire
-	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("rl: load state: %w", err)
-	}
-	if wire.Version < 1 || wire.Version > stateFormatVersion {
-		return nil, fmt.Errorf("rl: unsupported agent state version %d (this build reads <= %d)", wire.Version, stateFormatVersion)
-	}
-	if wire.Cfg.ObsSize <= 0 || wire.Cfg.NumActions <= 1 {
-		return nil, errors.New("rl: agent state stream carries no config (was it written with Save instead of SaveState?)")
-	}
-	// A model-only stream gob-decodes into this wire shape with zeroed
-	// optimizers; accepting it would silently train with LR 0 after resume.
-	if wire.POpt.LR <= 0 || wire.VOpt.LR <= 0 {
-		return nil, errors.New("rl: stream lacks optimizer state (written with Save instead of SaveState?)")
-	}
-	policy, err := nn.MLPFromWire(wire.Policy)
-	if err != nil {
-		return nil, fmt.Errorf("rl: load state policy: %w", err)
-	}
-	value, err := nn.MLPFromWire(wire.Value)
-	if err != nil {
-		return nil, fmt.Errorf("rl: load state value net: %w", err)
-	}
-	if err := validateDiscreteArch(wire.Cfg, policy, value); err != nil {
+	if err := decodeState(r, &wire, &wire.Version); err != nil {
 		return nil, err
 	}
-	pOpt, err := nn.AdamFromWire(wire.POpt, policy)
+	cfg := wire.Cfg
+	if cfg.ObsSize <= 0 || cfg.NumActions <= 1 {
+		return nil, errStateNoConfig
+	}
+	if wire.POpt.LR <= 0 || wire.VOpt.LR <= 0 {
+		return nil, errStateNoOptimizer
+	}
+	policy, value, pOpt, vOpt, err := restoreNets(cfg.ObsSize, cfg.Hidden, cfg.NumActions, wire.Policy, wire.Value, wire.POpt, wire.VOpt)
 	if err != nil {
-		return nil, fmt.Errorf("rl: load state policy optimizer: %w", err)
+		return nil, err
 	}
-	vOpt, err := nn.AdamFromWire(wire.VOpt, value)
-	if err != nil {
-		return nil, fmt.Errorf("rl: load state value optimizer: %w", err)
-	}
-	a := &DiscreteAgent{
-		cfg: wire.Cfg, policy: policy, value: value,
-		pOpt: pOpt, vOpt: vOpt,
-	}
-	a.pGrads = policy.NewGrads()
-	a.vGrads = value.NewGrads()
+	a := newDiscrete(cfg, policy, value)
+	a.pOpt, a.vOpt = pOpt, vOpt
 	return a, nil
 }
 
 // --- GaussianAgent ---
 
-// Save serializes the agent's networks and log-std vector as one versioned
-// gob value. This replaces the historical format that interleaved
-// text-encoded floats after raw network gob streams; old files remain
-// readable through LoadGaussianAgent's compat path.
-//
-// Deprecated: Save drops all three Adam optimizer states (policy, value,
-// log-std), so a save/load round-trip mid-training diverges from an
-// uninterrupted run. Use SaveState for checkpoint/resume.
+// Save writes the agent's model stream: config, networks and the log-std
+// vector as one versioned gob value, without optimizer state (use SaveState
+// to checkpoint training).
 func (a *GaussianAgent) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(gaussianModelWire{
 		Version: modelFormatVersion,
@@ -318,54 +272,30 @@ func (a *GaussianAgent) Save(w io.Writer) error {
 	})
 }
 
-// LoadGaussianAgent restores an agent saved with Save, validating the
-// networks and log-std vector against cfg. Streams in the legacy mixed
-// gob+text format are still accepted.
-//
-// Deprecated: models loaded this way carry fresh optimizer state; use
-// SaveState/LoadGaussianAgentState to continue training losslessly.
+// LoadGaussianAgent restores an agent saved with Save, with fresh optimizer
+// state, validating the networks and log-std vector against cfg. Streams in
+// the historical mixed gob+text format are still accepted.
 func LoadGaussianAgent(cfg GaussianConfig, r io.Reader) (*GaussianAgent, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("rl: load: %w", err)
-	}
-	var policy, value *nn.MLP
-	var logStd []float64
 	var wire gaussianModelWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&wire); err == nil && wire.Version >= modelFormatVersion {
-		if policy, err = nn.MLPFromWire(wire.Policy); err != nil {
-			return nil, fmt.Errorf("rl: load policy: %w", err)
-		}
-		if value, err = nn.MLPFromWire(wire.Value); err != nil {
-			return nil, fmt.Errorf("rl: load value net: %w", err)
-		}
-		logStd = append([]float64(nil), wire.LogStd...)
-	} else {
-		// Legacy format: two raw network gob streams followed by one
+	policy, value, legacy, err := readModel(r, cfg.ObsSize, cfg.Hidden, cfg.ActionDim, &wire, &wire.Version, &wire.Policy, &wire.Value)
+	if err != nil {
+		return nil, err
+	}
+	logStd := append([]float64(nil), wire.LogStd...)
+	if legacy != nil {
+		// The historical layout follows the networks with one
 		// text-encoded float per action dimension.
-		br := bytes.NewReader(data)
-		if policy, err = nn.Load(br); err != nil {
-			return nil, fmt.Errorf("rl: load legacy policy: %w", err)
-		}
-		if value, err = nn.Load(br); err != nil {
-			return nil, fmt.Errorf("rl: load legacy value net: %w", err)
-		}
 		logStd = make([]float64, cfg.ActionDim)
 		for i := range logStd {
-			if _, err := fmt.Fscan(br, &logStd[i]); err != nil {
+			if _, err := fmt.Fscan(legacy, &logStd[i]); err != nil {
 				return nil, fmt.Errorf("rl: load legacy logstd: %w", err)
 			}
 		}
 	}
-	if err := validateGaussianArch(cfg, policy, value, logStd); err != nil {
+	if err := validateLogStd(cfg, logStd); err != nil {
 		return nil, err
 	}
-	a := &GaussianAgent{
-		cfg: cfg, policy: policy, value: value, logStd: logStd,
-		pOpt: nn.NewAdam(cfg.LR), vOpt: nn.NewAdam(cfg.LR), sOpt: newAdamVec(cfg.LR, cfg.ActionDim),
-	}
-	a.initGradState()
-	return a, nil
+	return newGaussian(cfg, policy, value, logStd), nil
 }
 
 // SaveState serializes the agent's complete training state: config,
@@ -382,55 +312,36 @@ func (a *GaussianAgent) SaveState(w io.Writer) error {
 		LogStd:  append([]float64(nil), a.logStd...),
 		POpt:    a.pOpt.Wire(),
 		VOpt:    a.vOpt.Wire(),
-		SOpt:    a.sOpt.wire(),
+		SOpt:    adamVecWire(*a.sOpt),
 	})
 }
 
 // LoadGaussianAgentState restores an agent saved with SaveState.
 func LoadGaussianAgentState(r io.Reader) (*GaussianAgent, error) {
 	var wire gaussianStateWire
-	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("rl: load state: %w", err)
-	}
-	if wire.Version < 1 || wire.Version > stateFormatVersion {
-		return nil, fmt.Errorf("rl: unsupported agent state version %d (this build reads <= %d)", wire.Version, stateFormatVersion)
-	}
-	if wire.Cfg.ObsSize <= 0 || wire.Cfg.ActionDim <= 0 {
-		return nil, errors.New("rl: agent state stream carries no config (was it written with Save instead of SaveState?)")
-	}
-	// A model-only stream gob-decodes into this wire shape with zeroed
-	// optimizers; accepting it would silently train with LR 0 after resume.
-	if wire.POpt.LR <= 0 || wire.VOpt.LR <= 0 || wire.SOpt.LR <= 0 {
-		return nil, errors.New("rl: stream lacks optimizer state (written with Save instead of SaveState?)")
-	}
-	policy, err := nn.MLPFromWire(wire.Policy)
-	if err != nil {
-		return nil, fmt.Errorf("rl: load state policy: %w", err)
-	}
-	value, err := nn.MLPFromWire(wire.Value)
-	if err != nil {
-		return nil, fmt.Errorf("rl: load state value net: %w", err)
-	}
-	logStd := append([]float64(nil), wire.LogStd...)
-	if err := validateGaussianArch(wire.Cfg, policy, value, logStd); err != nil {
+	if err := decodeState(r, &wire, &wire.Version); err != nil {
 		return nil, err
 	}
-	pOpt, err := nn.AdamFromWire(wire.POpt, policy)
+	cfg := wire.Cfg
+	if cfg.ObsSize <= 0 || cfg.ActionDim <= 0 {
+		return nil, errStateNoConfig
+	}
+	if wire.POpt.LR <= 0 || wire.VOpt.LR <= 0 || wire.SOpt.LR <= 0 {
+		return nil, errStateNoOptimizer
+	}
+	policy, value, pOpt, vOpt, err := restoreNets(cfg.ObsSize, cfg.Hidden, cfg.ActionDim, wire.Policy, wire.Value, wire.POpt, wire.VOpt)
 	if err != nil {
-		return nil, fmt.Errorf("rl: load state policy optimizer: %w", err)
+		return nil, err
 	}
-	vOpt, err := nn.AdamFromWire(wire.VOpt, value)
-	if err != nil {
-		return nil, fmt.Errorf("rl: load state value optimizer: %w", err)
+	logStd := append([]float64(nil), wire.LogStd...)
+	if err := validateLogStd(cfg, logStd); err != nil {
+		return nil, err
 	}
-	sOpt, err := adamVecFromWire(wire.SOpt, wire.Cfg.ActionDim)
-	if err != nil {
-		return nil, fmt.Errorf("rl: load state log-std optimizer: %w", err)
+	if s := wire.SOpt; len(s.M) != cfg.ActionDim || len(s.V) != cfg.ActionDim {
+		return nil, fmt.Errorf("rl: load state log-std optimizer: %d/%d moments, want %d", len(s.M), len(s.V), cfg.ActionDim)
 	}
-	a := &GaussianAgent{
-		cfg: wire.Cfg, policy: policy, value: value, logStd: logStd,
-		pOpt: pOpt, vOpt: vOpt, sOpt: sOpt,
-	}
-	a.initGradState()
+	sOpt := adamVec(wire.SOpt)
+	a := newGaussian(cfg, policy, value, logStd)
+	a.pOpt, a.vOpt, a.sOpt = pOpt, vOpt, &sOpt
 	return a, nil
 }

@@ -37,10 +37,9 @@ func TestDiscreteStateRoundTripBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	makeEnv := func(r *rand.Rand) DiscreteEnv { return &bandit{nActions: 3} }
 	trainRng := rand.New(rand.NewSource(41))
 	for i := 0; i < 5; i++ {
-		agent.TrainIteration(makeEnv, 4, 64, trainRng)
+		agent.TrainIterationVec(banditVec(4), 64, trainRng)
 	}
 
 	snap := discreteStateBytes(t, agent)
@@ -55,8 +54,8 @@ func TestDiscreteStateRoundTripBitIdentical(t *testing.T) {
 	contRng1 := rand.New(rand.NewSource(42))
 	contRng2 := rand.New(rand.NewSource(42))
 	for i := 0; i < 5; i++ {
-		agent.TrainIteration(makeEnv, 4, 64, contRng1)
-		restored.TrainIteration(makeEnv, 4, 64, contRng2)
+		agent.TrainIterationVec(banditVec(4), 64, contRng1)
+		restored.TrainIterationVec(banditVec(4), 64, contRng2)
 		a, b := discreteStateBytes(t, agent), discreteStateBytes(t, restored)
 		if !bytes.Equal(a, b) {
 			t.Fatalf("iteration %d after restore diverged from uninterrupted run", i)
@@ -74,10 +73,9 @@ func TestGaussianStateRoundTripBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	makeEnv := func(r *rand.Rand) ContinuousEnv { return &tracker{} }
 	trainRng := rand.New(rand.NewSource(44))
 	for i := 0; i < 4; i++ {
-		agent.TrainIteration(makeEnv, 4, 64, trainRng)
+		agent.TrainIterationVec(trackerVec(4), 64, trainRng)
 	}
 
 	snap := gaussianStateBytes(t, agent)
@@ -92,8 +90,8 @@ func TestGaussianStateRoundTripBitIdentical(t *testing.T) {
 	contRng1 := rand.New(rand.NewSource(45))
 	contRng2 := rand.New(rand.NewSource(45))
 	for i := 0; i < 4; i++ {
-		agent.TrainIteration(makeEnv, 4, 64, contRng1)
-		restored.TrainIteration(makeEnv, 4, 64, contRng2)
+		agent.TrainIterationVec(trackerVec(4), 64, contRng1)
+		restored.TrainIterationVec(trackerVec(4), 64, contRng2)
 		a, b := gaussianStateBytes(t, agent), gaussianStateBytes(t, restored)
 		if !bytes.Equal(a, b) {
 			t.Fatalf("iteration %d after restore diverged from uninterrupted run", i)
@@ -101,8 +99,8 @@ func TestGaussianStateRoundTripBitIdentical(t *testing.T) {
 	}
 }
 
-// TestLossySaveDivergesAfterTraining documents why SaveState exists: the
-// deprecated Save/Load path resets the optimizers, so a round-trip
+// TestLossySaveDivergesAfterTraining documents why SaveState exists: a model
+// stream (Save/Load) carries no optimizer state, so a round-trip
 // mid-training does NOT reproduce the uninterrupted run.
 func TestLossySaveDivergesAfterTraining(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
@@ -111,10 +109,9 @@ func TestLossySaveDivergesAfterTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	makeEnv := func(r *rand.Rand) DiscreteEnv { return &bandit{nActions: 3} }
 	trainRng := rand.New(rand.NewSource(47))
 	for i := 0; i < 5; i++ {
-		agent.TrainIteration(makeEnv, 2, 64, trainRng)
+		agent.TrainIterationVec(banditVec(2), 64, trainRng)
 	}
 	var buf bytes.Buffer
 	if err := agent.Save(&buf); err != nil {
@@ -126,10 +123,10 @@ func TestLossySaveDivergesAfterTraining(t *testing.T) {
 	}
 	contRng1 := rand.New(rand.NewSource(48))
 	contRng2 := rand.New(rand.NewSource(48))
-	agent.TrainIteration(makeEnv, 2, 64, contRng1)
-	lossy.TrainIteration(makeEnv, 2, 64, contRng2)
+	agent.TrainIterationVec(banditVec(2), 64, contRng1)
+	lossy.TrainIterationVec(banditVec(2), 64, contRng2)
 	if bytes.Equal(discreteStateBytes(t, agent), discreteStateBytes(t, lossy)) {
-		t.Fatal("lossy round-trip unexpectedly reproduced the uninterrupted run; Save is no longer lossy and the deprecation note is stale")
+		t.Fatal("lossy round-trip unexpectedly reproduced the uninterrupted run; Save is no longer lossy and the model-stream docs are stale")
 	}
 }
 
@@ -319,11 +316,10 @@ func TestStateRoundTripFreshAgents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	makeEnv := func(r *rand.Rand) DiscreteEnv { return &bandit{nActions: 3} }
 	r1 := rand.New(rand.NewSource(56))
 	r2 := rand.New(rand.NewSource(56))
-	agent.TrainIteration(makeEnv, 2, 32, r1)
-	restored.TrainIteration(makeEnv, 2, 32, r2)
+	agent.TrainIterationVec(banditVec(2), 32, r1)
+	restored.TrainIterationVec(banditVec(2), 32, r2)
 	if !bytes.Equal(discreteStateBytes(t, agent), discreteStateBytes(t, restored)) {
 		t.Fatal("fresh-agent restore diverged on first update")
 	}

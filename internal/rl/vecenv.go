@@ -48,61 +48,54 @@ type ContinuousVecEnv interface {
 // the wrapped env's per-step allocations), but action sampling still batches
 // through the vectorized engine.
 func VecDiscrete(envs ...DiscreteEnv) DiscreteVecEnv {
-	if len(envs) == 0 {
-		panic("rl: VecDiscrete of zero environments")
-	}
-	for _, e := range envs {
-		if e.ObsSize() != envs[0].ObsSize() || e.NumActions() != envs[0].NumActions() {
-			panic("rl: VecDiscrete over mismatched environments")
-		}
-	}
-	return &vecDiscrete{envs: envs}
+	return vecDiscrete{newVecAdapter("VecDiscrete", envs, DiscreteEnv.NumActions)}
 }
 
 type vecDiscrete struct {
-	envs []DiscreteEnv
+	vecAdapter[int, DiscreteEnv]
 }
 
-func (v *vecDiscrete) ObsSize() int    { return v.envs[0].ObsSize() }
-func (v *vecDiscrete) NumActions() int { return v.envs[0].NumActions() }
-func (v *vecDiscrete) Width() int      { return len(v.envs) }
-
-func (v *vecDiscrete) ResetSlot(i int, rng *rand.Rand, obs []float64) {
-	copyObs(obs, v.envs[i].Reset(rng), v.ObsSize())
-}
-
-func (v *vecDiscrete) StepSlot(i int, action int, obs []float64) (float64, bool) {
-	next, reward, done := v.envs[i].Step(action)
-	copyObs(obs, next, v.ObsSize())
-	return reward, done
-}
+func (v vecDiscrete) NumActions() int { return v.envs[0].NumActions() }
 
 // VecContinuous wraps independent scalar environments as a ContinuousVecEnv.
 func VecContinuous(envs ...ContinuousEnv) ContinuousVecEnv {
-	if len(envs) == 0 {
-		panic("rl: VecContinuous of zero environments")
-	}
-	for _, e := range envs {
-		if e.ObsSize() != envs[0].ObsSize() || e.ActionDim() != envs[0].ActionDim() {
-			panic("rl: VecContinuous over mismatched environments")
-		}
-	}
-	return &vecContinuous{envs: envs}
+	return vecContinuous{newVecAdapter("VecContinuous", envs, ContinuousEnv.ActionDim)}
 }
 
 type vecContinuous struct {
-	envs []ContinuousEnv
+	vecAdapter[[]float64, ContinuousEnv]
 }
 
-func (v *vecContinuous) ObsSize() int   { return v.envs[0].ObsSize() }
-func (v *vecContinuous) ActionDim() int { return v.envs[0].ActionDim() }
-func (v *vecContinuous) Width() int     { return len(v.envs) }
+func (v vecContinuous) ActionDim() int { return v.envs[0].ActionDim() }
 
-func (v *vecContinuous) ResetSlot(i int, rng *rand.Rand, obs []float64) {
+// vecAdapter is the slot-per-environment core of VecDiscrete and
+// VecContinuous.
+type vecAdapter[A any, E scalarEnv[A]] struct {
+	envs []E
+}
+
+// newVecAdapter checks that envs agree on observation width and action
+// shape (actionShape).
+func newVecAdapter[A any, E scalarEnv[A]](name string, envs []E, actionShape func(E) int) vecAdapter[A, E] {
+	if len(envs) == 0 {
+		panic("rl: " + name + " of zero environments")
+	}
+	for _, e := range envs {
+		if e.ObsSize() != envs[0].ObsSize() || actionShape(e) != actionShape(envs[0]) {
+			panic("rl: " + name + " over mismatched environments")
+		}
+	}
+	return vecAdapter[A, E]{envs: envs}
+}
+
+func (v vecAdapter[A, E]) ObsSize() int { return v.envs[0].ObsSize() }
+func (v vecAdapter[A, E]) Width() int   { return len(v.envs) }
+
+func (v vecAdapter[A, E]) ResetSlot(i int, rng *rand.Rand, obs []float64) {
 	copyObs(obs, v.envs[i].Reset(rng), v.ObsSize())
 }
 
-func (v *vecContinuous) StepSlot(i int, action []float64, obs []float64) (float64, bool) {
+func (v vecAdapter[A, E]) StepSlot(i int, action A, obs []float64) (float64, bool) {
 	next, reward, done := v.envs[i].Step(action)
 	copyObs(obs, next, v.ObsSize())
 	return reward, done
@@ -115,64 +108,27 @@ func copyObs(dst, src []float64, d int) {
 	copy(dst, src)
 }
 
-// slotDiscreteEnv adapts one slot of a DiscreteVecEnv back into a scalar
-// DiscreteEnv over a caller-owned observation row. TrainIterationVec uses it
-// on the guarded/fault-injected fallback path, where per-env panic
+// slotEnv adapts one slot of a vectorized environment back into a scalar
+// environment over a caller-owned observation row. TrainIterationVec uses
+// it on the guarded/fault-injected fallback path, where per-slot panic
 // containment and fault-stream wrapping need the scalar collect loop. The
-// returned observation slice is reused between calls; the scalar collector
-// clones observations into its arena immediately, so the aliasing is safe.
-type slotDiscreteEnv struct {
-	v   DiscreteVecEnv
+// returned observation slice is reused between calls; the scalar loop
+// clones each observation into its arena before stepping, so the aliasing
+// is safe.
+type slotEnv[A any] struct {
+	v   vecEnv[A]
 	i   int
 	row []float64
 }
 
-func (s *slotDiscreteEnv) ObsSize() int    { return s.v.ObsSize() }
-func (s *slotDiscreteEnv) NumActions() int { return s.v.NumActions() }
+func (s *slotEnv[A]) ObsSize() int { return s.v.ObsSize() }
 
-func (s *slotDiscreteEnv) Reset(rng *rand.Rand) []float64 {
+func (s *slotEnv[A]) Reset(rng *rand.Rand) []float64 {
 	s.v.ResetSlot(s.i, rng, s.row)
 	return s.row
 }
 
-func (s *slotDiscreteEnv) Step(action int) ([]float64, float64, bool) {
+func (s *slotEnv[A]) Step(action A) ([]float64, float64, bool) {
 	reward, done := s.v.StepSlot(s.i, action, s.row)
 	return s.row, reward, done
-}
-
-// slotContinuousEnv is the ContinuousVecEnv slot view.
-type slotContinuousEnv struct {
-	v   ContinuousVecEnv
-	i   int
-	row []float64
-}
-
-func (s *slotContinuousEnv) ObsSize() int   { return s.v.ObsSize() }
-func (s *slotContinuousEnv) ActionDim() int { return s.v.ActionDim() }
-
-func (s *slotContinuousEnv) Reset(rng *rand.Rand) []float64 {
-	s.v.ResetSlot(s.i, rng, s.row)
-	return s.row
-}
-
-func (s *slotContinuousEnv) Step(action []float64) ([]float64, float64, bool) {
-	reward, done := s.v.StepSlot(s.i, action, s.row)
-	return s.row, reward, done
-}
-
-// groupBounds splits k slots into contiguous per-worker groups. The grouping
-// affects only which goroutine computes which slots — per-slot rng streams
-// and the per-row bit-exactness of the batched forward make the results
-// identical for every group count.
-func groupBounds(gi, groups, k int) (lo, hi int) {
-	return gi * k / groups, (gi + 1) * k / groups
-}
-
-// growInt64 returns buf resized to n, reallocating only when capacity is
-// insufficient. Contents are unspecified.
-func growInt64(buf []int64, n int) []int64 {
-	if cap(buf) < n {
-		return make([]int64, n)
-	}
-	return buf[:n]
 }

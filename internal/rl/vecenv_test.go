@@ -10,7 +10,8 @@ import (
 // The vectorized rollout engine's determinism contract: CollectVec over a
 // vectorized environment is bit-identical, per slot, to sequential Collect
 // over the equivalent scalar environment with the same seed — and therefore
-// TrainIterationVec is bit-identical to TrainIteration. These tests pin the
+// TrainIterationVec is bit-identical to the same iteration spelled out over
+// the scalar collect loop. These tests pin the
 // contract on the generic scalar-wrapping adapters with the toy envs; the
 // abr, cc, and lb packages pin it again on the native SoA environments.
 
@@ -109,9 +110,29 @@ func TestGaussianCollectVecMatchesSequential(t *testing.T) {
 	}
 }
 
+// referenceIteration is one train iteration spelled out over the scalar
+// collect loop: per-slot seeds drawn from rng in slot order, one sequential
+// Collect per environment with its own seeded rng, batches merged in slot
+// order, and one update drawing from rng after the seeds.
+func referenceIteration[A any](c *agent[A], envs []scalarEnv[A], totalSteps int, rng *rand.Rand) (float64, UpdateStats) {
+	seeds := make([]int64, len(envs))
+	for i := range seeds {
+		seeds[i] = rng.Int63()
+	}
+	merged := &Batch{}
+	for i, e := range envs {
+		b := c.Collect(e, totalSteps/len(envs), rand.New(rand.NewSource(seeds[i])))
+		merged.Transitions = append(merged.Transitions, b.Transitions...)
+		merged.Episodes += b.Episodes
+		merged.TotalReward += b.TotalReward
+	}
+	return merged.MeanEpisodeReward(), c.head.update(merged, rng)
+}
+
 // TestTrainIterationVecMatchesTrainIteration trains two identically-seeded
-// agents — one through the legacy makeEnv path, one through the vectorized
-// engine — and demands bit-equal stats and serialized parameters.
+// agents — one through referenceIteration, one through TrainIterationVec's
+// lockstep engine — and demands bit-equal results and serialized
+// parameters.
 func TestTrainIterationVecMatchesTrainIteration(t *testing.T) {
 	cfg := DefaultDiscreteConfig(3, 3)
 	aSeq, err := NewDiscreteAgent(cfg, rand.New(rand.NewSource(41)))
@@ -122,12 +143,12 @@ func TestTrainIterationVecMatchesTrainIteration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	makeEnv := func(r *rand.Rand) DiscreteEnv { return &bandit{nActions: 3} }
-	venv := VecDiscrete(&bandit{nActions: 3}, &bandit{nActions: 3}, &bandit{nActions: 3})
+	envs := []scalarEnv[int]{&bandit{nActions: 3}, &bandit{nActions: 3}, &bandit{nActions: 3}}
+	venv := banditVec(3)
 	rngSeq := rand.New(rand.NewSource(55))
 	rngVec := rand.New(rand.NewSource(55))
 	for i := 0; i < 5; i++ {
-		rSeq, sSeq := aSeq.TrainIteration(makeEnv, 3, 120, rngSeq)
+		rSeq, sSeq := referenceIteration(&aSeq.agent, envs, 120, rngSeq)
 		rVec, sVec := aVec.TrainIterationVec(venv, 120, rngVec)
 		if rSeq != rVec || sSeq != sVec {
 			t.Fatalf("iter %d: results diverge\nseq: %v %+v\nvec: %v %+v", i, rSeq, sSeq, rVec, sVec)
@@ -148,12 +169,12 @@ func TestGaussianTrainIterationVecMatchesTrainIteration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	makeEnv := func(r *rand.Rand) ContinuousEnv { return &tracker{} }
-	venv := VecContinuous(&tracker{}, &tracker{})
+	envs := []scalarEnv[[]float64]{&tracker{}, &tracker{}}
+	venv := trackerVec(2)
 	rngSeq := rand.New(rand.NewSource(57))
 	rngVec := rand.New(rand.NewSource(57))
 	for i := 0; i < 4; i++ {
-		rSeq, sSeq := aSeq.TrainIteration(makeEnv, 2, 100, rngSeq)
+		rSeq, sSeq := referenceIteration(&aSeq.agent, envs, 100, rngSeq)
 		rVec, sVec := aVec.TrainIterationVec(venv, 100, rngVec)
 		if rSeq != rVec || sSeq != sVec {
 			t.Fatalf("iter %d: results diverge\nseq: %v %+v\nvec: %v %+v", i, rSeq, sSeq, rVec, sVec)

@@ -74,10 +74,25 @@ func relSpread(reps []float64) float64 {
 // The ns/op threshold is noise-aware: max(tol, 2x the larger per-rep spread
 // of the two baselines), so a benchmark that legitimately jitters 30%
 // between reps does not hard-fail a 25% gate on a coin flip.
+//
+// Benchmarks present on only one side never gate: a new one has nothing to
+// compare against, and a retired one (in the baseline only) is noted on
+// verbose so its disappearance shows in the log.
 func compareBaselines(oldB, newB *microBaseline, tol float64, verbose io.Writer) []regression {
 	oldByName := make(map[string]microResult, len(oldB.Results))
 	for _, r := range oldB.Results {
 		oldByName[r.Name] = r
+	}
+	if verbose != nil {
+		inNew := make(map[string]bool, len(newB.Results))
+		for _, r := range newB.Results {
+			inNew[r.Name] = true
+		}
+		for _, r := range oldB.Results {
+			if !inNew[r.Name] {
+				fmt.Fprintf(verbose, "note: %s: retired, present only in baseline\n", r.Name)
+			}
+		}
 	}
 	sameCPU := oldB.CPUModel != "" && oldB.CPUModel == newB.CPUModel && oldB.NumCPU == newB.NumCPU
 	if !sameCPU && verbose != nil {

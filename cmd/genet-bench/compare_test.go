@@ -110,6 +110,23 @@ func TestCompareNewBenchmarkSkipped(t *testing.T) {
 	}
 }
 
+func TestCompareRetiredBenchmarkNoted(t *testing.T) {
+	oldB := baseWith(
+		microResult{Name: "A", NsPerOp: 1000},
+		microResult{Name: "Gone", NsPerOp: 1000})
+	newB := baseWith(microResult{Name: "A", NsPerOp: 1000})
+	var log strings.Builder
+	if regs := compareBaselines(oldB, newB, 0.25, &log); len(regs) != 0 {
+		t.Fatalf("retired benchmark must not gate: %v", regs)
+	}
+	if want := "note: Gone: retired, present only in baseline\n"; !strings.Contains(log.String(), want) {
+		t.Fatalf("log %q lacks %q", log.String(), want)
+	}
+	if strings.Contains(log.String(), "A: retired") {
+		t.Fatalf("benchmark present on both sides noted as retired: %q", log.String())
+	}
+}
+
 func TestMedian(t *testing.T) {
 	if m := median([]float64{3, 1, 2}); m != 2 {
 		t.Fatalf("median = %v", m)

@@ -159,7 +159,7 @@ type shard struct {
 	ps, vs         *nn.Scratch
 	gOut           []float64 // [shard x policy out] dLoss/d(policy output)
 	vOut           []float64 // [shard x 1] dLoss/dV
-	aux            []float64 // one policy-output row for the head: softmax probs or log-std gradients
+	aux            []float64 // one policy-output row: softmax probs or log-std gradients
 	stats          UpdateStats
 }
 

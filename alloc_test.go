@@ -77,3 +77,26 @@ func TestTrainIterationVecSteadyStateAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestRobustMPCEpisodeAllocs pins the allocations of one RobustMPC episode,
+// the ABR baseline every Genet BO query replays: the same operation as
+// BenchmarkABREpisodeMPC, a fresh policy streaming a whole RL3 video. The
+// budget is the measured count — the policy, its planner scratch, the
+// session, and the observation and metrics buffers of RunEpisode — so any
+// per-chunk garbage fails it.
+func TestRobustMPCEpisodeAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation pinning is not meaningful under -short")
+	}
+	cfg := env.ABRSpace(env.RL3).Default(env.ABRDefaults())
+	inst, err := abr.NewInstance(cfg, nil, rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 11
+	avg := testing.AllocsPerRun(20, func() { inst.Evaluate(abr.NewRobustMPC()) })
+	t.Logf("%d chunks: %.1f allocs/episode", inst.Video.NumChunks(), avg)
+	if avg > budget {
+		t.Fatalf("RobustMPC episode allocates %.1f/op, budget %d", avg, budget)
+	}
+}

@@ -97,7 +97,7 @@ func medianInt64(xs []int64) int64 {
 	return xs[n/2]
 }
 
-// runMicro runs the RL hot-path micro-benchmarks via testing.Benchmark and
+// runMicro runs the training hot-path micro-benchmarks via testing.Benchmark and
 // writes a JSON baseline to outPath, so the perf trajectory of the training
 // loop is tracked in-repo from PR to PR (BENCH_1.json is this PR's
 // baseline). The suite mirrors the root-package Benchmark* functions of the
@@ -361,6 +361,21 @@ func runMicro(outPath string, reps int) error {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				agent.TrainIterationVec(venv, batch, rng)
+			}
+		}},
+		// ABREpisodeRobustMPC is one RobustMPC episode on the instance of
+		// BenchmarkABREpisodeMPC: the rule-based baseline every ABR BO
+		// query replays in CalcBaselineGap.
+		{"ABREpisodeRobustMPC", func(b *testing.B) {
+			cfg := env.ABRSpace(env.RL3).Default(env.ABRDefaults())
+			inst, err := abr.NewInstance(cfg, nil, rand.New(rand.NewSource(2)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				inst.Evaluate(abr.NewRobustMPC())
 			}
 		}},
 	}

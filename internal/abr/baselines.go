@@ -85,7 +85,14 @@ type MPC struct {
 	Robust bool
 
 	lastPrediction float64
-	errorHist      []float64
+	errs           [5]float64 // recent relative prediction errors, a ring
+	nErrs, errPos  int
+
+	// Planner scratch, sized from the ladder and horizon on first use:
+	// tab holds the per-call tables, path the depth-first stack of levels
+	// (path[0] is the observation's last level).
+	tab  []float64
+	path []int
 }
 
 // NewRobustMPC returns RobustMPC with the paper's default horizon.
@@ -102,7 +109,7 @@ func (m *MPC) Name() string {
 // Reset implements Policy.
 func (m *MPC) Reset() {
 	m.lastPrediction = 0
-	m.errorHist = nil
+	m.nErrs, m.errPos = 0, 0
 }
 
 // Select implements Policy.
@@ -122,18 +129,16 @@ func (m *MPC) Select(obs *Observation) int {
 	if m.lastPrediction > 0 {
 		actual := obs.ThroughputHist[len(obs.ThroughputHist)-1]
 		if actual > 0 {
-			e := math.Abs(m.lastPrediction-actual) / actual
-			m.errorHist = append(m.errorHist, e)
-			if len(m.errorHist) > 5 {
-				m.errorHist = m.errorHist[1:]
-			}
+			m.errs[m.errPos] = math.Abs(m.lastPrediction-actual) / actual
+			m.errPos = (m.errPos + 1) % len(m.errs)
+			m.nErrs = min(m.nErrs+1, len(m.errs))
 		}
 	}
 	pred := predictThroughput(obs.ThroughputHist)
 	m.lastPrediction = pred
 	if m.Robust {
 		maxErr := 0.0
-		for _, e := range m.errorHist {
+		for _, e := range m.errs[:m.nErrs] {
 			maxErr = math.Max(maxErr, e)
 		}
 		pred /= 1 + maxErr
@@ -141,40 +146,98 @@ func (m *MPC) Select(obs *Observation) int {
 	if pred <= 0 {
 		pred = 0.1
 	}
+	return m.plan(obs, horizon, pred)
+}
 
-	best, bestScore := 0, math.Inf(-1)
-	n := obs.Video.NumLevels()
-	seq := make([]int, horizon)
-	var rec func(depth int, buffer float64, lastLevel int, score float64)
-	rec = func(depth int, buffer float64, lastLevel int, score float64) {
-		if depth == horizon {
-			if score > bestScore {
-				bestScore = score
-				best = seq[0]
-			}
-			return
-		}
-		for l := 0; l < n; l++ {
-			size := obs.Video.BitrateMbps(l) * obs.Video.ChunkLength // Mbit nominal
-			if depth == 0 && obs.NextSizes != nil {
-				size = obs.NextSizes[l] * 8 / 1e6
-			}
-			dl := size / pred
-			rebuf := math.Max(0, dl-buffer)
-			nb := math.Max(0, buffer-dl) + obs.Video.ChunkLength
-			if nb > obs.MaxBuffer {
-				nb = obs.MaxBuffer
-			}
-			change := 0.0
-			if lastLevel >= 0 {
-				change = math.Abs(obs.Video.BitrateMbps(l) - obs.Video.BitrateMbps(lastLevel))
-			}
-			r := RewardBitrateCoef*obs.Video.BitrateMbps(l) + RewardRebufCoef*rebuf + RewardChangeCoef*change
-			seq[depth] = l
-			rec(depth+1, nb, l, score+r)
+// plan returns the first level of the highest-scoring level sequence over
+// the next horizon chunks at throughput prediction pred, breaking score
+// ties toward the lowest first level. It is an exact branch and bound over
+// the full enumeration; see "RobustMPC planner" in DESIGN.md for why the
+// pruning never changes the answer.
+func (m *MPC) plan(obs *Observation, horizon int, pred float64) int {
+	v := obs.Video
+	n := v.NumLevels()
+	if need := (n+5)*n + 2*horizon; cap(m.tab) < need {
+		m.tab = make([]float64, need)
+	}
+	if cap(m.path) < horizon+1 {
+		m.path = make([]int, horizon+1)
+	}
+	br, brTerm, dlNom, dl0 := m.tab[:n], m.tab[n:2*n], m.tab[2*n:3*n], m.tab[3*n:4*n]
+	chg := m.tab[4*n : (n+5)*n] // row last+1 holds the change term from level last
+	buf := m.tab[(n+5)*n : (n+5)*n+horizon]
+	score := m.tab[(n+5)*n+horizon : (n+5)*n+2*horizon]
+	path := m.path[:horizon+1]
+
+	brMax := math.Inf(-1)
+	for l := 0; l < n; l++ {
+		br[l] = v.BitrateMbps(l)
+		brTerm[l] = RewardBitrateCoef * br[l]
+		brMax = math.Max(brMax, brTerm[l])
+		size := br[l] * v.ChunkLength // Mbit nominal
+		dlNom[l] = size / pred
+		dl0[l] = dlNom[l]
+		if obs.NextSizes != nil {
+			size = obs.NextSizes[l] * 8 / 1e6
+			dl0[l] = size / pred
 		}
 	}
-	rec(0, obs.Buffer, obs.LastLevel, 0)
+	for last := -1; last < n; last++ {
+		row := chg[(last+1)*n : (last+2)*n]
+		for l := range row {
+			change := 0.0
+			if last >= 0 {
+				change = math.Abs(br[l] - br[last])
+			}
+			row[l] = RewardChangeCoef * change
+		}
+	}
+
+	// Iterative depth-first search, levels top-down. At depth d, path[d]
+	// is the previous level and path[d+1] the level being tried, counting
+	// down from n-1; buf[d] and score[d] are the state before choosing it.
+	best, bestScore := 0, math.Inf(-1)
+	path[0] = max(obs.LastLevel, -1)
+	buf[0], score[0] = obs.Buffer, 0
+	path[1] = n
+	for d := 0; d >= 0; {
+		path[d+1]--
+		l := path[d+1]
+		if l < 0 {
+			d--
+			continue
+		}
+		dl := dlNom[l]
+		if d == 0 {
+			dl = dl0[l]
+		}
+		rebuf := math.Max(0, dl-buf[d])
+		r := brTerm[l] + RewardRebufCoef*rebuf + chg[(path[d]+1)*n+l]
+		s := score[d] + r
+		first := path[1]
+		if d+1 == horizon {
+			if s > bestScore || (s == bestScore && first < best) {
+				best, bestScore = first, s
+			}
+			continue
+		}
+		// Every step's reward is at most brMax, and rounded addition is
+		// monotone, so no leaf below can score above ub.
+		ub := s
+		for k := d + 1; k < horizon; k++ {
+			ub += brMax
+		}
+		if ub < bestScore || (ub == bestScore && first >= best) {
+			continue
+		}
+		nb := math.Max(0, buf[d]-dl) + v.ChunkLength
+		if nb > obs.MaxBuffer {
+			nb = obs.MaxBuffer
+		}
+		d++
+		buf[d], score[d] = nb, s
+		path[d+1] = n
+	}
 	return best
 }
 

@@ -1,8 +1,6 @@
 package abr
 
 import (
-	"math"
-
 	"github.com/genet-go/genet/internal/stats"
 )
 
@@ -67,42 +65,6 @@ func (o *Oboe) Select(obs *Observation) int {
 		pred = 0.1
 	}
 
-	// Plan with the tuned prediction using the same enumeration as MPC.
-	best, bestScore := 0, math.Inf(-1)
-	n := obs.Video.NumLevels()
-	seq := make([]int, min(horizon, max(1, obs.RemainingChunks)))
-	if len(seq) == 0 {
-		return 0
-	}
-	var rec func(depth int, buffer float64, lastLevel int, score float64)
-	rec = func(depth int, buffer float64, lastLevel int, score float64) {
-		if depth == len(seq) {
-			if score > bestScore {
-				bestScore = score
-				best = seq[0]
-			}
-			return
-		}
-		for l := 0; l < n; l++ {
-			size := obs.Video.BitrateMbps(l) * obs.Video.ChunkLength
-			if depth == 0 && obs.NextSizes != nil {
-				size = obs.NextSizes[l] * 8 / 1e6
-			}
-			dl := size / pred
-			rebuf := math.Max(0, dl-buffer)
-			nb := math.Max(0, buffer-dl) + obs.Video.ChunkLength
-			if nb > obs.MaxBuffer {
-				nb = obs.MaxBuffer
-			}
-			change := 0.0
-			if lastLevel >= 0 {
-				change = math.Abs(obs.Video.BitrateMbps(l) - obs.Video.BitrateMbps(lastLevel))
-			}
-			r := RewardBitrateCoef*obs.Video.BitrateMbps(l) + RewardRebufCoef*rebuf + RewardChangeCoef*change
-			seq[depth] = l
-			rec(depth+1, nb, l, score+r)
-		}
-	}
-	rec(0, obs.Buffer, obs.LastLevel, 0)
-	return best
+	// Plan with the tuned prediction using the MPC planner.
+	return o.mpc.plan(obs, min(horizon, max(1, obs.RemainingChunks)), pred)
 }

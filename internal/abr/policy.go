@@ -60,11 +60,16 @@ func RunEpisode(sim *Sim, policy Policy) Metrics {
 		TotalChunks:    sim.Video().NumChunks(),
 	}
 	var m Metrics
-	var rewards, bitrates, changes []float64
+	nc := sim.Video().NumChunks()
+	rewards := make([]float64, 0, nc)
+	bitrates := make([]float64, 0, nc)
+	changes := make([]float64, 0, nc)
+	nextSizes := make([]float64, 0, sim.Video().NumLevels())
 	lastBr := -1.0
 	for !sim.Done() {
 		obs.Buffer = sim.Buffer()
-		obs.NextSizes = sim.NextSizes()
+		nextSizes = sim.NextSizesInto(nextSizes)
+		obs.NextSizes = nextSizes
 		obs.RemainingChunks = sim.RemainingChunks()
 		level := policy.Select(obs)
 		if level < 0 {
@@ -105,20 +110,20 @@ func pushHist(hist []float64, v float64) {
 	hist[len(hist)-1] = v
 }
 
-// predictThroughput is the harmonic-mean predictor over the non-zero tail of
-// the throughput history, shared by the rate-based and MPC baselines.
+// predictThroughput is the harmonic-mean predictor over the last five
+// non-zero entries of the throughput history, shared by the rate-based and
+// MPC baselines.
 func predictThroughput(hist []float64) float64 {
-	var tail []float64
-	for _, h := range hist {
-		if h > 0 {
-			tail = append(tail, h)
+	var buf [5]float64
+	k := len(buf)
+	for i := len(hist) - 1; i >= 0 && k > 0; i-- {
+		if hist[i] > 0 {
+			k--
+			buf[k] = hist[i]
 		}
 	}
-	if len(tail) == 0 {
+	if k == len(buf) {
 		return 0.3 // conservative cold-start guess (lowest rung, Mbps)
 	}
-	if len(tail) > 5 {
-		tail = tail[len(tail)-5:]
-	}
-	return stats.HarmonicMean(tail)
+	return stats.HarmonicMean(buf[k:])
 }

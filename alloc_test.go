@@ -47,6 +47,15 @@ func TestTrainIterationVecSteadyStateAllocs(t *testing.T) {
 			venv := cc.NewVecEnv(cc.IntoFromConfig(env.CCSpace(env.RL1).Default(nil)), 2)
 			return func() { agent.TrainIterationVec(venv, 100, rng) }, nil
 		}},
+		{"cc/update-workers=2", 10, func(rng *rand.Rand) (func(), error) {
+			agent, err := rl.NewGaussianAgent(rl.DefaultGaussianConfig(cc.ObsSize, 1), rng)
+			if err != nil {
+				return nil, err
+			}
+			agent.RolloutWorkers, agent.UpdateWorkers = 1, 2
+			venv := cc.NewVecEnv(cc.IntoFromConfig(env.CCSpace(env.RL1).Default(nil)), 2)
+			return func() { agent.TrainIterationVec(venv, 100, rng) }, nil
+		}},
 		{"lb", 24, func(rng *rand.Rand) (func(), error) {
 			agent, err := rl.NewDiscreteAgent(rl.DefaultDiscreteConfig(lb.ObsSize, lb.NumServers), rng)
 			if err != nil {

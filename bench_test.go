@@ -225,6 +225,7 @@ func BenchmarkRLTrainIterationABR(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	agent.RolloutWorkers, agent.UpdateWorkers = 1, 1 // see cmd/genet-bench's micro suite
 	cfg := env.ABRSpace(env.RL1).Default(nil)
 	venv := abr.NewVecEnv(abr.IntoFromConfig(cfg), 2)
 	b.ReportAllocs()
@@ -243,6 +244,7 @@ func BenchmarkRLUpdate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	agent.UpdateWorkers = 1
 	cfg := env.ABRSpace(env.RL1).Default(nil)
 	gen := abr.GenFromConfig(cfg)
 	e := abr.NewRLEnv(gen)

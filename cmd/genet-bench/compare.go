@@ -33,14 +33,14 @@ const minRepSpread = 0.15
 // regression is one gate failure found by compareBaselines.
 type regression struct {
 	Name   string
-	Metric string // "allocs/op", "bytes/op", "ns/op"
+	Metric string // "allocs/op", "bytes/op", "ns/op", "speedup"
 	Old    float64
 	New    float64
 	Limit  float64
 }
 
 func (r regression) String() string {
-	return fmt.Sprintf("%s: %s regressed %.1f -> %.1f (limit %.1f)", r.Name, r.Metric, r.Old, r.New, r.Limit)
+	return fmt.Sprintf("%s: %s regressed %.2f -> %.2f (limit %.2f)", r.Name, r.Metric, r.Old, r.New, r.Limit)
 }
 
 // relSpread returns (max-min)/median of the per-rep samples, the baseline's
@@ -134,6 +134,38 @@ func compareBaselines(oldB, newB *microBaseline, tol float64, verbose io.Writer)
 			} else if verbose != nil {
 				fmt.Fprintf(verbose, "ok: %-28s %12.0f -> %12.0f ns/op (limit %.0f)\n", n.Name, o.NsPerOp, n.NsPerOp, limit)
 			}
+		}
+	}
+	return append(regs, compareScaling(oldB, newB, tol, verbose)...)
+}
+
+// compareScaling gates the speedups of the gated scaling curves. A point
+// gates when the baseline has the same curve point and both baselines ran
+// with at least as many procs as the point has workers, so the speedup
+// measures parallelism both hosts actually had; it regresses when it falls
+// below the baseline's by more than tol. A speedup is a ratio of two
+// timings on one host, so unlike ns/op it gates across CPU models.
+func compareScaling(oldB, newB *microBaseline, tol float64, verbose io.Writer) []regression {
+	type key struct {
+		name    string
+		workers int
+	}
+	oldPts := make(map[key]scalingPoint, len(oldB.Scaling))
+	for _, p := range oldB.Scaling {
+		oldPts[key{p.Name, p.Workers}] = p
+	}
+	var regs []regression
+	for _, n := range newB.Scaling {
+		o, ok := oldPts[key{n.Name, n.Workers}]
+		if !n.Gate || !ok || n.Workers > oldB.GOMAXPROCS || n.Workers > newB.GOMAXPROCS {
+			continue
+		}
+		name := fmt.Sprintf("%s/workers=%d", n.Name, n.Workers)
+		limit := o.Speedup * (1 - tol)
+		if n.Speedup < limit {
+			regs = append(regs, regression{name, "speedup", o.Speedup, n.Speedup, limit})
+		} else if verbose != nil {
+			fmt.Fprintf(verbose, "ok: %-28s %12.2f -> %12.2f speedup (limit %.2f)\n", name, o.Speedup, n.Speedup, limit)
 		}
 	}
 	return regs

@@ -138,3 +138,29 @@ func TestMedian(t *testing.T) {
 		t.Fatalf("relSpread = %v", s)
 	}
 }
+
+func TestCompareScalingSpeedupGates(t *testing.T) {
+	curve := func(procs int, speedup float64, gate bool) *microBaseline {
+		b := baseWith()
+		b.GOMAXPROCS = procs
+		b.Scaling = []scalingPoint{
+			{Name: "C", Workers: 1, Speedup: 1, Gate: gate},
+			{Name: "C", Workers: 2, Speedup: speedup, Gate: gate},
+		}
+		return b
+	}
+	regs := compareBaselines(curve(2, 1.6, true), curve(4, 1.1, true), 0.25, nil)
+	if len(regs) != 1 || regs[0].Metric != "speedup" || regs[0].Name != "C/workers=2" {
+		t.Fatalf("want one speedup regression at 2 workers, got %v", regs)
+	}
+	if regs := compareBaselines(curve(2, 1.6, true), curve(2, 1.3, true), 0.25, nil); len(regs) != 0 {
+		t.Fatalf("speedup within tolerance gated: %v", regs)
+	}
+	// An ungated curve, or a host with fewer procs than workers, never gates.
+	if regs := compareBaselines(curve(2, 1.6, false), curve(2, 1.0, false), 0.25, nil); len(regs) != 0 {
+		t.Fatalf("ungated curve gated: %v", regs)
+	}
+	if regs := compareBaselines(curve(2, 1.6, true), curve(1, 1.0, true), 0.25, nil); len(regs) != 0 {
+		t.Fatalf("1-proc run gated on a 2-worker speedup: %v", regs)
+	}
+}

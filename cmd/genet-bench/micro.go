@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"math/rand"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"github.com/genet-go/genet/internal/abr"
+	"github.com/genet-go/genet/internal/cc"
 	"github.com/genet-go/genet/internal/ckpt"
 	"github.com/genet-go/genet/internal/env"
 	"github.com/genet-go/genet/internal/nn"
@@ -33,13 +35,14 @@ type microResult struct {
 	NsPerOpReps []float64 `json:"ns_per_op_reps,omitempty"`
 }
 
-// scalingPoint is one point of the multi-core rollout scaling curve: the
-// vectorized ABR collect at a fixed worker count.
+// scalingPoint is one point of a multi-core scaling curve: one benchmark
+// at a fixed worker count (see scalingCurves).
 type scalingPoint struct {
 	Name    string  `json:"name"`
 	Workers int     `json:"workers"`
 	NsPerOp float64 `json:"ns_per_op"`
-	Speedup float64 `json:"speedup"` // vs the 1-worker point of the same curve
+	Speedup float64 `json:"speedup"`        // vs the 1-worker point of the same curve
+	Gate    bool    `json:"gate,omitempty"` // -compare gates Speedup (see compareScaling)
 }
 
 // microBaseline captures the machine context alongside the numbers so
@@ -123,11 +126,21 @@ func runMicro(outPath string, reps int) error {
 		return nn.MustMLP(rng, nn.Tanh, abr.ObsSize, 64, 32, actions), rng
 	}
 
+	// The RL rows pin every worker cap to 1: a par.ForN goroutine spawn
+	// counts as an allocation, so allocs/op would otherwise follow the
+	// host's core count. Results are bit-identical for any worker count.
+	//
+	// A row with iters set runs exactly that many iterations instead of
+	// testing.Benchmark's adaptive b.N. The train-iteration rows need it:
+	// the agent's first iteration sizes its pools (~1.4 MB), and bytes/op
+	// amortizes that one-off over b.N.
+	const fixedTrainIters = 1500
 	suite := []struct {
-		name string
-		fn   func(b *testing.B)
+		name  string
+		iters int
+		fn    func(b *testing.B)
 	}{
-		{"NNForwardBatch", func(b *testing.B) {
+		{"NNForwardBatch", 0, func(b *testing.B) {
 			m, rng := newPolicy(8)
 			x := make([]float64, batch*abr.ObsSize)
 			for i := range x {
@@ -140,7 +153,7 @@ func runMicro(outPath string, reps int) error {
 				m.ForwardBatch(s, x, batch)
 			}
 		}},
-		{"NNBackwardBatch", func(b *testing.B) {
+		{"NNBackwardBatch", 0, func(b *testing.B) {
 			m, rng := newPolicy(9)
 			x := make([]float64, batch*abr.ObsSize)
 			for i := range x {
@@ -159,12 +172,13 @@ func runMicro(outPath string, reps int) error {
 				m.BackwardBatch(s, gradOut, grads)
 			}
 		}},
-		{"RLUpdate", func(b *testing.B) {
+		{"RLUpdate", 0, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(10))
 			agent, err := rl.NewDiscreteAgent(rl.DefaultDiscreteConfig(abr.ObsSize, actions), rng)
 			if err != nil {
 				b.Fatal(err)
 			}
+			agent.UpdateWorkers = 1
 			gen := abr.GenFromConfig(env.ABRSpace(env.RL1).Default(nil))
 			e := abr.NewRLEnv(gen)
 			bt := agent.Collect(e, 200, rng)
@@ -177,7 +191,7 @@ func runMicro(outPath string, reps int) error {
 				b.StartTimer()
 			}
 		}},
-		{"CheckpointWrite", func(b *testing.B) {
+		{"CheckpointWrite", 0, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(13))
 			agent, err := rl.NewDiscreteAgent(rl.DefaultDiscreteConfig(abr.ObsSize, actions), rng)
 			if err != nil {
@@ -208,7 +222,7 @@ func runMicro(outPath string, reps int) error {
 				}
 			}
 		}},
-		{"CheckpointRead", func(b *testing.B) {
+		{"CheckpointRead", 0, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(13))
 			agent, err := rl.NewDiscreteAgent(rl.DefaultDiscreteConfig(abr.ObsSize, actions), rng)
 			if err != nil {
@@ -257,12 +271,13 @@ func runMicro(outPath string, reps int) error {
 		// RLTrainIterationABR is the production training hot path: the
 		// vectorized engine over the native in-place-regenerating ABR env,
 		// exactly what the harnesses run.
-		{"RLTrainIterationABR", func(b *testing.B) {
+		{"RLTrainIterationABR", fixedTrainIters, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(10))
 			agent, err := rl.NewDiscreteAgent(rl.DefaultDiscreteConfig(abr.ObsSize, actions), rng)
 			if err != nil {
 				b.Fatal(err)
 			}
+			agent.RolloutWorkers, agent.UpdateWorkers = 1, 1
 			venv := abr.NewVecEnv(abr.IntoFromConfig(env.ABRSpace(env.RL1).Default(nil)), 2)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -270,7 +285,7 @@ func runMicro(outPath string, reps int) error {
 				agent.TrainIterationVec(venv, batch, rng)
 			}
 		}},
-		{"CheckpointReadPooled", func(b *testing.B) {
+		{"CheckpointReadPooled", 0, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(13))
 			agent, err := rl.NewDiscreteAgent(rl.DefaultDiscreteConfig(abr.ObsSize, actions), rng)
 			if err != nil {
@@ -323,7 +338,7 @@ func runMicro(outPath string, reps int) error {
 		// RLTrainIterationABR above IS the disabled path and must match
 		// earlier baselines alloc-for-alloc. The enabled variants price the
 		// opt-in cost of -rundir/-introspect.
-		{"SpanStartEndDisabled", func(b *testing.B) {
+		{"SpanStartEndDisabled", 0, func(b *testing.B) {
 			var rec *obs.Recorder
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -336,7 +351,7 @@ func runMicro(outPath string, reps int) error {
 				}
 			}
 		}},
-		{"SpanStartEndEnabled", func(b *testing.B) {
+		{"SpanStartEndEnabled", 0, func(b *testing.B) {
 			rec := obs.NewRecorder(0)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -349,12 +364,13 @@ func runMicro(outPath string, reps int) error {
 				}
 			}
 		}},
-		{"RLTrainIterationABRRecorded", func(b *testing.B) {
+		{"RLTrainIterationABRRecorded", fixedTrainIters, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(10))
 			agent, err := rl.NewDiscreteAgent(rl.DefaultDiscreteConfig(abr.ObsSize, actions), rng)
 			if err != nil {
 				b.Fatal(err)
 			}
+			agent.RolloutWorkers, agent.UpdateWorkers = 1, 1
 			agent.Recorder = obs.NewRecorder(0)
 			venv := abr.NewVecEnv(abr.IntoFromConfig(env.ABRSpace(env.RL1).Default(nil)), 2)
 			b.ReportAllocs()
@@ -366,7 +382,7 @@ func runMicro(outPath string, reps int) error {
 		// ABREpisodeRobustMPC is one RobustMPC episode on the instance of
 		// BenchmarkABREpisodeMPC: the rule-based baseline every ABR BO
 		// query replays in CalcBaselineGap.
-		{"ABREpisodeRobustMPC", func(b *testing.B) {
+		{"ABREpisodeRobustMPC", 0, func(b *testing.B) {
 			cfg := env.ABRSpace(env.RL3).Default(env.ABRDefaults())
 			inst, err := abr.NewInstance(cfg, nil, rand.New(rand.NewSource(2)))
 			if err != nil {
@@ -403,7 +419,7 @@ func runMicro(outPath string, reps int) error {
 	for rep := 0; rep < reps; rep++ {
 		for i, mb := range suite {
 			fmt.Fprintf(os.Stderr, "micro %s (rep %d/%d)...\n", mb.name, rep+1, reps)
-			r := testing.Benchmark(mb.fn)
+			r := benchmark(mb.fn, mb.iters)
 			a := &aggs[i]
 			a.iters = r.N
 			a.ns = append(a.ns, float64(r.T.Nanoseconds())/float64(r.N))
@@ -435,26 +451,47 @@ func runMicro(outPath string, reps int) error {
 	return out.Close()
 }
 
-// sweepWorkerCounts are the rollout worker counts of the scaling curve.
-var sweepWorkerCounts = []int{1, 2, 4, 8}
+// benchmark runs fn through testing.Benchmark: for exactly iters
+// iterations when iters > 0, for the adaptive b.N otherwise.
+func benchmark(fn func(b *testing.B), iters int) testing.BenchmarkResult {
+	if iters <= 0 {
+		return testing.Benchmark(fn)
+	}
+	// testing.Benchmark reads its iteration budget from -test.benchtime,
+	// which testing.Init registers; "Nx" means exactly N iterations.
+	testing.Init()
+	if err := flag.Set("test.benchtime", fmt.Sprintf("%dx", iters)); err != nil {
+		panic(err)
+	}
+	defer flag.Set("test.benchtime", "1s")
+	return testing.Benchmark(fn)
+}
 
-// runScalingSweep benchmarks the vectorized ABR collect at fixed worker
-// counts and returns the scaling curve. Results are bit-identical at every
-// point (the engine's determinism contract), so the curve isolates pure
-// scheduling overhead/parallel speedup. On a single-core machine the curve
-// is flat by construction; the committed BENCH_*.json records the machine's
-// NumCPU so flat curves are interpretable.
-func runScalingSweep() []scalingPoint {
-	const (
-		width   = 8
-		perSlot = 100
-	)
-	var points []scalingPoint
-	base := 0.0
-	for _, workers := range sweepWorkerCounts {
-		w := workers
-		fmt.Fprintf(os.Stderr, "scaling VecCollectABR workers=%d...\n", w)
-		r := testing.Benchmark(func(b *testing.B) {
+// scalingCurve is one worker-count sweep of the scaling curve: bench
+// returns the benchmark at w workers. Results are bit-identical at every
+// point (the rl determinism contract), so a curve isolates pure scheduling
+// overhead and parallel speedup. A gated curve's speedups are gated by
+// -compare (see compareScaling).
+type scalingCurve struct {
+	name    string
+	workers []int
+	gate    bool
+	bench   func(w int) func(b *testing.B)
+}
+
+// scalingCurves are the curves of the scaling sweep:
+//   - VecCollectABR: the vectorized ABR collect over 8 slots at 1-8
+//     rollout workers;
+//   - RLUpdateCC: one PPO update of the Gaussian agent at the CC shape over
+//     an 800-transition batch, at 1 and 2 update workers (its policy and
+//     value lanes one after the other, then concurrently).
+var scalingCurves = []scalingCurve{
+	{name: "VecCollectABR", workers: []int{1, 2, 4, 8}, bench: func(w int) func(b *testing.B) {
+		const (
+			width   = 8
+			perSlot = 100
+		)
+		return func(b *testing.B) {
 			rng := rand.New(rand.NewSource(10))
 			agent, err := rl.NewDiscreteAgent(rl.DefaultDiscreteConfig(abr.ObsSize, len(abr.DefaultBitratesKbps)), rng)
 			if err != nil {
@@ -470,17 +507,50 @@ func runScalingSweep() []scalingPoint {
 			for i := 0; i < b.N; i++ {
 				agent.CollectVec(venv, perSlot, seeds)
 			}
-		})
-		ns := float64(r.T.Nanoseconds()) / float64(r.N)
-		if base == 0 {
-			base = ns
 		}
-		points = append(points, scalingPoint{
-			Name:    "VecCollectABR",
-			Workers: w,
-			NsPerOp: ns,
-			Speedup: base / ns,
-		})
+	}},
+	{name: "RLUpdateCC", workers: []int{1, 2}, gate: true, bench: func(w int) func(b *testing.B) {
+		return func(b *testing.B) {
+			rng := rand.New(rand.NewSource(10))
+			agent, err := rl.NewGaussianAgent(rl.DefaultGaussianConfig(cc.ObsSize, 1), rng)
+			if err != nil {
+				b.Fatal(err)
+			}
+			agent.UpdateWorkers = w
+			e := cc.NewRLEnv(cc.GenFromConfig(env.CCSpace(env.RL1).Default(nil)))
+			bt := agent.Collect(e, 800, rng)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				agent.Update(bt, rng)
+			}
+		}
+	}},
+}
+
+// runScalingSweep benchmarks every scaling curve at its worker counts.
+// Speedup is against the 1-worker point of the same curve. On a
+// single-core machine the curves are flat by construction; the committed
+// BENCH_*.json records NumCPU and GOMAXPROCS so flat curves are
+// interpretable.
+func runScalingSweep() []scalingPoint {
+	var points []scalingPoint
+	for _, c := range scalingCurves {
+		base := 0.0
+		for _, w := range c.workers {
+			fmt.Fprintf(os.Stderr, "scaling %s workers=%d...\n", c.name, w)
+			r := testing.Benchmark(c.bench(w))
+			ns := float64(r.T.Nanoseconds()) / float64(r.N)
+			if base == 0 {
+				base = ns
+			}
+			points = append(points, scalingPoint{
+				Name:    c.name,
+				Workers: w,
+				NsPerOp: ns,
+				Speedup: base / ns,
+				Gate:    c.gate,
+			})
+		}
 	}
 	return points
 }

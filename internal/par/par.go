@@ -15,6 +15,14 @@
 // associative, so any partition or fold order that varies with workers (or
 // with scheduling) silently breaks the repo-wide "same seed, same floats"
 // guarantee. See internal/rl's updateShardSize for the canonical use.
+//
+// The other sanctioned shape is independent lanes: each iteration runs a
+// whole sequential chain of work that writes no state another iteration
+// reads or writes (internal/rl's runLanes: a PPO update's policy and value
+// chains). Each lane keeps its own accumulation order, so the result is the
+// same as running the lanes one after the other. Where lanes must agree on
+// a decision, they meet at a barrier and one lane decides from state the
+// other has finished writing.
 package par
 
 import (

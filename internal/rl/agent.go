@@ -18,11 +18,14 @@ import (
 // streams leave it out, and code that replaces an agent with a restored one
 // (checkpoint resume, guard rollback) carries it over whole.
 type Runtime struct {
-	// UpdateWorkers caps the goroutines used for the sharded gradient pass
-	// of an update (0 means GOMAXPROCS). The result is bit-identical for
-	// every value: the shard partition is fixed (see updateShardSize) and
-	// shards reduce in index order, so workers only changes who computes
-	// what.
+	// UpdateWorkers caps the goroutines an update uses (0 means
+	// GOMAXPROCS). The A2C update fans its fixed gradient shards out over
+	// up to that many workers. The PPO update runs its policy and value
+	// chains as two lanes (see runLanes): on two workers from a cap of 2
+	// up, one after the other on the caller at 1. The result is
+	// bit-identical for every value: the shard partition is fixed (see
+	// updateShardSize), shards reduce in index order, and the two lanes
+	// write no shared state, so workers only changes who computes what.
 	UpdateWorkers int
 
 	// RolloutWorkers caps the goroutines used for rollout collection in
@@ -89,9 +92,9 @@ type policyHead[A any] interface {
 	sample(out, ws []float64, rng *rand.Rand, ar *floatArena) (A, Transition)
 	// update runs the learner's update over a merged batch.
 	update(b *Batch, rng *rand.Rand) UpdateStats
-	// shardGrads accumulates the loss gradient of rows [start,end) of the
-	// shard pass agent.upd into sh.
-	shardGrads(sh *shard, start, end int)
+	// shardGrads accumulates the policy loss gradient of rows [start,end)
+	// of pass p into sh; the core computes the critic half (valueShardGrads).
+	shardGrads(sh *policyShard, p *shardPass, start, end int)
 }
 
 // learner holds the hyperparameters the core reads.
@@ -99,9 +102,11 @@ type learner struct {
 	lr            float64 // Adam learning rate
 	gamma, lambda float64 // discount and GAE lambda
 	clipNorm      float64 // global gradient clip (0 disables)
+	valueCoef     float64 // weight of the critic loss in its gradient
 	minibatch     int     // rows per update pass (0 = the whole batch)
-	// replay marks a learner whose update replays the rollout's recorded
-	// activations; only then are the per-slot caches merged.
+	// replay marks a learner whose update is one step that replays the
+	// rollout's recorded activations (A2C); only then are the per-slot
+	// caches merged. The others gather minibatches and run as two lanes.
 	replay bool
 }
 
@@ -120,12 +125,17 @@ type agent[A any] struct {
 	// it and an update only trusts a cache stamped with the current version.
 	paramsVersion uint64
 
-	// Update workspaces. shardFn runs one shard of upd; it is built once
-	// so a shard pass allocates no closure.
+	// Update workspaces. shardFn runs both halves of one shard of upd; it
+	// is built once so a shard pass allocates no closure. perm holds every
+	// epoch's shuffled row ids of a lane update, permN rows each.
 	obsBuf, advBuf, retBuf []float64
-	shards                 []*shard
+	pShards                []*policyShard
+	vShards                []*valueShard
 	upd                    shardPass
 	shardFn                func(si int)
+	lanes                  [2]lane
+	perm                   []int
+	permN                  int
 
 	// Pooled rollout state (per slot or lockstep group) and the merged
 	// batch: together they make the steady-state iteration allocation-free.
@@ -141,26 +151,43 @@ type agent[A any] struct {
 }
 
 // shardPass is one sharded gradient pass over n rows of batch: rows maps a
-// shuffled minibatch's rows to transitions (nil: row r is transition r), and
-// pc/vc hold the rows' activations when the pass replays them.
+// shuffled minibatch's rows to transitions (nil: row r is transition r).
+// The pass either replays the rows' activations from pc/vc or runs its
+// forwards over obs, the rows' observations gathered into [n x ObsSize].
 type shardPass struct {
 	batch   *Batch
 	adv     []float64
 	returns []float64
 	rows    []int
 	n       int
+	obs     []float64
 	pc, vc  *nn.BatchCache
 }
 
-// shard is the private, reused workspace of one fixed-size gradient shard,
-// so shards never contend.
-type shard struct {
-	pGrads, vGrads *nn.Grads
-	ps, vs         *nn.Scratch
-	gOut           []float64 // [shard x policy out] dLoss/d(policy output)
-	vOut           []float64 // [shard x 1] dLoss/dV
-	aux            []float64 // one policy-output row: softmax probs or log-std gradients
-	stats          UpdateStats
+// row returns the transition index of pass row r.
+func (p *shardPass) row(r int) int {
+	if p.rows == nil {
+		return r
+	}
+	return p.rows[r]
+}
+
+// policyShard and valueShard are the private, reused workspaces of one
+// fixed-size gradient shard's two halves, so shards never contend. They are
+// separate allocations: the two lanes of an update write them concurrently.
+type policyShard struct {
+	grads *nn.Grads
+	s     *nn.Scratch
+	gOut  []float64 // [shard x policy out] dLoss/d(policy output)
+	aux   []float64 // one policy-output row: softmax probs or log-std gradients
+	stats UpdateStats
+}
+
+type valueShard struct {
+	grads *nn.Grads
+	s     *nn.Scratch
+	vOut  []float64 // [shard x 1] dLoss/dV
+	loss  float64
 }
 
 // init wires the core to its head and networks, with fresh optimizers.
@@ -170,13 +197,8 @@ func (c *agent[A]) init(head policyHead[A], l learner, policy, value *nn.MLP) {
 	c.pOpt, c.vOpt = nn.NewAdam(l.lr), nn.NewAdam(l.lr)
 	c.pGrads, c.vGrads = policy.NewGrads(), value.NewGrads()
 	c.shardFn = func(si int) {
-		sh := c.shards[si]
-		sh.pGrads.Zero()
-		sh.vGrads.Zero()
-		clear(sh.aux)
-		sh.stats = UpdateStats{}
-		start, end := shardBounds(si, c.upd.n)
-		c.head.shardGrads(sh, start, end)
+		c.policyShardGrads(&c.upd, si)
+		c.valueShardGrads(&c.upd, si)
 	}
 }
 
@@ -212,7 +234,11 @@ func (c *agent[A]) Reserve(steps int) {
 		return
 	}
 	rows := c.passRows(steps)
-	c.obsBuf = grow(c.obsBuf, rows*c.policy.InSize())
+	if !c.replay {
+		for i := range c.lanes {
+			c.lanes[i].pass.obs = grow(c.lanes[i].pass.obs, rows*c.policy.InSize())
+		}
+	}
 	c.ensureShards(numShards(rows))
 }
 
@@ -226,15 +252,17 @@ func (c *agent[A]) passRows(n int) int {
 
 func (c *agent[A]) ensureShards(k int) {
 	out := c.policy.OutSize()
-	for len(c.shards) < k {
-		c.shards = append(c.shards, &shard{
-			pGrads: c.policy.NewGrads(),
-			vGrads: c.value.NewGrads(),
-			ps:     c.policy.NewScratch(updateShardSize),
-			vs:     c.value.NewScratch(updateShardSize),
-			gOut:   make([]float64, updateShardSize*out),
-			vOut:   make([]float64, updateShardSize),
-			aux:    make([]float64, out),
+	for len(c.pShards) < k {
+		c.pShards = append(c.pShards, &policyShard{
+			grads: c.policy.NewGrads(),
+			s:     c.policy.NewScratch(updateShardSize),
+			gOut:  make([]float64, updateShardSize*out),
+			aux:   make([]float64, out),
+		})
+		c.vShards = append(c.vShards, &valueShard{
+			grads: c.value.NewGrads(),
+			s:     c.value.NewScratch(updateShardSize),
+			vOut:  make([]float64, updateShardSize),
 		})
 	}
 }
@@ -606,23 +634,86 @@ func (c *agent[A]) advantages(b *Batch) (adv, returns []float64) {
 }
 
 // runShards computes pass p's gradient into the agent's accumulators: fixed
-// shards run on parallel workers and fold in shard index order — stats into
-// *stats, and each shard's aux row into auxSum if non-nil — so the result is
-// independent of the worker count.
+// shards run both halves on parallel workers and fold in shard index order
+// (see foldPolicy and foldValue), so the result is independent of the
+// worker count. rl/kernel_seconds times the shard fan-out.
 func (c *agent[A]) runShards(p shardPass, stats *UpdateStats, auxSum []float64) {
-	c.pGrads.Zero()
-	c.vGrads.Zero()
 	k := numShards(p.n)
 	c.ensureShards(k)
 	c.upd = p
 	kt := c.Metrics.StartTimer("rl/kernel_seconds")
 	par.ForN(k, workers(c.UpdateWorkers), c.shardFn)
 	kt.Stop()
-	for _, sh := range c.shards[:k] {
-		c.pGrads.Add(sh.pGrads, 1)
-		c.vGrads.Add(sh.vGrads, 1)
+	c.foldPolicy(k, stats, auxSum)
+	c.foldValue(k, &stats.ValueLoss)
+}
+
+// policyPass computes pass p's policy gradient into pGrads, running its
+// shards in index order on the calling goroutine (one lane).
+func (c *agent[A]) policyPass(p *shardPass, stats *UpdateStats, auxSum []float64) {
+	k := numShards(p.n)
+	for si := 0; si < k; si++ {
+		c.policyShardGrads(p, si)
+	}
+	c.foldPolicy(k, stats, auxSum)
+}
+
+// valuePass computes pass p's value gradient into vGrads and adds the
+// shards' losses to *loss, shards in index order on the calling goroutine.
+func (c *agent[A]) valuePass(p *shardPass, loss *float64) {
+	k := numShards(p.n)
+	for si := 0; si < k; si++ {
+		c.valueShardGrads(p, si)
+	}
+	c.foldValue(k, loss)
+}
+
+func (c *agent[A]) policyShardGrads(p *shardPass, si int) {
+	sh := c.pShards[si]
+	sh.grads.Zero()
+	clear(sh.aux)
+	sh.stats = UpdateStats{}
+	start, end := shardBounds(si, p.n)
+	c.head.shardGrads(sh, p, start, end)
+}
+
+// valueShardGrads is the critic half of shard si of pass p, shared by both
+// heads: the loss 0.5*(V - R)^2 averaged over the pass, with its gradient
+// weighted by valueCoef. It replays the rows' value activations when the
+// pass carries them and runs the value forward over p.obs otherwise.
+func (c *agent[A]) valueShardGrads(p *shardPass, si int) {
+	sh := c.vShards[si]
+	sh.grads.Zero()
+	sh.loss = 0
+	start, end := shardBounds(si, p.n)
+	b := end - start
+	n := float64(p.n)
+	var v []float64
+	if p.vc != nil {
+		v = p.vc.Output()[start:end]
+	} else {
+		d := c.value.InSize()
+		v = c.value.ForwardBatchCache(sh.s, p.obs[start*d:end*d], b)
+	}
+	for r := 0; r < b; r++ {
+		diff := v[r] - p.returns[p.row(start+r)]
+		sh.loss += 0.5 * diff * diff / n
+		sh.vOut[r] = c.valueCoef * diff / n
+	}
+	if p.vc != nil {
+		c.value.BackwardBatchRows(p.vc, start, end, sh.vOut[:b], sh.s, sh.grads)
+	} else {
+		c.value.BackwardBatch(sh.s, sh.vOut[:b], sh.grads)
+	}
+}
+
+// foldPolicy sums the first k policy shards into pGrads in index order —
+// stats into *stats, and each shard's aux row into auxSum if non-nil.
+func (c *agent[A]) foldPolicy(k int, stats *UpdateStats, auxSum []float64) {
+	c.pGrads.Zero()
+	for _, sh := range c.pShards[:k] {
+		c.pGrads.Add(sh.grads, 1)
 		stats.PolicyLoss += sh.stats.PolicyLoss
-		stats.ValueLoss += sh.stats.ValueLoss
 		stats.Entropy += sh.stats.Entropy
 		stats.KL += sh.stats.KL
 		stats.ClipFrac += sh.stats.ClipFrac
@@ -632,45 +723,69 @@ func (c *agent[A]) runShards(p shardPass, stats *UpdateStats, auxSum []float64) 
 	}
 }
 
-// gate runs the checks before every optimizer apply of steps transitions:
-// the GradPoison fault site, the guard's veto, and global-norm clipping. The
-// guard sees pre-clip norms: clipping bounds the post-clip norm at ClipNorm,
-// which would blind divergence detection, while NaN/Inf pass through the
-// clip unchanged either way. It returns the post-clip policy gradient norm
-// and whether the apply may go ahead; on a veto the caller skips it, so
-// parameters, optimizer moments and paramsVersion keep their values.
-func (c *agent[A]) gate(o guard.UpdateObs, steps int) (gradNorm float64, ok bool) {
+// foldValue sums the first k value shards into vGrads, and their losses
+// into *loss, in index order.
+func (c *agent[A]) foldValue(k int, loss *float64) {
+	c.vGrads.Zero()
+	for _, sh := range c.vShards[:k] {
+		c.vGrads.Add(sh.grads, 1)
+		*loss += sh.loss
+	}
+}
+
+// poison is the GradPoison fault site: it writes NaN into the policy
+// gradient just before the apply.
+func (c *agent[A]) poison() {
 	if c.Faults.Fire(faults.GradPoison) {
 		c.pGrads.Poison(math.NaN())
 		c.Metrics.Counter("faults/grad_poison").Inc()
 	}
-	verdict := guard.Healthy
-	if c.Guard.Enabled() {
-		o.GradNorm, o.ValueGradNorm = c.pGrads.GlobalNorm(), c.vGrads.GlobalNorm()
-		o.ParamsFinite = o.ParamsFinite && c.policy.AllFinite() && c.value.AllFinite()
-		verdict = c.Guard.CheckUpdate(o)
-	}
-	if c.clipNorm > 0 {
-		c.pGrads.ClipGlobalNorm(c.clipNorm)
-		c.vGrads.ClipGlobalNorm(c.clipNorm)
-	}
-	gradNorm = c.pGrads.GlobalNorm()
-	if verdict != guard.Healthy {
-		if c.Metrics.Enabled() {
-			c.Metrics.Counter("rl/updates_skipped").Inc()
-			c.Metrics.Emit("rl/update_skipped",
-				metrics.F{K: "verdict", V: float64(verdict)},
-				metrics.F{K: "steps", V: float64(steps)})
-		}
-		return gradNorm, false
-	}
-	return gradNorm, true
 }
 
-// step applies the accumulated gradients to both networks.
-func (c *agent[A]) step() {
+// check asks an armed guard whether an apply of steps transitions, whose
+// losses, entropy and log-std finiteness o carries, may go ahead; it adds
+// the pre-clip gradient norms and the finiteness of both nets. The guard
+// sees pre-clip norms: clipping bounds the post-clip norm at ClipNorm,
+// which would blind divergence detection, while NaN/Inf pass through the
+// clip unchanged either way. With no guard every apply goes ahead.
+func (c *agent[A]) check(o guard.UpdateObs, steps int) bool {
+	if !c.Guard.Enabled() {
+		return true
+	}
+	o.GradNorm, o.ValueGradNorm = c.pGrads.GlobalNorm(), c.vGrads.GlobalNorm()
+	o.ParamsFinite = o.ParamsFinite && c.policy.AllFinite() && c.value.AllFinite()
+	verdict := c.Guard.CheckUpdate(o)
+	if verdict == guard.Healthy {
+		return true
+	}
+	if c.Metrics.Enabled() {
+		c.Metrics.Counter("rl/updates_skipped").Inc()
+		c.Metrics.Emit("rl/update_skipped",
+			metrics.F{K: "verdict", V: float64(verdict)},
+			metrics.F{K: "steps", V: float64(steps)})
+	}
+	return false
+}
+
+// clipPolicy clips the policy gradient to clipNorm and returns its
+// post-clip norm.
+func (c *agent[A]) clipPolicy() float64 {
+	if c.clipNorm > 0 {
+		c.pGrads.ClipGlobalNorm(c.clipNorm)
+	}
+	return c.pGrads.GlobalNorm()
+}
+
+// clipValue clips the value gradient to clipNorm.
+func (c *agent[A]) clipValue() {
+	if c.clipNorm > 0 {
+		c.vGrads.ClipGlobalNorm(c.clipNorm)
+	}
+}
+
+// stepPolicy applies the policy gradient and counts the optimizer step.
+func (c *agent[A]) stepPolicy() {
 	c.pOpt.Step(c.policy, c.pGrads)
-	c.vOpt.Step(c.value, c.vGrads)
 	c.paramsVersion++
 }
 

@@ -2,9 +2,13 @@ package rl
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"testing"
+
+	"github.com/genet-go/genet/internal/guard"
 )
 
 // The parallel update is required to be bit-deterministic in the worker
@@ -55,32 +59,109 @@ func TestDiscreteUpdateWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-func TestGaussianUpdateWorkerCountInvariance(t *testing.T) {
-	cfg := DefaultGaussianConfig(1, 1)
-	a1, err := NewGaussianAgent(cfg, rand.New(rand.NewSource(22)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a8, err := NewGaussianAgent(cfg, rand.New(rand.NewSource(22)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a1.UpdateWorkers = 1
-	a8.UpdateWorkers = 8
+// ccObsSize is cc.ObsSize, the width of the CC harness's observations
+// (internal/cc imports this package, so this test cannot import it).
+const ccObsSize = 31
 
-	rng1 := rand.New(rand.NewSource(77))
-	rng8 := rand.New(rand.NewSource(77))
-	for i := 0; i < 5; i++ {
-		_, s1 := a1.TrainIterationVec(trackerVec(2), 100, rng1)
-		_, s8 := a8.TrainIterationVec(trackerVec(2), 100, rng8)
-		if s1 != s8 {
-			t.Fatalf("iter %d: UpdateStats diverge between 1 and 8 workers:\n%+v\n%+v", i, s1, s8)
-		}
+// ccShaped is a continuous tracking task with the CC harness's observation
+// width: the target is redrawn every step and spread over all ccObsSize
+// features; reward is -(action - target)^2. Episodes last 8 steps.
+type ccShaped struct {
+	step   int
+	target float64
+	rng    *rand.Rand
+	obs    []float64
+}
+
+func (e *ccShaped) ObsSize() int   { return ccObsSize }
+func (e *ccShaped) ActionDim() int { return 1 }
+
+func (e *ccShaped) Reset(rng *rand.Rand) []float64 {
+	e.rng, e.step = rng, 0
+	return e.next()
+}
+
+func (e *ccShaped) Step(action []float64) ([]float64, float64, bool) {
+	d := action[0] - e.target
+	e.step++
+	return e.next(), -d * d, e.step >= 8
+}
+
+func (e *ccShaped) next() []float64 {
+	e.target = e.rng.Float64()*2 - 1
+	e.obs = grow(e.obs, ccObsSize)
+	for j := range e.obs {
+		e.obs[j] = math.Sin(float64(j+1)*0.37*float64(e.step+1) + e.target)
 	}
-	p1 := savedParams(t, a1.Save)
-	p8 := savedParams(t, a8.Save)
-	if !bytes.Equal(p1, p8) {
-		t.Fatal("serialized parameters diverge between 1 and 8 workers")
+	return e.obs
+}
+
+func ccShapedVec(k int) ContinuousVecEnv {
+	envs := make([]ContinuousEnv, k)
+	for i := range envs {
+		envs[i] = &ccShaped{}
+	}
+	return VecContinuous(envs...)
+}
+
+// TestGaussianUpdateWorkerCountInvariance trains the PPO agent at the CC
+// shape on 800-transition batches (12 full minibatches of 64 and a ragged
+// one of 32), with 64-row minibatches and with full-batch passes of 13
+// shards, guard armed and not. One, two and eight update workers must give
+// bit-equal UpdateStats, parameters, log-std and Adam moments (SaveState),
+// and leave rng at the same next draw: the interleaved one-goroutine loop,
+// the free-running lanes and the lanes meeting at the guard's barrier all
+// take the same steps.
+func TestGaussianUpdateWorkerCountInvariance(t *testing.T) {
+	type result struct {
+		stats []UpdateStats
+		state []byte
+		next  int64
+	}
+	for _, mb := range []int{64, 0} {
+		for _, armed := range []bool{false, true} {
+			t.Run(fmt.Sprintf("minibatch=%d/guard=%v", mb, armed), func(t *testing.T) {
+				run := func(workers int) result {
+					cfg := DefaultGaussianConfig(ccObsSize, 1)
+					cfg.Minibatch = mb
+					a, err := NewGaussianAgent(cfg, rand.New(rand.NewSource(22)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					a.UpdateWorkers = workers
+					if armed {
+						a.Guard = guard.New(guard.Config{})
+					}
+					rng := rand.New(rand.NewSource(77))
+					var r result
+					for i := 0; i < 3; i++ {
+						_, s := a.TrainIterationVec(ccShapedVec(2), 800, rng)
+						if n := len(a.merged.Transitions); n != 800 {
+							t.Fatalf("batch of %d transitions, want 800", n)
+						}
+						r.stats = append(r.stats, s)
+					}
+					r.state = savedParams(t, a.SaveState)
+					r.next = rng.Int63()
+					return r
+				}
+				ref := run(1)
+				for _, w := range []int{2, 8} {
+					got := run(w)
+					for i := range ref.stats {
+						if got.stats[i] != ref.stats[i] {
+							t.Fatalf("iter %d: UpdateStats diverge between 1 and %d workers:\n%+v\n%+v", i, w, ref.stats[i], got.stats[i])
+						}
+					}
+					if !bytes.Equal(got.state, ref.state) {
+						t.Fatalf("agent state diverges between 1 and %d workers", w)
+					}
+					if got.next != ref.next {
+						t.Fatalf("rng stream diverges between 1 and %d workers", w)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -62,7 +62,7 @@ func NewDiscreteAgent(cfg DiscreteConfig, rng *rand.Rand) (*DiscreteAgent, error
 
 func newDiscrete(cfg DiscreteConfig, policy, value *nn.MLP) *DiscreteAgent {
 	a := &DiscreteAgent{cfg: cfg}
-	a.init(a, learner{lr: cfg.LR, gamma: cfg.Gamma, lambda: cfg.Lambda, clipNorm: cfg.ClipNorm, replay: true}, policy, value)
+	a.init(a, learner{lr: cfg.LR, gamma: cfg.Gamma, lambda: cfg.Lambda, clipNorm: cfg.ClipNorm, valueCoef: cfg.ValueCoef, replay: true}, policy, value)
 	return a
 }
 
@@ -129,29 +129,32 @@ func (a *DiscreteAgent) Update(batch *Batch) UpdateStats {
 	}
 	var stats UpdateStats
 	a.runShards(shardPass{batch: batch, adv: adv, returns: returns, n: n, pc: pc, vc: vc}, &stats, nil)
-	var ok bool
-	stats.GradNorm, ok = a.gate(guard.UpdateObs{
+	a.poison()
+	ok := a.check(guard.UpdateObs{
 		PolicyLoss: stats.PolicyLoss, ValueLoss: stats.ValueLoss,
 		Entropy: stats.Entropy, ParamsFinite: true,
 	}, n)
+	a.clipValue()
+	stats.GradNorm = a.clipPolicy()
 	if !ok {
+		// Parameters, optimizer moments and paramsVersion keep their values.
 		stats.Skipped = true
 		return stats
 	}
-	a.step()
+	a.stepPolicy()
+	a.vOpt.Step(a.value, a.vGrads)
 	a.recordUpdate(stats, n)
 	return stats
 }
 
-// shardGrads implements policyHead: the A2C loss gradient of rows
-// [start,end) of the current pass, replayed from its activation caches.
-func (a *DiscreteAgent) shardGrads(sh *shard, start, end int) {
-	p := &a.upd
+// shardGrads implements policyHead: the A2C policy loss gradient of rows
+// [start,end) of pass p, replayed from its activation caches.
+func (a *DiscreteAgent) shardGrads(sh *policyShard, p *shardPass, start, end int) {
 	na := a.cfg.NumActions
 	b := end - start
 	n := float64(p.n)
 
-	// Policy: Loss_i = -adv*logπ(a|s) - entropyCoef*H(π(.|s)).
+	// Loss_i = -adv*logπ(a|s) - entropyCoef*H(π(.|s)).
 	logits := p.pc.Output()[start*na : end*na]
 	probs := sh.aux
 	for r := 0; r < b; r++ {
@@ -175,16 +178,7 @@ func (a *DiscreteAgent) shardGrads(sh *shard, start, end int) {
 			grad[j] = g / n
 		}
 	}
-	a.policy.BackwardBatchRows(p.pc, start, end, sh.gOut[:b*na], sh.ps, sh.pGrads)
-
-	// Critic: 0.5*(V - R)^2.
-	v := p.vc.Output()[start:end]
-	for r := 0; r < b; r++ {
-		diff := v[r] - p.returns[start+r]
-		sh.stats.ValueLoss += 0.5 * diff * diff / n
-		sh.vOut[r] = a.cfg.ValueCoef * diff / n
-	}
-	a.value.BackwardBatchRows(p.vc, start, end, sh.vOut[:b], sh.vs, sh.vGrads)
+	a.policy.BackwardBatchRows(p.pc, start, end, sh.gOut[:b*na], sh.s, sh.grads)
 }
 
 // Clone returns an independent copy of the agent (networks and optimizer

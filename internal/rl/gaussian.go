@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 
-	"github.com/genet-go/genet/internal/guard"
 	"github.com/genet-go/genet/internal/metrics"
 	"github.com/genet-go/genet/internal/nn"
 )
@@ -59,7 +58,6 @@ type GaussianAgent struct {
 	sOpt   *adamVec
 	sGrads []float64
 	stdBuf []float64 // std snapshot of the minibatch in flight
-	idxBuf []int
 }
 
 // NewGaussianAgent builds an agent with freshly initialized networks.
@@ -85,7 +83,7 @@ func newGaussian(cfg GaussianConfig, policy, value *nn.MLP, logStd []float64) *G
 		sGrads: make([]float64, cfg.ActionDim),
 		stdBuf: make([]float64, cfg.ActionDim),
 	}
-	a.init(a, learner{lr: cfg.LR, gamma: cfg.Gamma, lambda: cfg.Lambda, clipNorm: cfg.ClipNorm, minibatch: cfg.Minibatch}, policy, value)
+	a.init(a, learner{lr: cfg.LR, gamma: cfg.Gamma, lambda: cfg.Lambda, clipNorm: cfg.ClipNorm, valueCoef: 1, minibatch: cfg.Minibatch}, policy, value)
 	return a
 }
 
@@ -145,64 +143,22 @@ func (a *GaussianAgent) update(b *Batch, rng *rand.Rand) UpdateStats { return a.
 // minibatch gradient steps over the batch, each pass over a fresh shuffle
 // drawn from rng.
 //
-// Each minibatch gathers its observations into a contiguous [mb x ObsSize]
-// matrix and runs the core's sharded gradient pass — the same determinism
-// contract as DiscreteAgent.Update: results do not depend on the worker
-// count.
+// Every shuffle is drawn up front; then the policy chain (policy net and
+// log-std) and the value chain (value net) run as two lanes, each
+// gathering a minibatch's observations into a contiguous [mb x ObsSize]
+// matrix for its sharded gradient pass. Results do not depend on the
+// worker count (see runLanes).
 func (a *GaussianAgent) Update(batch *Batch, rng *rand.Rand) UpdateStats {
 	n := len(batch.Transitions)
 	if n == 0 {
 		return UpdateStats{}
 	}
 	adv, returns := a.advantages(batch)
-	mb := a.passRows(n)
-	a.idxBuf = grow(a.idxBuf, n)
-	idx := a.idxBuf
-	for i := range idx {
-		idx[i] = i
-	}
-	d := a.cfg.ObsSize
 	a.Reserve(n)
-
-	var stats UpdateStats
-	updates := 0.0
-	for epoch := 0; epoch < max(1, a.cfg.Epochs); epoch++ {
-		rng.Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		for start := 0; start < n; start += mb {
-			ids := idx[start:min(start+mb, n)]
-			mark := stats
-			for r, i := range ids {
-				copy(a.obsBuf[r*d:(r+1)*d], batch.Transitions[i].Obs)
-			}
-			a.stdInto(a.stdBuf)
-			clear(a.sGrads)
-			a.runShards(shardPass{batch: batch, adv: adv, returns: returns, rows: ids, n: len(ids)}, &stats, a.sGrads)
-			norm, ok := a.gate(guard.UpdateObs{
-				PolicyLoss:   stats.PolicyLoss - mark.PolicyLoss,
-				ValueLoss:    stats.ValueLoss - mark.ValueLoss,
-				Entropy:      gaussianEntropy(a.stdBuf),
-				ParamsFinite: allFinite(a.sGrads),
-			}, len(ids))
-			if !ok {
-				// Roll the skipped minibatch's (possibly poisoned)
-				// contribution back out of the running stats, so the
-				// reported averages cover only the minibatches that
-				// actually stepped.
-				stats = mark
-				stats.Skipped = true
-				continue
-			}
-			stats.GradNorm += norm
-			a.step()
-			a.sOpt.step(a.logStd, a.sGrads)
-			for k := range a.logStd {
-				// Keep the std in a sane band.
-				a.logStd[k] = min(max(a.logStd[k], math.Log(a.cfg.MinStd)), math.Log(2.0))
-			}
-			updates++
-		}
-	}
-	if updates > 0 {
+	steps := a.shuffle(n, max(1, a.cfg.Epochs), rng)
+	stats, taken := a.runLanes(batch, adv, returns, steps)
+	if taken > 0 {
+		updates := float64(taken)
 		stats.PolicyLoss /= updates
 		stats.ValueLoss /= updates
 		stats.KL /= updates
@@ -216,20 +172,48 @@ func (a *GaussianAgent) Update(batch *Batch, rng *rand.Rand) UpdateStats {
 	return stats
 }
 
+// policyGrads is the policy lane's half of minibatch step m: snapshot the
+// std, then compute the policy and log-std gradients.
+func (a *GaussianAgent) policyGrads(m int) {
+	l := &a.lanes[0]
+	a.gather(l, a.stepRows(m))
+	a.stdInto(a.stdBuf)
+	clear(a.sGrads)
+	l.mark = l.stats
+	a.policyPass(&l.pass, &l.stats, a.sGrads)
+	a.poison()
+}
+
+// policyStep clips and applies the policy gradient of the minibatch in
+// flight, then steps the log-std and keeps the std in a sane band; on a
+// veto it rolls the minibatch back instead.
+func (a *GaussianAgent) policyStep(ok bool) {
+	l := &a.lanes[0]
+	if !ok {
+		l.rollback()
+		return
+	}
+	l.stats.GradNorm += a.clipPolicy()
+	a.stepPolicy()
+	a.sOpt.step(a.logStd, a.sGrads)
+	for k := range a.logStd {
+		a.logStd[k] = min(max(a.logStd[k], math.Log(a.cfg.MinStd)), math.Log(2.0))
+	}
+	l.steps++
+}
+
 // shardGrads implements policyHead: the clipped-surrogate gradient of
-// minibatch rows [start,end) of the current pass, whose observations are
-// gathered in obsBuf and whose std snapshot is stdBuf. The log-std gradient
-// accumulates into sh.aux.
-func (a *GaussianAgent) shardGrads(sh *shard, start, end int) {
-	p := &a.upd
+// minibatch rows [start,end) of pass p, whose std snapshot is stdBuf. The
+// log-std gradient accumulates into sh.aux.
+func (a *GaussianAgent) shardGrads(sh *policyShard, p *shardPass, start, end int) {
 	d := a.cfg.ObsSize
 	k := a.cfg.ActionDim
 	b := end - start
 	bn := float64(p.n)
-	x := a.obsBuf[start*d : end*d]
+	x := p.obs[start*d : end*d]
 	std := a.stdBuf
 
-	means := a.policy.ForwardBatchCache(sh.ps, x, b)
+	means := a.policy.ForwardBatchCache(sh.s, x, b)
 	for r := 0; r < b; r++ {
 		i := p.rows[start+r]
 		t := &p.batch.Transitions[i]
@@ -266,15 +250,7 @@ func (a *GaussianAgent) shardGrads(sh *shard, start, end int) {
 			clear(gm)
 		}
 	}
-	a.policy.BackwardBatch(sh.ps, sh.gOut[:b*k], sh.pGrads)
-
-	v := a.value.ForwardBatchCache(sh.vs, x, b)
-	for r := 0; r < b; r++ {
-		diff := v[r] - p.returns[p.rows[start+r]]
-		sh.stats.ValueLoss += 0.5 * diff * diff / bn
-		sh.vOut[r] = diff / bn
-	}
-	a.value.BackwardBatch(sh.vs, sh.vOut[:b], sh.vGrads)
+	a.policy.BackwardBatch(sh.s, sh.gOut[:b*k], sh.grads)
 }
 
 // Clone returns an independent copy of the agent with fresh optimizer state.

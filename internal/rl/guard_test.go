@@ -2,10 +2,12 @@ package rl
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"github.com/genet-go/genet/internal/faults"
 	"github.com/genet-go/genet/internal/guard"
@@ -239,6 +241,65 @@ func TestGaussianGradPoisonSkips(t *testing.T) {
 	if st := g.Snapshot(); st.NonFinite == 0 {
 		t.Fatalf("guard stats %+v, want non-finite skips", st)
 	}
+
+	t.Run("one minibatch on two lanes", func(t *testing.T) {
+		// 800 transitions in 64-row minibatches over 4 epochs: 52 steps.
+		const steps = 52
+		// Pick an injector that poisons exactly one step k of the update,
+		// not the first or the last, by replaying its schedule.
+		seed, k := int64(0), -1
+		for k < 0 {
+			seed++
+			ref := faults.New(seed)
+			ref.Enable(faults.GradPoison, steps)
+			var fired []int
+			for m := 0; m < steps; m++ {
+				if ref.Fire(faults.GradPoison) {
+					fired = append(fired, m)
+				}
+			}
+			if len(fired) == 1 && fired[0] > 0 && fired[0] < steps-1 {
+				k = fired[0]
+			}
+		}
+		run := func(workers int) (*GaussianAgent, UpdateStats, *guard.Guard) {
+			a, err := NewGaussianAgent(DefaultGaussianConfig(ccObsSize, 1), rand.New(rand.NewSource(12)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.UpdateWorkers = workers
+			g := guard.New(guard.Config{})
+			a.Guard = g
+			in := faults.New(seed)
+			in.Enable(faults.GradPoison, steps)
+			a.Faults = in
+			_, s := a.TrainIterationVec(ccShapedVec(2), 800, rand.New(rand.NewSource(13)))
+			if in.Calls(faults.GradPoison) != steps || in.Fired(faults.GradPoison) != 1 {
+				t.Fatalf("%d calls, %d fired; want %d calls, 1 fired", in.Calls(faults.GradPoison), in.Fired(faults.GradPoison), steps)
+			}
+			return a, s, g
+		}
+		a, s, g := run(2)
+		if !s.Skipped || math.IsNaN(s.PolicyLoss) || math.IsNaN(s.ValueLoss) || math.IsNaN(s.GradNorm) {
+			t.Fatalf("poisoned step %d: stats %+v", k, s)
+		}
+		if st := g.Snapshot(); st.Skipped != 1 || st.NonFinite != 1 {
+			t.Fatalf("guard stats %+v, want one non-finite skip", st)
+		}
+		// Both lanes skipped step k and only it.
+		if p, v := a.pOpt.Wire().T, a.vOpt.Wire().T; p != steps-1 || v != steps-1 || a.sOpt.T != steps-1 {
+			t.Fatalf("optimizer steps policy %d value %d log-std %d, want %d each", p, v, a.sOpt.T, steps-1)
+		}
+		if !a.policy.AllFinite() || !a.value.AllFinite() || !allFinite(a.logStd) {
+			t.Fatal("poison reached the parameters")
+		}
+		// The lanes meeting at the barrier take exactly the steps of the
+		// one-goroutine loop.
+		ref, rs, _ := run(1)
+		if rs != s || !bytes.Equal(stateBytes(t, ref.SaveState), stateBytes(t, a.SaveState)) {
+			t.Fatal("two-lane poisoned update diverges from the one-worker update")
+		}
+	})
 }
 
 // ccToy is a minimal continuous env: reward is the negative squared
@@ -271,4 +332,38 @@ func ccToyVec(k int) ContinuousVecEnv {
 		envs[i] = &ccToy{dim: 4, adim: 2}
 	}
 	return VecContinuous(envs...)
+}
+
+// TestGaussianLanePanicPropagates pins that a panic in the policy lane of a
+// two-lane update reaches the caller, with and without the guard's barrier,
+// instead of leaving the value lane blocked on it forever.
+func TestGaussianLanePanicPropagates(t *testing.T) {
+	for _, armed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("guard=%v", armed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(14))
+			a, err := NewGaussianAgent(DefaultGaussianConfig(ccObsSize, 1), rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.UpdateWorkers = 2
+			if armed {
+				a.Guard = guard.New(guard.Config{})
+			}
+			b := a.Collect(&ccShaped{}, 200, rng)
+			b.Transitions[70].ActionC = nil // the policy loss indexes the action
+			done := make(chan any)
+			go func() {
+				defer func() { done <- recover() }()
+				a.Update(b, rng)
+			}()
+			select {
+			case r := <-done:
+				if r == nil {
+					t.Fatal("update over a malformed batch did not panic")
+				}
+			case <-time.After(time.Minute):
+				t.Fatal("update deadlocked after a lane panicked")
+			}
+		})
+	}
 }

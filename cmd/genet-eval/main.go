@@ -9,205 +9,114 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
+	"sort"
 	"strings"
 	"text/tabwriter"
 
-	"github.com/genet-go/genet/internal/abr"
-	"github.com/genet-go/genet/internal/cc"
+	"github.com/genet-go/genet/internal/core"
 	"github.com/genet-go/genet/internal/env"
-	"github.com/genet-go/genet/internal/lb"
-	"github.com/genet-go/genet/internal/rl"
 	"github.com/genet-go/genet/internal/stats"
 	"github.com/genet-go/genet/internal/trace"
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "genet-eval:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args and prints the reward table to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("genet-eval", flag.ContinueOnError)
 	var (
-		useCase   = flag.String("usecase", "abr", "use case: abr|cc|lb")
-		modelPath = flag.String("model", "", "model file from genet-train (required)")
-		n         = flag.Int("n", 50, "number of test environments")
-		level     = flag.String("level", "rl3", "synthetic test range: rl1|rl2|rl3")
-		traces    = flag.String("traces", "", "evaluate on a synthesized trace set instead: fcc|norway|cellular|ethernet")
-		seed      = flag.Int64("seed", 1, "random seed")
+		useCase   = fs.String("usecase", "abr", "use case: abr|cc|lb")
+		modelPath = fs.String("model", "", "model file from genet-train (required)")
+		n         = fs.Int("n", 50, "number of test environments")
+		level     = fs.String("level", "rl3", "synthetic test range: rl1|rl2|rl3")
+		traces    = fs.String("traces", "", "evaluate on a synthesized trace set instead: fcc|norway|cellular|ethernet")
+		seed      = fs.Int64("seed", 1, "random seed")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *modelPath == "" {
-		fmt.Fprintln(os.Stderr, "genet-eval: -model is required")
-		os.Exit(2)
+		return fmt.Errorf("-model is required")
+	}
+	uc, err := core.LookupUseCase(*useCase)
+	if err != nil {
+		return err
+	}
+	lvl, err := env.ParseRangeLevel(*level)
+	if err != nil {
+		return err
+	}
+	if *traces != "" && !uc.TraceDriven {
+		return fmt.Errorf("-traces is not supported for %s: its environments are not trace-driven", uc.Name)
 	}
 	f, err := os.Open(*modelPath)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer f.Close()
-
-	var lvl env.RangeLevel
-	switch strings.ToLower(*level) {
-	case "rl1":
-		lvl = env.RL1
-	case "rl2":
-		lvl = env.RL2
-	case "rl3":
-		lvl = env.RL3
-	default:
-		fatal(fmt.Errorf("unknown level %q", *level))
+	agent, err := uc.LoadAgent(f)
+	if err != nil {
+		return err
 	}
 
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	defer w.Flush()
-	fmt.Fprintln(w, "policy\tmean_reward\tp10\tp90")
-
-	switch strings.ToLower(*useCase) {
-	case "abr":
-		agent, err := rl.LoadDiscreteAgent(rl.DefaultDiscreteConfig(abr.ObsSize, len(abr.DefaultBitratesKbps)), f)
-		if err != nil {
-			fatal(err)
+	compare := uc.Compare(agent)
+	rewards := map[string][]float64{}
+	add := func(rs map[string]float64) {
+		for name, r := range rs {
+			rewards[name] = append(rewards[name], r)
 		}
-		policies := map[string]abr.Policy{
-			"model":     &abr.AgentPolicy{Agent: agent, Label: "model"},
-			"RobustMPC": abr.NewRobustMPC(),
-			"BBA":       &abr.BBA{},
-			"RateBased": abr.RateBased{},
+	}
+	if *traces != "" {
+		spec, ok := trace.Specs()[strings.ToLower(*traces)]
+		if !ok {
+			return fmt.Errorf("unknown trace set %q", *traces)
 		}
-		rewards := map[string][]float64{}
-		if *traces != "" {
-			set := makeSet(*traces, *seed)
-			cfg := env.ABRSpace(env.RL3).Default(env.ABRDefaults())
-			for i, tr := range set.Traces {
-				inst, err := abr.NewInstance(cfg, tr, rand.New(rand.NewSource(*seed+int64(i))))
-				if err != nil {
-					continue
-				}
-				for name, p := range policies {
-					rewards[name] = append(rewards[name], inst.Evaluate(p).MeanReward)
-				}
-			}
-		} else {
-			space := env.ABRSpace(lvl)
-			rng := rand.New(rand.NewSource(*seed))
-			for i := 0; i < *n; i++ {
-				cfg := space.Sample(rng)
-				inst, err := abr.NewInstance(cfg, nil, rand.New(rand.NewSource(*seed+int64(i))))
-				if err != nil {
-					continue
-				}
-				for name, p := range policies {
-					rewards[name] = append(rewards[name], inst.Evaluate(p).MeanReward)
-				}
-			}
+		_, set := trace.GenerateTrainTest(spec, 0.2, rand.New(rand.NewSource(*seed)))
+		cfg := uc.Space(env.RL3).Default(uc.Defaults())
+		for i, tr := range set.Traces {
+			add(compare(cfg, tr, *seed+int64(i), nil))
 		}
-		printRows(w, rewards)
-
-	case "cc":
-		agent, err := rl.LoadGaussianAgent(rl.DefaultGaussianConfig(cc.ObsSize, 1), f)
-		if err != nil {
-			fatal(err)
-		}
-		senders := map[string]func() cc.Sender{
-			"model":  func() cc.Sender { return &cc.AgentSender{Agent: agent} },
-			"BBR":    func() cc.Sender { return cc.NewBBR() },
-			"Cubic":  func() cc.Sender { return cc.NewCubic() },
-			"Vivace": func() cc.Sender { return cc.NewVivace() },
-		}
-		rewards := map[string][]float64{}
-		evalInst := func(inst *cc.Instance, noiseSeed int64) {
-			for name, mk := range senders {
-				m := inst.Evaluate(mk(), rand.New(rand.NewSource(noiseSeed)))
-				rewards[name] = append(rewards[name], m.MeanReward)
-			}
-		}
-		if *traces != "" {
-			set := makeSet(*traces, *seed)
-			cfg := env.CCSpace(env.RL3).Default(env.CCDefaults())
-			for i, tr := range set.Traces {
-				inst, err := cc.NewInstance(cfg, tr, rand.New(rand.NewSource(*seed+int64(i))))
-				if err != nil {
-					continue
-				}
-				evalInst(inst, *seed+int64(i))
-			}
-		} else {
-			space := env.CCSpace(lvl)
-			rng := rand.New(rand.NewSource(*seed))
-			for i := 0; i < *n; i++ {
-				inst, err := cc.NewInstance(space.Sample(rng), nil, rand.New(rand.NewSource(*seed+int64(i))))
-				if err != nil {
-					continue
-				}
-				evalInst(inst, *seed+int64(i))
-			}
-		}
-		printRows(w, rewards)
-
-	case "lb":
-		agent, err := rl.LoadDiscreteAgent(rl.DefaultDiscreteConfig(lb.ObsSize, lb.NumServers), f)
-		if err != nil {
-			fatal(err)
-		}
-		policies := map[string]func() lb.Policy{
-			"model":      func() lb.Policy { return &lb.AgentPolicy{Agent: agent, Label: "model"} },
-			"LLF":        func() lb.Policy { return lb.LLF{} },
-			"RoundRobin": func() lb.Policy { return &lb.RoundRobin{} },
-		}
-		rewards := map[string][]float64{}
-		space := env.LBSpace(lvl)
+	} else {
+		space := uc.Space(lvl)
 		rng := rand.New(rand.NewSource(*seed))
 		for i := 0; i < *n; i++ {
-			e, err := lb.NewEnvFromConfig(space.Sample(rng), rng)
-			if err != nil {
-				continue
-			}
-			noiseSeed := rng.Int63()
-			for name, mk := range policies {
-				m, err := e.Run(mk(), rand.New(rand.NewSource(noiseSeed)))
-				if err != nil {
-					continue
-				}
-				rewards[name] = append(rewards[name], m.MeanReward)
-			}
+			add(compare(space.Sample(rng), nil, *seed+int64(i), rng))
 		}
-		printRows(w, rewards)
-
-	default:
-		fatal(fmt.Errorf("unknown use case %q", *useCase))
 	}
+
+	w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(w, "policy\tmean_reward\tp10\tp90")
+	printRows(w, rewards)
+	return w.Flush()
 }
 
-func makeSet(name string, seed int64) *trace.Set {
-	spec, ok := trace.Specs()[strings.ToLower(name)]
-	if !ok {
-		fatal(fmt.Errorf("unknown trace set %q", name))
-	}
-	_, test := trace.GenerateTrainTest(spec, 0.2, rand.New(rand.NewSource(seed)))
-	return test
-}
-
-func printRows(w *tabwriter.Writer, rewards map[string][]float64) {
+// printRows writes one row per policy: the model first, then the rest in
+// alphabetical order.
+func printRows(w io.Writer, rewards map[string][]float64) {
 	names := make([]string, 0, len(rewards))
 	for name := range rewards {
 		names = append(names, name)
 	}
-	// Model first, then alphabetical.
-	for i, n := range names {
-		if n == "model" {
-			names[0], names[i] = names[i], names[0]
+	sort.Slice(names, func(i, j int) bool {
+		if (names[i] == "model") != (names[j] == "model") {
+			return names[i] == "model"
 		}
-	}
+		return names[i] < names[j]
+	})
 	for _, name := range names {
 		xs := rewards[name]
-		if len(xs) == 0 {
-			continue
-		}
 		fmt.Fprintf(w, "%s\t%.3f\t%.3f\t%.3f\n", name,
 			stats.Mean(xs), stats.Percentile(xs, 10), stats.Percentile(xs, 90))
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "genet-eval:", err)
-	os.Exit(1)
 }

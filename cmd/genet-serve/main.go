@@ -47,6 +47,7 @@ import (
 	"syscall"
 	"time"
 
+	"github.com/genet-go/genet/internal/core"
 	"github.com/genet-go/genet/internal/env"
 	"github.com/genet-go/genet/internal/faults"
 	"github.com/genet-go/genet/internal/metrics"
@@ -101,6 +102,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	uc, err := core.LookupUseCase(*useCase)
+	if err != nil {
+		fatal(err)
+	}
 
 	oa := obsArgs{
 		runDir:      *runDir,
@@ -117,7 +122,7 @@ func main() {
 
 	if *loadgen {
 		lg := loadGenArgs{
-			useCase: *useCase, modelPath: *modelPath, target: *target,
+			useCase: uc.Name, modelPath: *modelPath, target: *target,
 			sessions: *sessions, workers: *workers, steps: *steps,
 			seed: *seed, level: *level,
 			arrival: *arrival, rate: *rate, requests: *requests,
@@ -130,7 +135,7 @@ func main() {
 		return
 	}
 	sc := serveArgs{
-		useCase: *useCase, modelPath: *modelPath, addr: *addr, watchIvl: *watchIvl,
+		useCase: uc.Name, modelPath: *modelPath, addr: *addr, watchIvl: *watchIvl,
 		obs: oa,
 		robust: serve.RobustnessOptions{
 			MaxInflight: *maxInflight,
@@ -248,7 +253,7 @@ type loadGenArgs struct {
 }
 
 func runLoadGen(a loadGenArgs) error {
-	lvl, err := parseLevel(a.level)
+	lvl, err := env.ParseRangeLevel(a.level)
 	if err != nil {
 		return err
 	}
@@ -424,18 +429,6 @@ func resolveModelPath(path string) string {
 		return path + string(os.PathSeparator) + obs.ModelFile
 	}
 	return path
-}
-
-func parseLevel(s string) (env.RangeLevel, error) {
-	switch strings.ToLower(s) {
-	case "rl1":
-		return env.RL1, nil
-	case "rl2":
-		return env.RL2, nil
-	case "rl3":
-		return env.RL3, nil
-	}
-	return 0, fmt.Errorf("unknown level %q (want rl1|rl2|rl3)", s)
 }
 
 func fatal(err error) {

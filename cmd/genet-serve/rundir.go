@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"time"
 
 	"github.com/genet-go/genet/internal/metrics"
@@ -58,7 +57,7 @@ func setupObs(a obsArgs, strategy, useCase string, seed int64, reg *metrics.Regi
 	}
 	reg.SetSink(sink)
 	reg.EmitTagged("run/start",
-		map[string]string{"tool": "genet-serve", "usecase": strings.ToLower(useCase), "strategy": strategy},
+		map[string]string{"tool": "genet-serve", "usecase": useCase, "strategy": strategy},
 		metrics.F{K: "seed", V: float64(seed)})
 
 	rec := obs.NewRecorder(0)
@@ -76,7 +75,7 @@ func setupObs(a obsArgs, strategy, useCase string, seed int64, reg *metrics.Regi
 		}),
 		manifest: obs.Manifest{
 			Tool:      "genet-serve",
-			UseCase:   strings.ToLower(useCase),
+			UseCase:   useCase,
 			Strategy:  strategy,
 			Seed:      seed,
 			Flags:     visitedFlags(),

@@ -12,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -21,11 +20,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/genet-go/genet/internal/abr"
-	"github.com/genet-go/genet/internal/cc"
 	"github.com/genet-go/genet/internal/ckpt"
 	"github.com/genet-go/genet/internal/core"
-	"github.com/genet-go/genet/internal/env"
 	"github.com/genet-go/genet/internal/faults"
 	"github.com/genet-go/genet/internal/guard"
 	"github.com/genet-go/genet/internal/metrics"
@@ -63,6 +59,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "genet-train: -o is required (or use -rundir)")
 		os.Exit(2)
 	}
+	uc, err := core.LookupUseCase(*useCase)
+	if err != nil {
+		fatal(err)
+	}
+	level, objective, err := uc.Strategy(*strategy)
+	if err != nil {
+		fatal(err)
+	}
 
 	// -rundir turns on the full observability stack: the flight recorder,
 	// the telemetry stream, and the standard artifact layout. Each piece can
@@ -95,7 +99,7 @@ func main() {
 		reg = metrics.NewRegistry()
 		reg.SetSink(sink)
 		reg.EmitTagged("run/start",
-			map[string]string{"tool": "genet-train", "usecase": *useCase, "strategy": *strategy},
+			map[string]string{"tool": "genet-train", "usecase": uc.Name, "strategy": *strategy},
 			metrics.F{K: "seed", V: float64(*seed)},
 			metrics.F{K: "rounds", V: float64(*rounds)},
 			metrics.F{K: "iters", V: float64(*iters)})
@@ -111,20 +115,11 @@ func main() {
 	// capture it exactly; crng.Rand is a plain *rand.Rand for call sites.
 	crng := ckpt.NewRand(*seed)
 	rng := crng.Rand
-	level := env.RL3
-	switch strings.ToLower(*strategy) {
-	case "rl1":
-		level = env.RL1
-	case "rl2":
-		level = env.RL2
-	}
-
-	h, err := buildHarness(*useCase, level, *baseName, rng)
+	h, err := uc.NewHarness(level, *baseName, *envsIter, *stepsIt, rng)
 	if err != nil {
 		fatal(err)
 	}
 	core.SetHarnessMetrics(h, reg)
-	sizeHarness(h, *envsIter, *stepsIt)
 
 	// The live status view backs the introspection server's /run endpoint;
 	// it stays nil (free) without -introspect.
@@ -148,7 +143,7 @@ func main() {
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "genet-train: introspection server on http://%s\n", srv.Addr)
 	}
-	status.SetRun("genet-train", *useCase, *strategy, *seed, *rounds)
+	status.SetRun("genet-train", uc.Name, *strategy, *seed, *rounds)
 
 	// flushArtifacts makes the on-disk artifacts valid *now*: buffered
 	// telemetry is pushed through to events.jsonl and the span ring is
@@ -168,7 +163,7 @@ func main() {
 
 	manifest := obs.Manifest{
 		Tool:              "genet-train",
-		UseCase:           strings.ToLower(*useCase),
+		UseCase:           uc.Name,
 		Strategy:          strings.ToLower(*strategy),
 		Seed:              *seed,
 		Rounds:            *rounds,
@@ -231,10 +226,10 @@ func main() {
 		if g.Enabled() && reg.Enabled() {
 			g.SetMetrics(reg)
 		}
-		fmt.Fprintf(os.Stderr, "training traditional %s on %s for %d iterations...\n", *strategy, *useCase, total)
+		fmt.Fprintf(os.Stderr, "training traditional %s on %s for %d iterations...\n", *strategy, uc.Name, total)
 		curve := core.TrainTraditional(h, total, rng)
 		fmt.Fprintf(os.Stderr, "final training reward: %.3f\n", curve[len(curve)-1])
-	case "genet", "cl2", "cl3":
+	default: // genet, cl2, cl3
 		if *runDir != "" && *ckPath == "" && *resume == "" {
 			// A run directory implies crash-safe training: checkpoint into
 			// the standard slot unless the caller pointed elsewhere.
@@ -243,11 +238,12 @@ func main() {
 		opts := core.Options{
 			Rounds: *rounds, ItersPerRound: *iters,
 			BOSteps: *boSteps, EnvsPerEval: *envsEval,
-			Metrics:  reg,
-			Guard:    g,
-			Faults:   injector,
-			Recorder: rec,
-			Status:   status,
+			Objective: objective,
+			Metrics:   reg,
+			Guard:     g,
+			Faults:    injector,
+			Recorder:  rec,
+			Status:    status,
 			AfterRecovery: func(core.RecoveryEvent) {
 				flushArtifacts()
 			},
@@ -259,20 +255,7 @@ func main() {
 				opts.WarmupIters = *warmup
 			}
 		}
-		if strings.EqualFold(*useCase, "cc") {
-			// CC rewards scale with link bandwidth; search normalized gaps.
-			opts.Objective = core.NormalizedGapObjective()
-		}
-		switch strings.ToLower(*strategy) {
-		case "cl2":
-			opts.Objective = core.BaselinePerfObjective()
-		case "cl3":
-			opts.Objective = core.GapToOptimumObjective()
-			if strings.EqualFold(*useCase, "cc") {
-				opts.Objective = core.NormalizedOptGapObjective()
-			}
-		}
-		fmt.Fprintf(os.Stderr, "training %s on %s: %d rounds x %d iterations...\n", *strategy, *useCase, *rounds, *iters)
+		fmt.Fprintf(os.Stderr, "training %s on %s: %d rounds x %d iterations...\n", *strategy, uc.Name, *rounds, *iters)
 		var rep *core.Report
 		if *ckPath == "" && *resume == "" {
 			rep, err = core.NewTrainer(h, opts).Run(rng)
@@ -310,8 +293,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "interrupted after %d/%d rounds; continue with -resume %s\n",
 				len(rep.Rounds), *rounds, ckFile)
 		}
-	default:
-		fatal(fmt.Errorf("unknown strategy %q", *strategy))
 	}
 	fmt.Fprintf(os.Stderr, "trained in %v\n", time.Since(start).Round(time.Millisecond))
 	if g.Enabled() {
@@ -324,7 +305,7 @@ func main() {
 	// Atomic (temp+fsync+rename) like the checkpoint writes: a policy server
 	// watching this path must never observe a torn model.
 	if err := ckpt.AtomicWriteFile(*outPath, func(w io.Writer) error {
-		return saveModel(h, w)
+		return core.SaveModel(h, w)
 	}); err != nil {
 		fatal(err)
 	}
@@ -350,87 +331,6 @@ func visitedFlags() map[string]string {
 	m := make(map[string]string)
 	flag.Visit(func(f *flag.Flag) { m[f.Name] = f.Value.String() })
 	return m
-}
-
-func buildHarness(useCase string, level env.RangeLevel, baseline string, rng *rand.Rand) (core.Harness, error) {
-	switch strings.ToLower(useCase) {
-	case "abr":
-		h, err := core.NewABRHarness(env.ABRSpace(level), rng)
-		if err != nil {
-			return nil, err
-		}
-		switch strings.ToLower(baseline) {
-		case "", "mpc":
-		case "bba":
-			h.NewBaseline = func() abr.Policy { return &abr.BBA{} }
-		default:
-			return nil, fmt.Errorf("unknown abr baseline %q", baseline)
-		}
-		return h, nil
-	case "cc":
-		h, err := core.NewCCHarness(env.CCSpace(level), rng)
-		if err != nil {
-			return nil, err
-		}
-		switch strings.ToLower(baseline) {
-		case "", "bbr":
-		case "cubic":
-			h.NewBaseline = func() cc.Sender { return cc.NewCubic() }
-		default:
-			return nil, fmt.Errorf("unknown cc baseline %q", baseline)
-		}
-		return h, nil
-	case "lb":
-		h, err := core.NewLBHarness(env.LBSpace(level), rng)
-		if err != nil {
-			return nil, err
-		}
-		if baseline != "" && !strings.EqualFold(baseline, "llf") {
-			return nil, fmt.Errorf("unknown lb baseline %q", baseline)
-		}
-		return h, nil
-	}
-	return nil, fmt.Errorf("unknown use case %q", useCase)
-}
-
-// sizeHarness applies the -envs-per-iter / -steps-per-iter overrides; zero
-// keeps each harness's default.
-func sizeHarness(h core.Harness, envs, steps int) {
-	switch hh := h.(type) {
-	case *core.ABRHarness:
-		if envs > 0 {
-			hh.EnvsPerIter = envs
-		}
-		if steps > 0 {
-			hh.StepsPerIter = steps
-		}
-	case *core.CCHarness:
-		if envs > 0 {
-			hh.EnvsPerIter = envs
-		}
-		if steps > 0 {
-			hh.StepsPerIter = steps
-		}
-	case *core.LBHarness:
-		if envs > 0 {
-			hh.EnvsPerIter = envs
-		}
-		if steps > 0 {
-			hh.StepsPerIter = steps
-		}
-	}
-}
-
-func saveModel(h core.Harness, w io.Writer) error {
-	switch hh := h.(type) {
-	case *core.ABRHarness:
-		return hh.Agent.Save(w)
-	case *core.CCHarness:
-		return hh.Agent.Save(w)
-	case *core.LBHarness:
-		return hh.Agent.Save(w)
-	}
-	return fmt.Errorf("unknown harness type %T", h)
 }
 
 // interruptFlag installs a SIGINT handler and returns the stop predicate the

@@ -140,6 +140,47 @@ func AppendObsVector(v []float64, obs *Observation) []float64 {
 	return v
 }
 
+// Buffer thresholds (seconds) of Fallback: below the reservoir the lowest
+// bitrate is picked, above the cushion the highest, linear in between —
+// the BBA rate map. They are Fallback's own, not BBA's.
+const (
+	fallbackReservoirSec = 5.0
+	fallbackCushionSec   = 20.0
+)
+
+// fallbackObsBuffer is the index of the squashed buffer occupancy in the
+// observation vector (after the last-bitrate feature).
+const fallbackObsBuffer = 1
+
+// Fallback is the rule-based bitrate pick a policy server answers with when
+// its learned model is quarantined: a pure function of one ObsSize
+// observation. AppendObsVector stores squash(buffer, 10) = b/(b+10); the
+// fallback inverts it to seconds and maps [reservoir, cushion] linearly onto
+// the default ladder.
+func Fallback(obs []float64) int {
+	n := len(DefaultBitratesKbps)
+	x := obs[fallbackObsBuffer]
+	if x >= 1 {
+		return n - 1
+	}
+	if x < 0 {
+		x = 0
+	}
+	bufSec := 10 * x / (1 - x)
+	if bufSec <= fallbackReservoirSec {
+		return 0
+	}
+	if bufSec >= fallbackCushionSec {
+		return n - 1
+	}
+	frac := (bufSec - fallbackReservoirSec) / (fallbackCushionSec - fallbackReservoirSec)
+	level := int(frac * float64(n-1))
+	if level > n-1 {
+		level = n - 1
+	}
+	return level
+}
+
 // InstanceGen produces a fresh environment instance per episode; rl training
 // draws one per Reset, which realizes the paper's "N random environments per
 // configuration".

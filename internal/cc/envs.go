@@ -122,6 +122,30 @@ func clampF(x, lo, hi float64) float64 {
 	return x
 }
 
+// Fallback tuning: the loss and latency-inflation levels that trigger a
+// multiplicative decrease, and the action magnitudes handed to
+// ApplyRateAction (asymmetric, like AIMD: back off hard, probe gently).
+const (
+	fallbackLossCut    = 0.02 // >2% loss in the newest MI backs off
+	fallbackLatInflCut = 0.3  // encoded latency inflation (raw/10) cut
+	fallbackDecrease   = -1.0
+	fallbackIncrease   = 0.1
+)
+
+// Fallback is the rule-based rate action a policy server answers with when
+// its learned model is quarantined: an AIMD step over the newest monitor
+// interval of one ObsSize observation. The observation is HistMIs rows of
+// miFeatures ([latencyInflation/10, sendRatio/5, lossRate]) followed by the
+// rate feature, so the newest row sits just before the final element.
+func Fallback(obs []float64) float64 {
+	latInfl := obs[len(obs)-4]
+	loss := obs[len(obs)-2]
+	if loss > fallbackLossCut || latInfl > fallbackLatInflCut {
+		return fallbackDecrease
+	}
+	return fallbackIncrease
+}
+
 // InstanceGen produces a fresh environment instance per episode.
 type InstanceGen func(rng *rand.Rand) *Instance
 

@@ -74,7 +74,7 @@ func NewABRHarness(space *env.Space, rng *rand.Rand) (*ABRHarness, error) {
 		NewBaseline:  func() abr.Policy { return abr.NewRobustMPC() },
 		TraceProb:    0.3,
 		EnvsPerIter:  8,
-		StepsPerIter: 400,
+		StepsPerIter: abrStepsPerIter,
 		space:        space,
 	}, nil
 }
@@ -118,8 +118,11 @@ func (h *ABRHarness) stepsPerIter() int {
 	if h.StepsPerIter > 0 {
 		return h.StepsPerIter
 	}
-	return 400
+	return abrStepsPerIter
 }
+
+// abrStepsPerIter is the default StepsPerIter.
+const abrStepsPerIter = 400
 
 // baselineReward evaluates the baseline (or the max over the ensemble) on
 // one instance.

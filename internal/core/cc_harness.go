@@ -62,7 +62,7 @@ func NewCCHarness(space *env.Space, rng *rand.Rand) (*CCHarness, error) {
 		NewBaseline:  func() cc.Sender { return cc.NewBBR() },
 		TraceProb:    0.3,
 		EnvsPerIter:  4,
-		StepsPerIter: 800,
+		StepsPerIter: ccStepsPerIter,
 		space:        space,
 	}, nil
 }
@@ -103,8 +103,11 @@ func (h *CCHarness) stepsPerIter() int {
 	if h.StepsPerIter > 0 {
 		return h.StepsPerIter
 	}
-	return 800
+	return ccStepsPerIter
 }
+
+// ccStepsPerIter is the default StepsPerIter.
+const ccStepsPerIter = 800
 
 func (h *CCHarness) baselineReward(inst *cc.Instance, seed int64) float64 {
 	if len(h.Ensemble) == 0 {

@@ -55,7 +55,7 @@ func NewLBHarness(space *env.Space, rng *rand.Rand) (*LBHarness, error) {
 		Agent:        agent,
 		NewBaseline:  func() lb.Policy { return lb.LLF{} },
 		EnvsPerIter:  4,
-		StepsPerIter: 600,
+		StepsPerIter: lbStepsPerIter,
 		space:        space,
 	}, nil
 }
@@ -89,8 +89,11 @@ func (h *LBHarness) stepsPerIter() int {
 	if h.StepsPerIter > 0 {
 		return h.StepsPerIter
 	}
-	return 600
+	return lbStepsPerIter
 }
+
+// lbStepsPerIter is the default StepsPerIter.
+const lbStepsPerIter = 600
 
 func (h *LBHarness) baselineReward(e *lb.Env, seed int64) (float64, bool) {
 	if len(h.Ensemble) == 0 {

@@ -1,5 +1,10 @@
 package env
 
+import (
+	"fmt"
+	"strings"
+)
+
 // Dimension names shared between the environment spaces (this package) and
 // the use-case simulators (internal/abr, internal/cc, internal/lb). The
 // simulators read these dimensions off a Config to instantiate environments.
@@ -53,6 +58,16 @@ func (r RangeLevel) String() string {
 		return "RL3"
 	}
 	return "RL?"
+}
+
+// ParseRangeLevel parses a level name (rl1, rl2 or rl3, any case).
+func ParseRangeLevel(s string) (RangeLevel, error) {
+	for _, r := range []RangeLevel{RL1, RL2, RL3} {
+		if strings.EqualFold(s, r.String()) {
+			return r, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown level %q (want rl1|rl2|rl3)", s)
 }
 
 // ABRSpace returns the ABR configuration space of Table 3 at the given

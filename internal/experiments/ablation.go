@@ -38,7 +38,7 @@ func runAblationW(scale Scale, seed int64) (*Result, error) {
 	}
 	for _, w := range []float64{0.1, 0.3, 0.5, 0.7} {
 		rng := rand.New(rand.NewSource(seed))
-		h, err := newHarness(ABR, spaceFor(ABR, env.RL3), b, rng)
+		h, err := b.harness(core.ABR, env.RL3, rng)
 		if err != nil {
 			return nil, err
 		}
@@ -65,7 +65,7 @@ func runAblationForgetting(scale Scale, seed int64) (*Result, error) {
 	}
 	for _, floor := range []float64{0, 0.3, 0.6} {
 		rng := rand.New(rand.NewSource(seed))
-		h, err := newHarness(ABR, spaceFor(ABR, env.RL3), b, rng)
+		h, err := b.harness(core.ABR, env.RL3, rng)
 		if err != nil {
 			return nil, err
 		}
@@ -100,7 +100,7 @@ func runAblationEnsemble(scale Scale, seed int64) (*Result, error) {
 	}
 	{
 		rng := rand.New(rand.NewSource(seed))
-		h, err := newHarness(CC, spaceFor(CC, env.RL3), b, rng)
+		h, err := b.harness(core.CC, env.RL3, rng)
 		if err != nil {
 			return nil, err
 		}
@@ -111,7 +111,7 @@ func runAblationEnsemble(scale Scale, seed int64) (*Result, error) {
 	}
 	{
 		rng := rand.New(rand.NewSource(seed))
-		h, err := newHarness(CC, spaceFor(CC, env.RL3), b, rng)
+		h, err := b.harness(core.CC, env.RL3, rng)
 		if err != nil {
 			return nil, err
 		}
@@ -140,7 +140,7 @@ func runAblationWarmup(scale Scale, seed int64) (*Result, error) {
 	}
 	for _, warmup := range []int{-1, b.warmup} { // -1 encodes "disabled"
 		rng := rand.New(rand.NewSource(seed))
-		h, err := newHarness(ABR, spaceFor(ABR, env.RL3), b, rng)
+		h, err := b.harness(core.ABR, env.RL3, rng)
 		if err != nil {
 			return nil, err
 		}

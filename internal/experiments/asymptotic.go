@@ -20,7 +20,7 @@ func init() {
 
 // trainLevelSuite trains the RL1/RL2/RL3 traditional policies plus Genet for
 // one use case.
-func trainLevelSuite(uc UseCase, b budget, seed int64) (map[string]core.Harness, error) {
+func trainLevelSuite(uc *core.UseCase, b budget, seed int64) (map[string]core.Harness, error) {
 	hs := make(map[string]core.Harness, 4)
 	for _, level := range []env.RangeLevel{env.RL1, env.RL2, env.RL3} {
 		h, err := trainTraditionalLevel(uc, level, b, seed+int64(level))
@@ -49,7 +49,7 @@ func runFig9(scale Scale, seed int64) (*Result, error) {
 		Title:   "asymptotic performance on the full synthetic range",
 		Columns: []string{"test_reward"},
 	}
-	for _, uc := range []UseCase{CC, ABR, LB} {
+	for _, uc := range []*core.UseCase{core.CC, core.ABR, core.LB} {
 		acc := map[string][]float64{}
 		var blAcc []float64
 		for s := 0; s < nSeeds; s++ {
@@ -57,7 +57,7 @@ func runFig9(scale Scale, seed int64) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			dist := env.NewDistribution(spaceFor(uc, env.RL3))
+			dist := env.NewDistribution(uc.Space(env.RL3))
 			rewards, baseline := evalSuite(hs, dist, b.testEnvs, seed+100, true)
 			for name, rs := range rewards {
 				acc[name] = append(acc[name], meanOf(rs))
@@ -84,7 +84,7 @@ type sweepPoint struct {
 // varies with the rest at Table 3 defaults.
 func runFig10(scale Scale, seed int64) (*Result, error) {
 	b := budgetFor(scale)
-	hs, err := trainLevelSuite(ABR, b, seed)
+	hs, err := trainLevelSuite(core.ABR, b, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -97,13 +97,13 @@ func runFig10(scale Scale, seed int64) (*Result, error) {
 		{env.ABRBWMinRatio, []float64{0.3, 0.5, 0.7, 0.9}},
 	}
 	return runSweep("fig10", "ABR reward along individual env parameters",
-		hs, spaceFor(ABR, env.RL3).Default(env.ABRDefaults()), sweeps, b, seed)
+		hs, core.ABR.Space(env.RL3).Default(env.ABRDefaults()), sweeps, b, seed)
 }
 
 // runFig11 reproduces Fig 11: LB test reward along job size and interval.
 func runFig11(scale Scale, seed int64) (*Result, error) {
 	b := budgetFor(scale)
-	hs, err := trainLevelSuite(LB, b, seed)
+	hs, err := trainLevelSuite(core.LB, b, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +111,7 @@ func runFig11(scale Scale, seed int64) (*Result, error) {
 		{env.LBJobSize, []float64{500, 2000, 5000, 9000}},
 		{env.LBJobInterval, []float64{0.03, 0.1, 0.3, 0.6}},
 	}
-	cfg := spaceFor(LB, env.RL3).Default(env.LBDefaults())
+	cfg := core.LB.Space(env.RL3).Default(env.LBDefaults())
 	// Keep sweep episodes bounded at small scales.
 	cfg = cfg.With(env.LBNumJobs, float64(300+200*int(b.stepMult*2)))
 	return runSweep("fig11", "LB reward along job size and job interval",
@@ -159,7 +159,7 @@ func runFig12(scale Scale, seed int64) (*Result, error) {
 	ccTest := &trace.Set{Name: "cc-test", Traces: append(append([]*trace.Trace{}, ts.cellularTest.Traces...), ts.ethernetTest.Traces...)}
 	for _, ratio := range ratios {
 		rng := rand.New(rand.NewSource(seed + int64(ratio*100)))
-		h, err := newHarness(CC, spaceFor(CC, env.RL3), b, rng)
+		h, err := b.harness(core.CC, env.RL3, rng)
 		if err != nil {
 			return nil, err
 		}
@@ -174,7 +174,7 @@ func runFig12(scale Scale, seed int64) (*Result, error) {
 	}
 	{
 		rng := rand.New(rand.NewSource(seed + 77))
-		h, err := newHarness(CC, spaceFor(CC, env.RL3), b, rng)
+		h, err := b.harness(core.CC, env.RL3, rng)
 		if err != nil {
 			return nil, err
 		}
@@ -195,7 +195,7 @@ func runFig12(scale Scale, seed int64) (*Result, error) {
 	abrTest := &trace.Set{Name: "abr-test", Traces: append(append([]*trace.Trace{}, ts.fccTest.Traces...), ts.norwayTest.Traces...)}
 	for _, ratio := range ratios {
 		rng := rand.New(rand.NewSource(seed + 200 + int64(ratio*100)))
-		h, err := newHarness(ABR, spaceFor(ABR, env.RL3), b, rng)
+		h, err := b.harness(core.ABR, env.RL3, rng)
 		if err != nil {
 			return nil, err
 		}
@@ -210,7 +210,7 @@ func runFig12(scale Scale, seed int64) (*Result, error) {
 	}
 	{
 		rng := rand.New(rand.NewSource(seed + 277))
-		h, err := newHarness(ABR, spaceFor(ABR, env.RL3), b, rng)
+		h, err := b.harness(core.ABR, env.RL3, rng)
 		if err != nil {
 			return nil, err
 		}

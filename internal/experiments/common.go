@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 
@@ -60,56 +59,10 @@ func (b budget) genetOptions() core.Options {
 	}
 }
 
-// UseCase names one of the three RL applications.
-type UseCase string
-
-// The three use cases of Table 1.
-const (
-	ABR UseCase = "abr"
-	CC  UseCase = "cc"
-	LB  UseCase = "lb"
-)
-
-// spaceFor returns the Tables 3-5 space for a use case and range level.
-func spaceFor(uc UseCase, level env.RangeLevel) *env.Space {
-	switch uc {
-	case ABR:
-		return env.ABRSpace(level)
-	case CC:
-		return env.CCSpace(level)
-	case LB:
-		return env.LBSpace(level)
-	}
-	panic("experiments: unknown use case " + string(uc))
-}
-
-// newHarness constructs a fresh harness for a use case over the given space
-// with per-iteration sizes scaled by the budget.
-func newHarness(uc UseCase, space *env.Space, b budget, rng *rand.Rand) (core.Harness, error) {
-	switch uc {
-	case ABR:
-		h, err := core.NewABRHarness(space, rng)
-		if err != nil {
-			return nil, err
-		}
-		h.StepsPerIter = scaleSteps(400, b.stepMult)
-		return h, nil
-	case CC:
-		h, err := core.NewCCHarness(space, rng)
-		if err != nil {
-			return nil, err
-		}
-		h.StepsPerIter = scaleSteps(800, b.stepMult)
-		return h, nil
-	case LB:
-		h, err := core.NewLBHarness(space, rng)
-		if err != nil {
-			return nil, err
-		}
-		h.StepsPerIter = scaleSteps(600, b.stepMult)
-		return h, nil
-	}
-	return nil, fmt.Errorf("experiments: unknown use case %q", uc)
+// harness constructs a fresh harness for a use case over its space at
+// level, with the steps per iteration scaled by the budget.
+func (b budget) harness(uc *core.UseCase, level env.RangeLevel, rng *rand.Rand) (core.Harness, error) {
+	return uc.NewHarness(level, "", 0, scaleSteps(uc.StepsPerIter, b.stepMult), rng)
 }
 
 func scaleSteps(base int, mult float64) int {
@@ -122,9 +75,9 @@ func scaleSteps(base int, mult float64) int {
 
 // trainTraditionalLevel trains a traditional (Algorithm 1) policy over the
 // given range level and returns its harness.
-func trainTraditionalLevel(uc UseCase, level env.RangeLevel, b budget, seed int64) (core.Harness, error) {
+func trainTraditionalLevel(uc *core.UseCase, level env.RangeLevel, b budget, seed int64) (core.Harness, error) {
 	rng := rand.New(rand.NewSource(seed))
-	h, err := newHarness(uc, spaceFor(uc, level), b, rng)
+	h, err := b.harness(uc, level, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -134,24 +87,21 @@ func trainTraditionalLevel(uc UseCase, level env.RangeLevel, b budget, seed int6
 
 // trainGenet trains a Genet policy over the full (RL3) space and returns the
 // harness and curriculum report.
-func trainGenet(uc UseCase, b budget, seed int64) (core.Harness, *core.Report, error) {
+func trainGenet(uc *core.UseCase, b budget, seed int64) (core.Harness, *core.Report, error) {
 	return trainGenetWith(uc, b, core.Options{}, seed)
 }
 
 // trainGenetWith is trainGenet with option overrides (objective, searcher);
-// zero-valued fields fall back to the budget's defaults. The CC use case
-// defaults to the log-compressed gap objective because its raw rewards are
-// proportional to link bandwidth (see core.CompressedGapObjective).
-func trainGenetWith(uc UseCase, b budget, override core.Options, seed int64) (core.Harness, *core.Report, error) {
+// zero-valued fields fall back to the budget's defaults and the use case's
+// Genet objective.
+func trainGenetWith(uc *core.UseCase, b budget, override core.Options, seed int64) (core.Harness, *core.Report, error) {
 	rng := rand.New(rand.NewSource(seed))
-	h, err := newHarness(uc, spaceFor(uc, env.RL3), b, rng)
+	h, err := b.harness(uc, env.RL3, rng)
 	if err != nil {
 		return nil, nil, err
 	}
 	opts := b.genetOptions()
-	if uc == CC {
-		opts.Objective = core.NormalizedGapObjective()
-	}
+	opts.Objective = uc.Genet
 	if override.Objective.Score != nil {
 		opts.Objective = override.Objective
 	}

@@ -32,9 +32,9 @@ func runFig6(scale Scale, seed int64) (*Result, error) {
 		Title:   "correlation of gap metrics with training improvement",
 		Columns: []string{"pearson_vs_improvement", "n_configs"},
 	}
-	for _, uc := range []UseCase{ABR, CC} {
+	for _, uc := range []*core.UseCase{core.ABR, core.CC} {
 		rng := rand.New(rand.NewSource(seed))
-		inter, err := newHarness(uc, spaceFor(uc, env.RL3), b, rng)
+		inter, err := b.harness(uc, env.RL3, rng)
 		if err != nil {
 			return nil, err
 		}
@@ -99,11 +99,11 @@ func ccFluctuationSchedule(round, total int, space *env.Space) env.Config {
 }
 
 // curveStrategies builds the strategy set of Fig 18 for one use case.
-func runCurves(uc UseCase, b budget, seed int64, extraIterMult int) (map[string][]float64, error) {
+func runCurves(uc *core.UseCase, b budget, seed int64, extraIterMult int) (map[string][]float64, error) {
 	if extraIterMult < 1 {
 		extraIterMult = 1
 	}
-	testDist := env.NewDistribution(spaceFor(uc, env.RL3))
+	testDist := env.NewDistribution(uc.Space(env.RL3))
 	nTest := b.testEnvs / 2
 	if nTest < 3 {
 		nTest = 3
@@ -121,7 +121,7 @@ func runCurves(uc UseCase, b budget, seed int64, extraIterMult int) (map[string]
 
 	curves := make(map[string][]float64)
 	schedule := abrFluctuationSchedule
-	if uc == CC {
+	if uc == core.CC {
 		schedule = ccFluctuationSchedule
 	}
 
@@ -131,9 +131,7 @@ func runCurves(uc UseCase, b budget, seed int64, extraIterMult int) (map[string]
 	}
 	strategies := []strat{
 		{"Genet", func(h core.Harness, opts core.Options, rng *rand.Rand) error {
-			if uc == CC {
-				opts.Objective = core.NormalizedGapObjective()
-			}
+			opts.Objective = uc.Genet
 			_, err := core.NewTrainer(h, opts).Run(rng)
 			return err
 		}},
@@ -158,17 +156,14 @@ func runCurves(uc UseCase, b budget, seed int64, extraIterMult int) (map[string]
 			return err
 		}},
 		{"CL3", func(h core.Harness, opts core.Options, rng *rand.Rand) error {
-			opts.Objective = core.GapToOptimumObjective()
-			if uc == CC {
-				opts.Objective = core.NormalizedOptGapObjective()
-			}
+			opts.Objective = uc.CL3
 			_, err := core.NewTrainer(h, opts).Run(rng)
 			return err
 		}},
 	}
 	for _, st := range strategies {
 		rng := rand.New(rand.NewSource(seed))
-		h, err := newHarness(uc, spaceFor(uc, env.RL3), b, rng)
+		h, err := b.harness(uc, env.RL3, rng)
 		if err != nil {
 			return nil, err
 		}
@@ -193,11 +188,11 @@ func runFig18(scale Scale, seed int64) (*Result, error) {
 	res := &Result{ID: "fig18", Title: "training curves by curriculum strategy"}
 	maxCkpt := 0
 	type ucCurves struct {
-		uc     UseCase
+		uc     *core.UseCase
 		curves map[string][]float64
 	}
 	var all []ucCurves
-	for _, uc := range []UseCase{ABR, CC} {
+	for _, uc := range []*core.UseCase{core.ABR, core.CC} {
 		curves, err := runCurves(uc, b, seed, 1)
 		if err != nil {
 			return nil, err
@@ -239,7 +234,7 @@ func runFig19(scale Scale, seed int64) (*Result, error) {
 		Title:   "Genet vs BO with the Robustify objective (ABR)",
 		Columns: []string{"test_reward"},
 	}
-	dist := env.NewDistribution(spaceFor(ABR, env.RL3))
+	dist := env.NewDistribution(core.ABR.Space(env.RL3))
 
 	evalModel := func(h core.Harness) float64 {
 		evals := core.EvalOverDistribution(h, dist, b.testEnvs, 0, rand.New(rand.NewSource(seed+70)))
@@ -253,7 +248,7 @@ func runFig19(scale Scale, seed int64) (*Result, error) {
 	// MPC reference row.
 	{
 		rng := rand.New(rand.NewSource(seed))
-		h, err := newHarness(ABR, spaceFor(ABR, env.RL3), b, rng)
+		h, err := b.harness(core.ABR, env.RL3, rng)
 		if err != nil {
 			return nil, err
 		}
@@ -266,7 +261,7 @@ func runFig19(scale Scale, seed int64) (*Result, error) {
 	}
 
 	for _, rho := range []float64{0.1, 0.5, 1.0} {
-		h, _, err := trainGenetWith(ABR, b, core.Options{
+		h, _, err := trainGenetWith(core.ABR, b, core.Options{
 			Objective: core.RobustifyObjective(rho, abrNonSmoothness),
 		}, seed+int64(rho*10))
 		if err != nil {
@@ -274,7 +269,7 @@ func runFig19(scale Scale, seed int64) (*Result, error) {
 		}
 		res.AddRow(fmt.Sprintf("robustify-rho%.1f", rho), evalModel(h))
 	}
-	genet, _, err := trainGenet(ABR, b, seed+99)
+	genet, _, err := trainGenet(core.ABR, b, seed+99)
 	if err != nil {
 		return nil, err
 	}
@@ -300,9 +295,9 @@ func runFig20(scale Scale, seed int64) (*Result, error) {
 		}
 	}
 
-	for _, uc := range []UseCase{ABR, CC} {
+	for _, uc := range []*core.UseCase{core.ABR, core.CC} {
 		rng := rand.New(rand.NewSource(seed))
-		h, err := newHarness(uc, spaceFor(uc, env.RL3), b, rng)
+		h, err := b.harness(uc, env.RL3, rng)
 		if err != nil {
 			return nil, err
 		}
@@ -356,7 +351,7 @@ func runFig22(scale Scale, seed int64) (*Result, error) {
 		Title:   "doubled budget for RL3/CL1-3 vs Genet at 1x (final test reward)",
 		Columns: []string{"final_test_reward"},
 	}
-	for _, uc := range []UseCase{ABR, CC} {
+	for _, uc := range []*core.UseCase{core.ABR, core.CC} {
 		curves, err := runCurves(uc, b, seed, 2)
 		if err != nil {
 			return nil, err

@@ -31,7 +31,7 @@ func runFig13(scale Scale, seed int64) (*Result, error) {
 		Columns: []string{"test_reward"},
 	}
 
-	ccSuite, err := trainLevelSuite(CC, b, seed)
+	ccSuite, err := trainLevelSuite(core.CC, b, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -51,7 +51,7 @@ func runFig13(scale Scale, seed int64) (*Result, error) {
 		}
 	}
 
-	abrSuite, err := trainLevelSuite(ABR, b, seed+1000)
+	abrSuite, err := trainLevelSuite(core.ABR, b, seed+1000)
 	if err != nil {
 		return nil, err
 	}
@@ -182,7 +182,7 @@ func runFig15(scale Scale, seed int64) (*Result, error) {
 
 	// ABR against MPC and BBA over FCC+Norway test traces.
 	abrTest := &trace.Set{Name: "abr-test", Traces: append(append([]*trace.Trace{}, ts.fccTest.Traces...), ts.norwayTest.Traces...)}
-	abrSuite, err := trainLevelSuite(ABR, b, seed)
+	abrSuite, err := trainLevelSuite(core.ABR, b, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +213,7 @@ func runFig15(scale Scale, seed int64) (*Result, error) {
 
 	// CC against BBR and Cubic over Cellular+Ethernet test traces.
 	ccTest := &trace.Set{Name: "cc-test", Traces: append(append([]*trace.Trace{}, ts.cellularTest.Traces...), ts.ethernetTest.Traces...)}
-	ccSuite, err := trainLevelSuite(CC, b, seed+1)
+	ccSuite, err := trainLevelSuite(core.CC, b, seed+1)
 	if err != nil {
 		return nil, err
 	}
@@ -274,7 +274,7 @@ func runFig17(scale Scale, seed int64) (*Result, error) {
 
 	// ABR on FCC and Norway: metric_a = mean bitrate (Mbps), metric_b =
 	// 90th percentile rebuffering ratio.
-	abrSuite, err := trainLevelSuite(ABR, b, seed)
+	abrSuite, err := trainLevelSuite(core.ABR, b, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -312,7 +312,7 @@ func runFig17(scale Scale, seed int64) (*Result, error) {
 
 	// CC on Cellular and Ethernet: metric_a = mean throughput (Mbps),
 	// metric_b = 90th percentile latency (s).
-	ccSuite, err := trainLevelSuite(CC, b, seed+1)
+	ccSuite, err := trainLevelSuite(core.CC, b, seed+1)
 	if err != nil {
 		return nil, err
 	}

@@ -26,7 +26,7 @@ func runFig2(scale Scale, seed int64) (*Result, error) {
 		Title:   "RL gain over baseline vs training-range width",
 		Columns: []string{"rl_reward", "baseline_reward", "gain", "frac_worse_than_baseline"},
 	}
-	for _, uc := range []UseCase{CC, ABR, LB} {
+	for _, uc := range []*core.UseCase{core.CC, core.ABR, core.LB} {
 		for _, level := range []env.RangeLevel{env.RL1, env.RL2, env.RL3} {
 			h, err := trainTraditionalLevel(uc, level, b, seed+int64(level))
 			if err != nil {
@@ -61,7 +61,7 @@ func runFig3(scale Scale, seed int64) (*Result, error) {
 	}
 
 	// (a) Synthetic-trained policy.
-	synth, err := trainTraditionalLevel(CC, env.RL2, b, seed)
+	synth, err := trainTraditionalLevel(core.CC, env.RL2, b, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +95,7 @@ func runFig3(scale Scale, seed int64) (*Result, error) {
 	// (b) Cross-trace-set training.
 	trainOn := func(set *trace.Set, s int64) (core.Harness, error) {
 		rng := rand.New(rand.NewSource(s))
-		h, err := newHarness(CC, spaceFor(CC, env.RL2), b, rng)
+		h, err := b.harness(core.CC, env.RL2, rng)
 		if err != nil {
 			return nil, err
 		}
@@ -147,7 +147,7 @@ func runFig4(scale Scale, seed int64) (*Result, error) {
 		With(env.ABRMaxBW, 10).With(env.ABRBWMinRatio, 0.1).With(env.ABRBWChangeInterval, 10)
 
 	rng := rand.New(rand.NewSource(seed))
-	pre, err := newHarness(ABR, space, b, rng)
+	pre, err := b.harness(core.ABR, env.RL3, rng)
 	if err != nil {
 		return nil, err
 	}

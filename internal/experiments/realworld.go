@@ -6,6 +6,7 @@ import (
 
 	"github.com/genet-go/genet/internal/abr"
 	"github.com/genet-go/genet/internal/cc"
+	"github.com/genet-go/genet/internal/core"
 	"github.com/genet-go/genet/internal/env"
 	"github.com/genet-go/genet/internal/trace"
 )
@@ -24,8 +25,8 @@ type pathProfile struct {
 	relStd         float64 // relative bandwidth fluctuation
 	changeEvery    float64 // seconds
 	rttMs          float64
-	queuePkts      float64 // CC only
-	lossRate       float64 // CC only
+	queuePkts      float64 // core.CC only
+	lossRate       float64 // core.CC only
 	fadeProb       float64
 	outOfTraining  bool // marks the paper's known failure cases
 	expectGenetWin bool
@@ -73,7 +74,7 @@ func runFig16(scale Scale, seed int64) (*Result, error) {
 	runs := 3 + 2*int(b.stepMult) // repetitions per path ("at least five times" at full scale)
 
 	// ABR: Genet(MPC) vs MPC vs BBA.
-	genetABR, _, err := trainGenet(ABR, b, seed)
+	genetABR, _, err := trainGenet(core.ABR, b, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -107,7 +108,7 @@ func runFig16(scale Scale, seed int64) (*Result, error) {
 	}
 
 	// CC: Genet(BBR) vs BBR vs Cubic.
-	genetCC, _, err := trainGenet(CC, b, seed+1)
+	genetCC, _, err := trainGenet(core.CC, b, seed+1)
 	if err != nil {
 		return nil, err
 	}

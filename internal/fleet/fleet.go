@@ -16,6 +16,8 @@ import (
 	"os"
 	"sort"
 	"strings"
+
+	"github.com/genet-go/genet/internal/core"
 )
 
 // Budget bundles the per-cell training knobs every cell of a sweep shares,
@@ -78,11 +80,8 @@ type Config struct {
 	Confidence float64 `json:"confidence,omitempty"`
 }
 
-// knownEnvs and knownModes gate Validate; they mirror genet-train.
-var (
-	knownEnvs  = map[string]bool{"abr": true, "cc": true, "lb": true}
-	knownModes = map[string]bool{"genet": true, "rl1": true, "rl2": true, "rl3": true, "cl2": true, "cl3": true}
-)
+// knownModes gates Validate; it mirrors genet-train.
+var knownModes = map[string]bool{"genet": true, "rl1": true, "rl2": true, "rl3": true, "cl2": true, "cl3": true}
 
 // curriculumMode reports whether a mode has checkpoint safe points (and so
 // can resume mid-training). Traditional modes restart their cell from
@@ -108,10 +107,11 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("fleet: config declares no seeds")
 	}
 	for i, e := range c.Envs {
-		c.Envs[i] = strings.ToLower(strings.TrimSpace(e))
-		if !knownEnvs[c.Envs[i]] {
-			return fmt.Errorf("fleet: unknown env %q (want abr|cc|lb)", e)
+		uc, err := core.LookupUseCase(strings.TrimSpace(e))
+		if err != nil {
+			return fmt.Errorf("fleet: unknown env: %w", err)
 		}
+		c.Envs[i] = uc.Name
 	}
 	for i, m := range c.Modes {
 		c.Modes[i] = strings.ToLower(strings.TrimSpace(m))

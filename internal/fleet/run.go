@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -317,7 +316,7 @@ func runCell(c Cell, dir string, cfg *Config, stop func() bool) (res CellResult,
 	// stream happened to end (they would match anyway — resume is bit-exact
 	// — but a distinct stream keeps traditional restarts trivially aligned).
 	crng := ckpt.NewRand(c.Seed)
-	h, err := buildHarness(c.Env, rangeLevel(c.Mode), crng.Rand, cfg.Budget)
+	h, objective, err := newCellHarness(c, cfg.Budget, crng.Rand)
 	if err != nil {
 		closeObs()
 		finishManifest(obs.OutcomeFailed)
@@ -352,7 +351,7 @@ func runCell(c Cell, dir string, cfg *Config, stop func() bool) (res CellResult,
 			Faults:        injector,
 			Recorder:      rec,
 		}
-		opts.Objective = objectiveFor(c.Mode, c.Env)
+		opts.Objective = objective
 		co := core.CheckpointOptions{Path: ckPath, Every: 1, Stop: stop}
 		var rep *core.Report
 		if resume {
@@ -397,7 +396,7 @@ func runCell(c Cell, dir string, cfg *Config, stop func() bool) (res CellResult,
 	// server hot-swapping from this cell directory must never read a torn
 	// model.
 	if err := ckpt.AtomicWriteFile(filepath.Join(dir, obs.ModelFile), func(w io.Writer) error {
-		return saveModel(h, w)
+		return core.SaveModel(h, w)
 	}); err != nil {
 		closeObs()
 		finishManifest(obs.OutcomeFailed)
@@ -519,80 +518,17 @@ func resolvedWarmup(w int) int {
 	}
 }
 
-func rangeLevel(mode string) env.RangeLevel {
-	switch mode {
-	case "rl1":
-		return env.RL1
-	case "rl2":
-		return env.RL2
+// newCellHarness builds the cell's harness, sized by the budget, and the
+// promotion objective of its mode.
+func newCellHarness(c Cell, b Budget, rng *rand.Rand) (core.Harness, core.Objective, error) {
+	uc, err := core.LookupUseCase(c.Env)
+	if err != nil {
+		return nil, core.Objective{}, err
 	}
-	return env.RL3
-}
-
-// objectiveFor mirrors genet-train's strategy-to-objective mapping,
-// including the CC normalization (CC rewards scale with link bandwidth).
-func objectiveFor(mode, envName string) core.Objective {
-	isCC := strings.EqualFold(envName, "cc")
-	switch mode {
-	case "cl2":
-		return core.BaselinePerfObjective()
-	case "cl3":
-		if isCC {
-			return core.NormalizedOptGapObjective()
-		}
-		return core.GapToOptimumObjective()
-	default: // genet
-		if isCC {
-			return core.NormalizedGapObjective()
-		}
-		return core.GapToBaselineObjective()
+	level, objective, err := uc.Strategy(c.Mode)
+	if err != nil {
+		return nil, core.Objective{}, err
 	}
-}
-
-func buildHarness(useCase string, level env.RangeLevel, rng *rand.Rand, b Budget) (core.Harness, error) {
-	switch useCase {
-	case "abr":
-		h, err := core.NewABRHarness(env.ABRSpace(level), rng)
-		if err != nil {
-			return nil, err
-		}
-		sizeHarness(&h.EnvsPerIter, &h.StepsPerIter, b)
-		return h, nil
-	case "cc":
-		h, err := core.NewCCHarness(env.CCSpace(level), rng)
-		if err != nil {
-			return nil, err
-		}
-		sizeHarness(&h.EnvsPerIter, &h.StepsPerIter, b)
-		return h, nil
-	case "lb":
-		h, err := core.NewLBHarness(env.LBSpace(level), rng)
-		if err != nil {
-			return nil, err
-		}
-		sizeHarness(&h.EnvsPerIter, &h.StepsPerIter, b)
-		return h, nil
-	}
-	return nil, fmt.Errorf("unknown env %q", useCase)
-}
-
-func sizeHarness(envs, steps *int, b Budget) {
-	if b.EnvsPerIter > 0 {
-		*envs = b.EnvsPerIter
-	}
-	if b.StepsPerIter > 0 {
-		*steps = b.StepsPerIter
-	}
-}
-
-func saveModel(h core.Harness, w io.Writer) error {
-	switch hh := h.(type) {
-	case *core.ABRHarness:
-		return hh.Agent.Save(w)
-	case *core.CCHarness:
-		return hh.Agent.Save(w)
-	case *core.LBHarness:
-		return hh.Agent.Save(w)
-	}
-	return fmt.Errorf("unknown harness type %T", h)
+	h, err := uc.NewHarness(level, "", b.EnvsPerIter, b.StepsPerIter, rng)
+	return h, objective, err
 }

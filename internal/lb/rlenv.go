@@ -40,6 +40,22 @@ func AppendObsVector(v []float64, obs *Observation) []float64 {
 	return v
 }
 
+// Fallback is the rule-based routing decision a policy server answers with
+// when its learned model is quarantined: the least-loaded server of one
+// ObsSize observation (first index wins ties). The encoded queued-work
+// features (indices 2 .. 2+NumServers) are a monotone transform of raw
+// queued bytes that saturates at 1, so this agrees with LLF except among
+// servers past saturation, where the first index wins.
+func Fallback(obs []float64) int {
+	best, bestv := 0, obs[2]
+	for i := 1; i < NumServers; i++ {
+		if v := obs[2+i]; v < bestv {
+			best, bestv = i, v
+		}
+	}
+	return best
+}
+
 func squash(x, c float64) float64 {
 	if x < 0 {
 		x = 0

@@ -2,129 +2,22 @@ package serve
 
 import (
 	"fmt"
-	"strings"
 
-	"github.com/genet-go/genet/internal/abr"
-	"github.com/genet-go/genet/internal/cc"
-	"github.com/genet-go/genet/internal/lb"
+	"github.com/genet-go/genet/internal/core"
 )
 
-// Fallback policies: one deterministic rule-based decider per use case, the
-// degraded-mode answer when the learned model is quarantined. Each operates
-// on the same observation vector the model sees (the encoders in
-// abr/cc/lb), inverting just enough of the encoding to apply the classic
-// heuristic the paper's baselines are built from:
-//
-//   - abr: buffer-threshold bitrate pick (BBA-style) — the squashed buffer
-//     occupancy maps linearly onto the bitrate ladder between a low
-//     reservoir and a high cushion.
-//   - cc:  AIMD-style rate step — multiplicative decrease on loss or heavy
-//     latency inflation in the newest monitor interval, gentle increase
-//     otherwise.
-//   - lb:  least-load — route to the server with the smallest encoded
-//     queued-work feature (first index wins ties).
-//
-// They are pure functions of the observation, so a degraded server is as
-// deterministic as a healthy one: identical observations get identical
-// fallback decisions on every replica.
-
-// abrFallbackObsBuffer is the index of the squashed buffer occupancy in the
-// abr observation vector (after the last-bitrate feature; see
-// abr.AppendObsVector).
-const abrFallbackObsBuffer = 1
-
-// Buffer thresholds (seconds) for the abr fallback: below the reservoir the
-// lowest bitrate is picked, above the cushion the highest, linear in
-// between — the BBA rate map.
-const (
-	abrFallbackReservoirSec = 5.0
-	abrFallbackCushionSec   = 20.0
-)
-
-// cc fallback tuning: the loss and latency-inflation levels that trigger a
-// multiplicative decrease, and the action magnitudes handed to
-// cc.ApplyRateAction (asymmetric, like AIMD: back off hard, probe gently).
-const (
-	ccFallbackLossCut    = 0.02 // >2% loss in the newest MI backs off
-	ccFallbackLatInflCut = 0.3  // encoded latency inflation (raw/10) cut
-	ccFallbackDecrease   = -1.0
-	ccFallbackIncrease   = 0.1
-)
-
-// FallbackDecision answers a policy query with the use case's rule-based
-// fallback. It validates the observation length against the use case's
-// encoder, so a degraded server rejects malformed requests exactly like a
-// healthy one.
-func FallbackDecision(useCase string, obs []float64) (Decision, error) {
-	switch strings.ToLower(useCase) {
-	case "abr":
-		if len(obs) != abr.ObsSize {
-			return Decision{}, fmt.Errorf("serve: observation has %d dims, abr fallback wants %d", len(obs), abr.ObsSize)
-		}
-		return Decision{Action: abrFallback(obs), Fallback: true}, nil
-	case "cc":
-		if len(obs) != cc.ObsSize {
-			return Decision{}, fmt.Errorf("serve: observation has %d dims, cc fallback wants %d", len(obs), cc.ObsSize)
-		}
-		return Decision{Action: -1, ActionVec: []float64{ccFallback(obs)}, Fallback: true}, nil
-	case "lb":
-		if len(obs) != lb.ObsSize {
-			return Decision{}, fmt.Errorf("serve: observation has %d dims, lb fallback wants %d", len(obs), lb.ObsSize)
-		}
-		return Decision{Action: lbFallback(obs), Fallback: true}, nil
+// fallbackDecision answers a policy query with the use case's rule-based
+// fallback — the degraded-mode answer when the learned model is
+// quarantined. The policies (abr.Fallback, cc.Fallback, lb.Fallback) sit
+// beside the observation encoders whose layout they invert, and are pure
+// functions of the observation, so a degraded server is as deterministic as
+// a healthy one. The observation length is validated against the use
+// case's encoder, so a degraded server rejects malformed requests exactly
+// like a healthy one.
+func fallbackDecision(uc *core.UseCase, obs []float64) (Decision, error) {
+	if len(obs) != uc.ObsSize {
+		return Decision{}, fmt.Errorf("serve: observation has %d dims, %s fallback wants %d", len(obs), uc.Name, uc.ObsSize)
 	}
-	return Decision{}, fmt.Errorf("serve: no fallback for use case %q", useCase)
-}
-
-// abrFallback picks a bitrate level from buffer occupancy. The encoder
-// stores squash(buffer, 10) = b/(b+10); invert it to seconds and map
-// [reservoir, cushion] linearly onto the ladder.
-func abrFallback(obs []float64) int {
-	n := len(abr.DefaultBitratesKbps)
-	x := obs[abrFallbackObsBuffer]
-	if x >= 1 {
-		return n - 1
-	}
-	if x < 0 {
-		x = 0
-	}
-	bufSec := 10 * x / (1 - x)
-	if bufSec <= abrFallbackReservoirSec {
-		return 0
-	}
-	if bufSec >= abrFallbackCushionSec {
-		return n - 1
-	}
-	frac := (bufSec - abrFallbackReservoirSec) / (abrFallbackCushionSec - abrFallbackReservoirSec)
-	level := int(frac * float64(n-1))
-	if level > n-1 {
-		level = n - 1
-	}
-	return level
-}
-
-// ccFallback is the AIMD step over the newest monitor interval's features.
-// The observation is HistMIs rows of [latencyInflation/10, sendRatio/5,
-// lossRate] followed by the rate feature; the newest row sits just before
-// the final element.
-func ccFallback(obs []float64) float64 {
-	latInfl := obs[len(obs)-4]
-	loss := obs[len(obs)-2]
-	if loss > ccFallbackLossCut || latInfl > ccFallbackLatInflCut {
-		return ccFallbackDecrease
-	}
-	return ccFallbackIncrease
-}
-
-// lbFallback routes to the least-loaded server. The encoded queued-work
-// features (indices 2 .. 2+NumServers) are a monotone transform of raw
-// queued bytes, so argmin over them is argmin over real load.
-func lbFallback(obs []float64) int {
-	best, bestv := 0, obs[2]
-	for i := 1; i < lb.NumServers; i++ {
-		if v := obs[2+i]; v < bestv {
-			best, bestv = i, v
-		}
-	}
-	return best
+	action, vec := uc.Fallback(obs)
+	return Decision{Action: action, ActionVec: vec, Fallback: true}, nil
 }

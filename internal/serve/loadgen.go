@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/genet-go/genet/internal/core"
 	"github.com/genet-go/genet/internal/env"
 	"github.com/genet-go/genet/internal/par"
 	"github.com/genet-go/genet/internal/stats"
@@ -86,11 +87,9 @@ type sessionResult struct {
 // an in-process deterministic decider the total decision count depends
 // only on (seed, sessions, max steps, model bytes).
 func RunLoadGen(d Decider, cfg LoadGenConfig) (LoadGenReport, error) {
-	uc := strings.ToLower(cfg.UseCase)
-	switch uc {
-	case "abr", "cc", "lb":
-	default:
-		return LoadGenReport{}, fmt.Errorf("serve: unknown use case %q (want abr|cc|lb)", cfg.UseCase)
+	uc, err := core.LookupUseCase(cfg.UseCase)
+	if err != nil {
+		return LoadGenReport{}, fmt.Errorf("serve: %w", err)
 	}
 	sessions := cfg.Sessions
 	if sessions <= 0 {
@@ -125,7 +124,7 @@ func RunLoadGen(d Decider, cfg LoadGenConfig) (LoadGenReport, error) {
 	})
 	wall := time.Since(start)
 
-	rep := LoadGenReport{UseCase: uc, Sessions: sessions, Wall: wall}
+	rep := LoadGenReport{UseCase: uc.Name, Sessions: sessions, Wall: wall}
 	var all []float64
 	for i := range results {
 		rep.Decisions += results[i].decisions
@@ -146,10 +145,9 @@ func RunLoadGen(d Decider, cfg LoadGenConfig) (LoadGenReport, error) {
 // runSession plays one episode. A decider error ends the session (and is
 // counted): against a live server that signals a misconfigured client or a
 // down service, and retrying in a tight loop would only melt the report.
-func runSession(d Decider, uc string, level env.RangeLevel, rng *rand.Rand, maxSteps int) sessionResult {
+func runSession(d Decider, uc *core.UseCase, level env.RangeLevel, rng *rand.Rand, maxSteps int) sessionResult {
 	var res sessionResult
-
-	decide := func(obsVec []float64) (Decision, bool) {
+	runEpisode(uc, level, rng, maxSteps, func(obsVec []float64) (Decision, bool) {
 		t0 := time.Now()
 		dec, err := d.Decide(obsVec)
 		res.latencies = append(res.latencies, time.Since(t0).Seconds())
@@ -159,42 +157,34 @@ func runSession(d Decider, uc string, level env.RangeLevel, rng *rand.Rand, maxS
 		}
 		res.decisions++
 		return dec, true
-	}
-
-	switch uc {
-	case "abr", "lb":
-		stepDiscrete(newDiscreteEnv(uc, level, rng), decide, rng, maxSteps)
-	case "cc":
-		e := newContinuousEnv(level, rng)
-		obsVec := e.Reset(rng)
-		for step := 0; step < maxSteps; step++ {
-			dec, ok := decide(obsVec)
-			if !ok {
-				return res
-			}
-			var done bool
-			obsVec, _, done = e.Step(dec.ActionVec)
-			if done {
-				return res
-			}
-		}
-	}
+	})
 	return res
 }
 
-// stepDiscrete is the shared abr/lb episode loop.
-func stepDiscrete(e interface {
-	Reset(rng *rand.Rand) []float64
-	Step(action int) ([]float64, float64, bool)
-}, decide func([]float64) (Decision, bool), rng *rand.Rand, maxSteps int) {
-	obsVec := e.Reset(rng)
-	for step := 0; step < maxSteps; step++ {
+// runEpisode steps one episode of a fresh environment sampled from the
+// level's space, asking decide for each action; a false return ends the
+// episode early.
+func runEpisode(uc *core.UseCase, level env.RangeLevel, rng *rand.Rand, maxSteps int, decide func([]float64) (Decision, bool)) {
+	var (
+		obsVec []float64
+		step   func(Decision) ([]float64, float64, bool)
+	)
+	if uc.NewDiscreteEnv != nil {
+		e := uc.NewDiscreteEnv(level, rng)
+		obsVec = e.Reset(rng)
+		step = func(d Decision) ([]float64, float64, bool) { return e.Step(d.Action) }
+	} else {
+		e := uc.NewContinuousEnv(level, rng)
+		obsVec = e.Reset(rng)
+		step = func(d Decision) ([]float64, float64, bool) { return e.Step(d.ActionVec) }
+	}
+	for i := 0; i < maxSteps; i++ {
 		dec, ok := decide(obsVec)
 		if !ok {
 			return
 		}
 		var done bool
-		obsVec, _, done = e.Step(dec.Action)
+		obsVec, _, done = step(dec)
 		if done {
 			return
 		}

@@ -13,19 +13,16 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/genet-go/genet/internal/abr"
-	"github.com/genet-go/genet/internal/cc"
 	"github.com/genet-go/genet/internal/ckpt"
+	"github.com/genet-go/genet/internal/core"
 	"github.com/genet-go/genet/internal/env"
-	"github.com/genet-go/genet/internal/lb"
 	"github.com/genet-go/genet/internal/metrics"
 	"github.com/genet-go/genet/internal/rl"
 )
 
-// loadGenPins are the per-use-case values the serving loops produced
-// before the use-case table existed, pinned so the refactor onto it (and
-// any later change to the episode loop, the observation pool, or the
-// fallback policies) is caught as a behaviour change:
+// loadGenPins pin each use case's serving loops, so any change to the
+// episode loop, the observation pool or the fallback policies shows up as a
+// behaviour change:
 //
 //   - decisions/errors: RunLoadGen with 8 sessions, seed 7, 16 max steps
 //     against a seed-1 model;
@@ -54,25 +51,20 @@ var loadGenPins = map[string]struct {
 	},
 }
 
-// pinServer serves a seed-1 model for the named use case.
-func pinServer(t *testing.T, uc string) *Server {
+// pinServer serves a seed-1 model for the use case.
+func pinServer(t *testing.T, uc *core.UseCase) *Server {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "model.bin")
 	var save func(io.Writer) error
 	rng := rand.New(rand.NewSource(1))
-	switch uc {
-	case "abr", "lb":
-		obsSize, actions := abr.ObsSize, len(abr.DefaultBitratesKbps)
-		if uc == "lb" {
-			obsSize, actions = lb.ObsSize, lb.NumServers
-		}
-		a, err := rl.NewDiscreteAgent(rl.DefaultDiscreteConfig(obsSize, actions), rng)
+	if uc.Discrete != nil {
+		a, err := rl.NewDiscreteAgent(*uc.Discrete, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
 		save = a.Save
-	case "cc":
-		a, err := rl.NewGaussianAgent(rl.DefaultGaussianConfig(cc.ObsSize, 1), rng)
+	} else {
+		a, err := rl.NewGaussianAgent(*uc.Gaussian, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,11 +73,11 @@ func pinServer(t *testing.T, uc string) *Server {
 	if err := ckpt.AtomicWriteFile(path, save); err != nil {
 		t.Fatal(err)
 	}
-	m, err := LoadModel(uc, path)
+	m, err := LoadModel(uc.Name, path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(uc, m, metrics.NewRegistry())
+	s, err := New(uc.Name, m, metrics.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +98,11 @@ func poolDigest(pool [][]float64) string {
 }
 
 // fallbackTrace renders the fallback decision for each pool observation.
-func fallbackTrace(t *testing.T, uc string, pool [][]float64) string {
+func fallbackTrace(t *testing.T, uc *core.UseCase, pool [][]float64) string {
 	t.Helper()
 	parts := make([]string, len(pool))
 	for i, o := range pool {
-		d, err := FallbackDecision(uc, o)
+		d, err := fallbackDecision(uc, o)
 		if err != nil {
 			t.Fatalf("%s pool obs %d: %v", uc, i, err)
 		}
@@ -128,10 +120,10 @@ func fallbackTrace(t *testing.T, uc string, pool [][]float64) string {
 // relies on to treat count drift as a regression — and every use case's
 // counts, observation pool and fallback decisions match the pins.
 func TestLoadGenDeterminism(t *testing.T) {
-	for _, uc := range []string{"abr", "cc", "lb"} {
-		t.Run(uc, func(t *testing.T) {
+	for _, uc := range core.UseCases {
+		t.Run(uc.Name, func(t *testing.T) {
 			s := pinServer(t, uc)
-			cfg := LoadGenConfig{UseCase: uc, Sessions: 8, Workers: 4, Seed: 7, MaxSteps: 16}
+			cfg := LoadGenConfig{UseCase: uc.Name, Sessions: 8, Workers: 4, Seed: 7, MaxSteps: 16}
 
 			r1, err := RunLoadGen(s, cfg)
 			if err != nil {
@@ -167,11 +159,11 @@ func TestLoadGenDeterminism(t *testing.T) {
 			}
 
 			pool := obsPool(uc, env.RL1, 11, 32)
-			got := loadGenPins[uc]
+			got := loadGenPins[uc.Name]
 			got.decisions, got.errors = r1.Decisions, r1.Errors
 			got.poolSHA = poolDigest(pool)
 			got.fallbacks = fallbackTrace(t, uc, pool)
-			if want := loadGenPins[uc]; got != want {
+			if want := loadGenPins[uc.Name]; got != want {
 				t.Errorf("pins drifted:\n got %+v\nwant %+v", got, want)
 			}
 		})

@@ -22,11 +22,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
-	"github.com/genet-go/genet/internal/abr"
-	"github.com/genet-go/genet/internal/cc"
-	"github.com/genet-go/genet/internal/lb"
+	"github.com/genet-go/genet/internal/core"
 	"github.com/genet-go/genet/internal/rl"
 )
 
@@ -52,15 +49,11 @@ type Decision struct {
 // Model is one loaded, validated, immutable policy. It is safe for
 // concurrent Decide calls: the underlying networks are only read.
 type Model struct {
-	useCase  string
+	uc       *core.UseCase
 	version  uint64 // serving generation, stamped by Server.swapIn
 	discrete *rl.DiscreteAgent
 	gaussian *rl.GaussianAgent
 }
-
-// UseCases served by this package, in the order the rest of the repo lists
-// them.
-var UseCases = []string{"abr", "cc", "lb"}
 
 // ReadModel parses and validates a model stream for the given use case. The
 // architecture is checked against the use case's canonical configuration
@@ -68,27 +61,15 @@ var UseCases = []string{"abr", "cc", "lb"}
 // an abr server — or any torn or corrupt stream — is an error here, before
 // anything is published to the data plane.
 func ReadModel(useCase string, r io.Reader) (*Model, error) {
-	switch strings.ToLower(useCase) {
-	case "abr":
-		agent, err := rl.LoadDiscreteAgent(rl.DefaultDiscreteConfig(abr.ObsSize, len(abr.DefaultBitratesKbps)), r)
-		if err != nil {
-			return nil, fmt.Errorf("serve: abr model: %w", err)
-		}
-		return &Model{useCase: "abr", discrete: agent}, nil
-	case "cc":
-		agent, err := rl.LoadGaussianAgent(rl.DefaultGaussianConfig(cc.ObsSize, 1), r)
-		if err != nil {
-			return nil, fmt.Errorf("serve: cc model: %w", err)
-		}
-		return &Model{useCase: "cc", gaussian: agent}, nil
-	case "lb":
-		agent, err := rl.LoadDiscreteAgent(rl.DefaultDiscreteConfig(lb.ObsSize, lb.NumServers), r)
-		if err != nil {
-			return nil, fmt.Errorf("serve: lb model: %w", err)
-		}
-		return &Model{useCase: "lb", discrete: agent}, nil
+	uc, err := core.LookupUseCase(useCase)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
-	return nil, fmt.Errorf("serve: unknown use case %q (want abr|cc|lb)", useCase)
+	a, err := uc.LoadAgent(r)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %s model: %w", uc.Name, err)
+	}
+	return &Model{uc: uc, discrete: a.Discrete, gaussian: a.Gaussian}, nil
 }
 
 // LoadModel reads and validates a model file.
@@ -102,7 +83,7 @@ func LoadModel(useCase, path string) (*Model, error) {
 }
 
 // UseCase returns the use case this model serves.
-func (m *Model) UseCase() string { return m.useCase }
+func (m *Model) UseCase() string { return m.uc.Name }
 
 // Version returns the model's serving generation (0 until a Server adopts
 // it).
@@ -141,7 +122,7 @@ func (m *Model) ActionDim() int {
 // evaluation uses (rl.DiscreteAgent.Greedy / rl.GaussianAgent.Mean).
 func (m *Model) Decide(obs []float64) (Decision, error) {
 	if len(obs) != m.ObsSize() {
-		return Decision{}, fmt.Errorf("serve: observation has %d dims, %s model wants %d", len(obs), m.useCase, m.ObsSize())
+		return Decision{}, fmt.Errorf("serve: observation has %d dims, %s model wants %d", len(obs), m.uc.Name, m.ObsSize())
 	}
 	if m.discrete != nil {
 		return Decision{Action: m.discrete.Greedy(obs), ModelVersion: m.version}, nil

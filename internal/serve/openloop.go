@@ -11,41 +11,11 @@ import (
 	"sync"
 	"time"
 
-	"github.com/genet-go/genet/internal/abr"
-	"github.com/genet-go/genet/internal/cc"
+	"github.com/genet-go/genet/internal/core"
 	"github.com/genet-go/genet/internal/env"
-	"github.com/genet-go/genet/internal/lb"
 	obslib "github.com/genet-go/genet/internal/obs"
 	"github.com/genet-go/genet/internal/stats"
 )
-
-// discreteEnv is the abr/lb episode surface stepDiscrete drives.
-type discreteEnv interface {
-	Reset(rng *rand.Rand) []float64
-	Step(action int) ([]float64, float64, bool)
-}
-
-// newDiscreteEnv samples a fresh abr or lb environment from the level's
-// parameter space.
-func newDiscreteEnv(uc string, level env.RangeLevel, rng *rand.Rand) discreteEnv {
-	if uc == "lb" {
-		return lb.NewRLEnv(lb.GenFromConfig(env.LBSpace(level).Sample(rng)))
-	}
-	return abr.NewRLEnv(abr.GenFromConfig(env.ABRSpace(level).Sample(rng)))
-}
-
-// newContinuousEnv samples a fresh cc environment.
-func newContinuousEnv(level env.RangeLevel, rng *rand.Rand) *cc.RLEnv {
-	return cc.NewRLEnv(cc.GenFromConfig(env.CCSpace(level).Sample(rng)))
-}
-
-// numDiscreteActions is the use case's action-space size.
-func numDiscreteActions(uc string) int {
-	if uc == "lb" {
-		return lb.NumServers
-	}
-	return len(abr.DefaultBitratesKbps)
-}
 
 // The closed-loop generator in loadgen.go measures what the service can do
 // when clients politely wait their turn; this file measures what happens
@@ -199,7 +169,7 @@ func ArrivalSchedule(arrival Arrival, ratePerSec float64, n int, seed int64) ([]
 // environments with the use case's fallback policy (pure, model-free, so
 // the pool is deterministic per (usecase, level, seed) and independent of
 // the decider under test).
-func obsPool(uc string, level env.RangeLevel, seed int64, n int) [][]float64 {
+func obsPool(uc *core.UseCase, level env.RangeLevel, seed int64, n int) [][]float64 {
 	pool := make([][]float64, 0, n)
 	rng := rand.New(rand.NewSource(seed))
 	for len(pool) < n {
@@ -210,72 +180,42 @@ func obsPool(uc string, level env.RangeLevel, seed int64, n int) [][]float64 {
 			if len(pool) >= n {
 				return Decision{}, false
 			}
-			d, err := FallbackDecision(uc, obs)
+			d, err := fallbackDecision(uc, obs)
 			if err != nil {
 				return Decision{}, false
 			}
 			return d, true
 		}
-		runSessionWith(uc, level, rng, 64, collect)
+		runEpisode(uc, level, rng, 64, collect)
 	}
 	return pool
-}
-
-// runSessionWith steps one seeded episode, asking decide for each action;
-// a false return ends the episode early.
-func runSessionWith(uc string, level env.RangeLevel, rng *rand.Rand, maxSteps int, decide func([]float64) (Decision, bool)) {
-	switch uc {
-	case "abr":
-		e := newDiscreteEnv("abr", level, rng)
-		stepDiscrete(e, decide, rng, maxSteps)
-	case "lb":
-		e := newDiscreteEnv("lb", level, rng)
-		stepDiscrete(e, decide, rng, maxSteps)
-	case "cc":
-		e := newContinuousEnv(level, rng)
-		obsVec := e.Reset(rng)
-		for step := 0; step < maxSteps; step++ {
-			dec, ok := decide(obsVec)
-			if !ok {
-				return
-			}
-			var done bool
-			obsVec, _, done = e.Step(dec.ActionVec)
-			if done {
-				return
-			}
-		}
-	}
 }
 
 // validDecision checks a decoded decision against the use case's action
 // space — the torn-response detector. A healthy or degraded server must
 // never emit anything that fails this.
-func validDecision(uc string, d Decision) bool {
-	switch uc {
-	case "abr":
-		return d.Action >= 0 && d.Action < numDiscreteActions("abr")
-	case "lb":
-		return d.Action >= 0 && d.Action < numDiscreteActions("lb")
-	case "cc":
-		if d.Action != -1 || len(d.ActionVec) != 1 {
+func validDecision(uc *core.UseCase, d Decision) bool {
+	if uc.Discrete != nil {
+		return d.Action >= 0 && d.Action < uc.Discrete.NumActions
+	}
+	if d.Action != -1 || len(d.ActionVec) != uc.Gaussian.ActionDim {
+		return false
+	}
+	for _, v := range d.ActionVec {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return false
 		}
-		v := d.ActionVec[0]
-		return !math.IsNaN(v) && !math.IsInf(v, 0)
 	}
-	return false
+	return true
 }
 
 // RunOpenLoop offers cfg.Requests requests to d on the configured arrival
 // schedule, regardless of completions, and accounts every one. d may be a
 // ContextDecider (per-request deadlines) or a plain Decider.
 func RunOpenLoop(d Decider, cfg OpenLoopConfig) (OpenLoopReport, error) {
-	uc := strings.ToLower(cfg.UseCase)
-	switch uc {
-	case "abr", "cc", "lb":
-	default:
-		return OpenLoopReport{}, fmt.Errorf("serve: unknown use case %q (want abr|cc|lb)", cfg.UseCase)
+	uc, err := core.LookupUseCase(cfg.UseCase)
+	if err != nil {
+		return OpenLoopReport{}, fmt.Errorf("serve: %w", err)
 	}
 	arrival := cfg.Arrival
 	if arrival == "" {
@@ -371,7 +311,7 @@ func RunOpenLoop(d Decider, cfg OpenLoopConfig) (OpenLoopReport, error) {
 	wall := time.Since(start)
 
 	rep := OpenLoopReport{
-		UseCase:     uc,
+		UseCase:     uc.Name,
 		Arrival:     string(arrival),
 		OfferedRate: cfg.RatePerSec,
 		Requests:    requests,

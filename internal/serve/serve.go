@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/genet-go/genet/internal/core"
 	"github.com/genet-go/genet/internal/faults"
 	"github.com/genet-go/genet/internal/metrics"
 	"github.com/genet-go/genet/internal/obs"
@@ -74,7 +75,7 @@ type RobustnessOptions struct {
 // idle: a nil gate admits in one nil check, the degrader is a couple of
 // atomic loads, and fault sites are nil-injector checks.
 type Server struct {
-	useCase string
+	uc      *core.UseCase
 	cur     atomic.Pointer[Model]
 	swaps   atomic.Uint64 // serving generation counter
 	started time.Time
@@ -116,17 +117,22 @@ type SwapEvent struct {
 // recent churn without unbounded growth.
 const swapHistoryCap = 32
 
-// New builds a server for useCase with an initial model (required: a
-// policy server with nothing to serve is a misconfiguration, not a state).
-// reg is optional; nil disables telemetry at the usual zero cost.
+// New builds a server for useCase (any case) with an initial model
+// (required: a policy server with nothing to serve is a misconfiguration,
+// not a state). reg is optional; nil disables telemetry at the usual zero
+// cost.
 func New(useCase string, m *Model, reg *metrics.Registry) (*Server, error) {
 	if m == nil {
 		return nil, fmt.Errorf("serve: initial model is required")
 	}
-	if m.useCase != useCase {
-		return nil, fmt.Errorf("serve: model use case %q does not match server %q", m.useCase, useCase)
+	uc, err := core.LookupUseCase(useCase)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
-	s := &Server{useCase: useCase, reg: reg, started: time.Now()}
+	if m.uc != uc {
+		return nil, fmt.Errorf("serve: model use case %q does not match server %q", m.uc.Name, uc.Name)
+	}
+	s := &Server{uc: uc, reg: reg, started: time.Now()}
 	s.deg = newDegrader(DegradeConfig{})
 	s.spike = 50 * time.Millisecond
 	s.swapIn(m)
@@ -151,7 +157,7 @@ func (s *Server) Configure(o RobustnessOptions) {
 // uninstrumented cost: a single nil check, pinned by TestDecideHotPathAllocs.
 func (s *Server) Instrument(o *Observer) {
 	if o != nil {
-		o.useCase = s.useCase
+		o.useCase = s.uc.Name
 	}
 	s.obsrv = o
 }
@@ -160,7 +166,7 @@ func (s *Server) Instrument(o *Observer) {
 func (s *Server) Observer() *Observer { return s.obsrv }
 
 // UseCase returns the use case this server serves.
-func (s *Server) UseCase() string { return s.useCase }
+func (s *Server) UseCase() string { return s.uc.Name }
 
 // Model returns the currently served model.
 func (s *Server) Model() *Model { return s.cur.Load() }
@@ -239,7 +245,7 @@ func (s *Server) DecideCtx(ctx context.Context, obsVec []float64) (Decision, err
 		if s.reg.Enabled() {
 			s.reg.Counter(MetricDecideErrors).Inc()
 		}
-		err := fmt.Errorf("serve: observation has %d dims, %s model wants %d", len(obsVec), s.useCase, m.ObsSize())
+		err := fmt.Errorf("serve: observation has %d dims, %s model wants %d", len(obsVec), s.uc.Name, m.ObsSize())
 		o.endRequest(ctx, start, tid, m.version, Decision{}, err)
 		return Decision{}, err
 	}
@@ -329,7 +335,7 @@ func (s *Server) modelDecide(m *Model, obsVec []float64) (d Decision, err error)
 
 // fallbackDecide serves the rule-based degraded-mode decision.
 func (s *Server) fallbackDecide(obsVec []float64) (Decision, error) {
-	d, err := FallbackDecision(s.useCase, obsVec)
+	d, err := fallbackDecision(s.uc, obsVec)
 	if s.reg.Enabled() && err == nil {
 		s.reg.Counter(MetricFallbacks).Inc()
 	}
@@ -428,9 +434,9 @@ func (s *Server) SwapHistory() []SwapEvent {
 func (s *Server) Swap(m *Model) error {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
-	if m == nil || m.useCase != s.useCase {
+	if m == nil || m.uc != s.uc {
 		s.rejectSwap("model use case does not match server")
-		return fmt.Errorf("serve: swap rejected: model use case does not match server %q", s.useCase)
+		return fmt.Errorf("serve: swap rejected: model use case does not match server %q", s.uc.Name)
 	}
 	s.swapIn(m)
 	if s.reg.Enabled() {
@@ -451,7 +457,7 @@ func (s *Server) Swap(m *Model) error {
 func (s *Server) SwapFrom(path string) error {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
-	m, err := LoadModel(s.useCase, path)
+	m, err := LoadModel(s.uc.Name, path)
 	if err == nil && s.inj.Fire(faults.SwapCorrupt) {
 		m, err = nil, faults.Injected{Site: faults.SwapCorrupt}
 	}
@@ -531,7 +537,7 @@ type Info struct {
 func (s *Server) Info() Info {
 	m := s.cur.Load()
 	info := Info{
-		UseCase:      s.useCase,
+		UseCase:      s.uc.Name,
 		ModelVersion: m.version,
 		ObsSize:      m.ObsSize(),
 		Discrete:     m.Discrete(),

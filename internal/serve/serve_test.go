@@ -68,6 +68,32 @@ func abrServer(t *testing.T, reg *metrics.Registry) (*Server, string) {
 	return s, path
 }
 
+// TestUseCaseNameFoldsCase: the use case is named in any case, as
+// genet-train accepts it; the server reports the canonical name.
+func TestUseCaseNameFoldsCase(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "abr.bin")
+	writeABRModel(t, path, 1)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	m, err := ReadModel("ABR", f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New("ABR", m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.UseCase() != "abr" || m.UseCase() != "abr" {
+		t.Fatalf("server reports %q, model %q, want abr", s.UseCase(), m.UseCase())
+	}
+	if err := s.Swap(m); err != nil {
+		t.Fatalf("swap of a model read as ABR: %v", err)
+	}
+}
+
 func TestLoadModelValidates(t *testing.T) {
 	dir := t.TempDir()
 	abrPath := filepath.Join(dir, "abr.bin")

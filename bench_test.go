@@ -178,23 +178,6 @@ func BenchmarkNNForwardBatch(b *testing.B) {
 	}
 }
 
-func BenchmarkNNBackward(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	m := nn.MustMLP(rng, nn.Tanh, abr.ObsSize, 64, 32, 6)
-	x := make([]float64, abr.ObsSize)
-	for i := range x {
-		x[i] = rng.Float64()
-	}
-	grads := m.NewGrads()
-	gradOut := []float64{1, 0, 0, 0, 0, 0}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, cache := m.ForwardCache(x)
-		m.Backward(cache, gradOut, grads)
-	}
-}
-
 // BenchmarkNNBackwardBatch times forward+backward over a rollout-sized batch
 // with warm scratch and grads; steady state is allocation-free.
 func BenchmarkNNBackwardBatch(b *testing.B) {

@@ -75,6 +75,41 @@ func TestStartupSweepsStaleCheckpointTemps(t *testing.T) {
 	}
 }
 
+// TestCheckpointFlagLeavesModelBytesUnchanged pins the gob type-id
+// pinning in internal/rl: a run with -checkpoint gob-encodes checkpoint
+// sections before it saves the model, and the model must still be
+// byte-identical to the one a run without -checkpoint writes.
+func TestCheckpointFlagLeavesModelBytesUnchanged(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real binary")
+	}
+	bin := buildTrainBinary(t)
+	for _, uc := range []string{"abr", "cc"} {
+		dir := t.TempDir()
+		withCk, plain := filepath.Join(dir, "ck.model"), filepath.Join(dir, "plain.model")
+		args := tinyRunArgs(filepath.Join(dir, "run.ckpt"), withCk)
+		args[1] = uc
+		// Drop "-checkpoint <path> -o <path>" for the plain run.
+		plainArgs := append(append([]string(nil), args[:len(args)-4]...), "-o", plain)
+		for _, a := range [][]string{args, plainArgs} {
+			if out, err := exec.Command(bin, a...).CombinedOutput(); err != nil {
+				t.Fatalf("%s: genet-train %v: %v\n%s", uc, a, err, out)
+			}
+		}
+		a, err := os.ReadFile(withCk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("%s: model.bin differs with and without -checkpoint (%d vs %d bytes)", uc, len(a), len(b))
+		}
+	}
+}
+
 // TestInjectGuardSmoke runs the chaos CLI path end to end: counter-based
 // fault sites armed, guard on, and the run must still complete, print the
 // guard and fault summaries, and save a model.

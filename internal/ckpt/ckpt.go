@@ -17,6 +17,11 @@
 // clear error instead of deserializing garbage. Files are written to a
 // temporary sibling and atomically renamed into place, so a crash mid-write
 // leaves either the previous checkpoint or none — never a partial one.
+//
+// The same container is the model.bin format: internal/rl writes a model
+// as a container with one "policy" section. Read, ReadFile and ReadPool
+// all load the bytes into memory and share one parser, so every reader of
+// a checkpoint or a model gets the same checks.
 package ckpt
 
 import (
@@ -34,7 +39,11 @@ import (
 // FormatVersion is the current container format version.
 const FormatVersion = 1
 
-var magic = [8]byte{'G', 'E', 'N', 'E', 'T', 'C', 'K', 'P'}
+// Magic is the 8-byte prefix of every container.
+const Magic = "GENETCKP"
+
+// ErrNotContainer reports a stream that does not start with Magic.
+var ErrNotContainer = errors.New("ckpt: not a checkpoint container")
 
 // maxSectionName bounds section-name length in the wire format (uint16).
 const maxSectionName = 1 << 16
@@ -89,7 +98,7 @@ func (w *Writer) AddGob(name string, v any) error {
 // WriteTo serializes the checkpoint. It implements io.WriterTo.
 func (w *Writer) WriteTo(out io.Writer) (int64, error) {
 	var head bytes.Buffer
-	head.Write(magic[:])
+	head.WriteString(Magic)
 	le := binary.LittleEndian
 	var u32 [4]byte
 	le.PutUint32(u32[:], FormatVersion)
@@ -212,67 +221,18 @@ func (f *File) Gob(name string, v any) error {
 }
 
 // Read parses a checkpoint stream, verifying the magic, version, and every
-// section CRC. Truncated streams fail with a wrapped io.ErrUnexpectedEOF.
+// section CRC. The stream is read to its end first, so memory grows only
+// with bytes that actually arrive: a corrupt header claiming an enormous
+// section fails as a truncation instead of attempting the allocation.
+// Truncated streams fail with a wrapped io.ErrUnexpectedEOF.
 func Read(r io.Reader) (*File, error) {
-	var hdr [16]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("ckpt: read header: %w", noEOF(err))
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: read: %w", err)
 	}
-	if !bytes.Equal(hdr[:8], magic[:]) {
-		return nil, fmt.Errorf("ckpt: bad magic %q (not a checkpoint file)", hdr[:8])
-	}
-	le := binary.LittleEndian
-	version := le.Uint32(hdr[8:12])
-	if version == 0 || version > FormatVersion {
-		return nil, fmt.Errorf("ckpt: unsupported format version %d (this build reads <= %d)", version, FormatVersion)
-	}
-	count := le.Uint32(hdr[12:16])
-	if count > maxSections {
-		return nil, fmt.Errorf("ckpt: corrupt header: %d sections", count)
-	}
-	type entry struct {
-		name string
-		size uint64
-		crc  uint32
-	}
-	// Grow the table incrementally rather than trusting count for one big
-	// allocation: a corrupt header claiming 2^20 sections then fails at the
-	// first missing table byte instead of committing memory up front.
-	entries := make([]entry, 0, min(int(count), 1024))
-	for i := uint32(0); i < count; i++ {
-		var u16 [2]byte
-		if _, err := io.ReadFull(r, u16[:]); err != nil {
-			return nil, fmt.Errorf("ckpt: read section table: %w", noEOF(err))
-		}
-		nameLen := le.Uint16(u16[:])
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(r, name); err != nil {
-			return nil, fmt.Errorf("ckpt: read section table: %w", noEOF(err))
-		}
-		var tail [12]byte
-		if _, err := io.ReadFull(r, tail[:]); err != nil {
-			return nil, fmt.Errorf("ckpt: read section table: %w", noEOF(err))
-		}
-		entries = append(entries, entry{
-			name: string(name),
-			size: le.Uint64(tail[:8]),
-			crc:  le.Uint32(tail[8:12]),
-		})
-	}
-	f := &File{version: version, sections: make(map[string][]byte, len(entries))}
-	for _, e := range entries {
-		payload, err := readPayload(r, e.size)
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: section %q truncated: %w", e.name, noEOF(err))
-		}
-		if got := crc32.ChecksumIEEE(payload); got != e.crc {
-			return nil, fmt.Errorf("ckpt: section %q CRC mismatch (file corrupt)", e.name)
-		}
-		if _, dup := f.sections[e.name]; dup {
-			return nil, fmt.Errorf("ckpt: duplicate section %q", e.name)
-		}
-		f.names = append(f.names, e.name)
-		f.sections[e.name] = payload
+	f := &File{}
+	if err := parseData(f, data, nil); err != nil {
+		return nil, err
 	}
 	return f, nil
 }
@@ -341,8 +301,8 @@ func parseData(f *File, data []byte, intern map[string]string) error {
 	if len(data) < 16 {
 		return fmt.Errorf("ckpt: read header: %w", io.ErrUnexpectedEOF)
 	}
-	if !bytes.Equal(data[:8], magic[:]) {
-		return fmt.Errorf("ckpt: bad magic %q (not a checkpoint file)", data[:8])
+	if string(data[:8]) != Magic {
+		return fmt.Errorf("%w (bad magic %q)", ErrNotContainer, data[:8])
 	}
 	le := binary.LittleEndian
 	version := le.Uint32(data[8:12])
@@ -416,33 +376,6 @@ func parseData(f *File, data []byte, intern map[string]string) error {
 		f.sections[name] = payload
 	}
 	return nil
-}
-
-// readPayload reads a size-prefixed payload without trusting size for the
-// allocation: it grows in bounded chunks as bytes actually arrive, so a
-// corrupt header claiming an enormous section fails at the first missing
-// byte instead of attempting a multi-gigabyte allocation.
-func readPayload(r io.Reader, size uint64) ([]byte, error) {
-	const chunk = 1 << 20
-	if size <= chunk {
-		buf := make([]byte, size)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		return buf, nil
-	}
-	var buf bytes.Buffer
-	for remaining := size; remaining > 0; {
-		n := uint64(chunk)
-		if remaining < n {
-			n = remaining
-		}
-		if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
-			return nil, err
-		}
-		remaining -= n
-	}
-	return buf.Bytes(), nil
 }
 
 // RemoveStaleTemps deletes leftover "<base>.tmp-*" siblings of the

@@ -26,9 +26,10 @@ func fuzzSeedFile(t testing.TB) []byte {
 }
 
 // FuzzReadFile exercises the header and section-table parser with
-// arbitrary bytes. Read must never panic, never allocate unboundedly from
-// attacker-controlled sizes, and on success return a file whose sections
-// round-trip through a Writer byte-for-byte.
+// arbitrary bytes. Read, ReadFile and ReadPool share that parser, so this
+// covers every checkpoint and model.bin reader. It must never panic, never
+// allocate unboundedly from attacker-controlled sizes, and on success
+// return a file whose sections round-trip through a Writer byte-for-byte.
 func FuzzReadFile(f *testing.F) {
 	valid := fuzzSeedFile(f)
 	f.Add(valid)

@@ -21,8 +21,9 @@ import (
 // ForwardBatch(1) calls. The vectorized rollout engine in internal/rl relies
 // on this to keep batched action sampling bit-identical to sequential
 // collection. The batched *backward* kernels still reassociate sums across
-// the batch and are NOT bit-identical to the per-sample Backward path;
-// equivalence holds to ~1e-12 relative error and is pinned by tests.
+// the batch and are NOT bit-identical to the per-sample Backward oracle in
+// the package tests; equivalence holds to ~1e-12 relative error and is
+// pinned there.
 
 // Scratch owns the reusable buffers for one in-flight batched
 // forward/backward pass over a specific MLP architecture. A Scratch is sized
@@ -89,8 +90,8 @@ func (m *MLP) ForwardBatch(s *Scratch, x []float64, batch int) []float64 {
 
 // ForwardBatchCache is ForwardBatch with the additional guarantee that the
 // per-layer activations are retained in s for a subsequent BackwardBatch.
-// (The plain ForwardBatch shares the implementation; the two names mirror
-// the per-sample Forward/ForwardCache API and document caller intent.)
+// (The plain ForwardBatch shares the implementation; the two names
+// document caller intent.)
 func (m *MLP) ForwardBatchCache(s *Scratch, x []float64, batch int) []float64 {
 	if batch <= 0 {
 		panic(fmt.Sprintf("nn: non-positive batch %d", batch))
@@ -129,7 +130,7 @@ func (m *MLP) forwardRows(acts [][]float64, rowOff int, x []float64, batch int) 
 // [batch x InSize] gradient with respect to the inputs (owned by s, valid
 // until the next backward pass). Gradient accumulation order is fixed for a
 // given batch, so results are deterministic; they match the per-sample
-// Backward path to floating-point reassociation error.
+// oracle in the package tests to floating-point reassociation error.
 func (m *MLP) BackwardBatch(s *Scratch, gradOut []float64, grads *Grads) []float64 {
 	b := s.batch
 	if b == 0 {
@@ -456,7 +457,8 @@ func applyActivation(a Activation, xs []float64) {
 }
 
 // applyActivationDeriv multiplies delta elementwise by dAct/dx expressed in
-// terms of the activation output y (see Activation.derivFromOutput).
+// terms of the activation output y (tanh and ReLU both admit this form,
+// which avoids caching pre-activations).
 func applyActivationDeriv(a Activation, delta, y []float64) {
 	switch a {
 	case Tanh:

@@ -1,7 +1,11 @@
 // Package nn is a small, dependency-free neural-network library sufficient
 // for the policy-gradient learners in this repository: fully connected
-// multi-layer perceptrons with tanh/ReLU hidden activations, manual
-// backpropagation, SGD and Adam optimizers, and gob serialization.
+// multi-layer perceptrons with tanh/ReLU hidden activations, a single-sample
+// Forward for inference, batched forward/backward kernels for training, the
+// Adam optimizer, and wire forms (MLPWire, AdamWire) that callers embed in
+// their own serialized values. The per-sample backward path, SGD and a
+// gradient check live in the package tests, as the reference the batched
+// kernels are checked against.
 //
 // It deliberately trades generality for clarity and determinism: all
 // computation is single-threaded per network, uses float64 throughout, and
@@ -10,10 +14,8 @@
 package nn
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 )
@@ -55,22 +57,6 @@ func (a Activation) apply(x float64) float64 {
 		return x
 	default:
 		return x
-	}
-}
-
-// derivFromOutput returns dActivation/dx given the activation *output* y
-// (both tanh and ReLU admit this form, which avoids caching pre-activations).
-func (a Activation) derivFromOutput(y float64) float64 {
-	switch a {
-	case Tanh:
-		return 1 - y*y
-	case ReLU:
-		if y > 0 {
-			return 1
-		}
-		return 0
-	default:
-		return 1
 	}
 }
 
@@ -126,45 +112,10 @@ func (m *MLP) InSize() int { return m.sizes[0] }
 // OutSize returns the output width.
 func (m *MLP) OutSize() int { return m.sizes[len(m.sizes)-1] }
 
-// NumLayers returns the number of weight layers.
-func (m *MLP) NumLayers() int { return len(m.weights) }
-
-// NumParams returns the total number of scalar parameters.
-func (m *MLP) NumParams() int {
-	n := 0
-	for l := range m.weights {
-		n += len(m.weights[l]) + len(m.biases[l])
-	}
-	return n
-}
-
-// Cache stores per-layer activations from a forward pass for use by
-// Backward. acts[0] is the input; acts[l+1] the output of layer l after
-// its activation.
-type Cache struct {
-	acts [][]float64
-}
-
 // Forward computes the network output for input x (len must equal InSize).
 func (m *MLP) Forward(x []float64) []float64 {
-	out, _ := m.forward(x, false)
-	return out
-}
-
-// ForwardCache computes the output and retains intermediate activations so
-// Backward can compute gradients.
-func (m *MLP) ForwardCache(x []float64) ([]float64, *Cache) {
-	return m.forward(x, true)
-}
-
-func (m *MLP) forward(x []float64, keep bool) ([]float64, *Cache) {
 	if len(x) != m.InSize() {
 		panic(fmt.Sprintf("nn: input size %d, want %d", len(x), m.InSize()))
-	}
-	var c *Cache
-	if keep {
-		c = &Cache{acts: make([][]float64, 0, len(m.weights)+1)}
-		c.acts = append(c.acts, append([]float64(nil), x...))
 	}
 	cur := x
 	last := len(m.weights) - 1
@@ -179,11 +130,8 @@ func (m *MLP) forward(x []float64, keep bool) ([]float64, *Cache) {
 			next[o] = sum
 		}
 		cur = next
-		if keep {
-			c.acts = append(c.acts, cur)
-		}
 	}
-	return cur, c
+	return cur
 }
 
 // Grads accumulates parameter gradients with the same shapes as the MLP's
@@ -212,9 +160,6 @@ func (g *Grads) Zero() {
 	}
 	g.count = 0
 }
-
-// Count returns the number of accumulated Backward calls since Zero.
-func (g *Grads) Count() int { return g.count }
 
 // Add accumulates other into g scaled by factor.
 func (g *Grads) Add(other *Grads, factor float64) {
@@ -311,56 +256,6 @@ func allFinite(xs []float64) bool {
 	return true
 }
 
-// Backward accumulates dLoss/dParams into grads for one sample, given the
-// cache from ForwardCache and the gradient of the loss with respect to the
-// network output. It returns the gradient of the loss with respect to the
-// network input (useful for chaining, unused by most callers).
-func (m *MLP) Backward(c *Cache, gradOut []float64, grads *Grads) []float64 {
-	if len(gradOut) != m.OutSize() {
-		panic(fmt.Sprintf("nn: gradOut size %d, want %d", len(gradOut), m.OutSize()))
-	}
-	delta := append([]float64(nil), gradOut...)
-	for l := len(m.weights) - 1; l >= 0; l-- {
-		in := m.sizes[l]
-		input := c.acts[l]
-		output := c.acts[l+1]
-		if l != len(m.weights)-1 {
-			for o := range delta {
-				delta[o] *= m.hidden.derivFromOutput(output[o])
-			}
-		}
-		w := m.weights[l]
-		gw := grads.weights[l]
-		gb := grads.biases[l]
-		prev := make([]float64, in)
-		for o, d := range delta {
-			gb[o] += d
-			row := w[o*in : (o+1)*in]
-			grow := gw[o*in : (o+1)*in]
-			for i, v := range input {
-				grow[i] += d * v
-				prev[i] += d * row[i]
-			}
-		}
-		delta = prev
-	}
-	grads.count++
-	return delta
-}
-
-// ApplyDelta adds delta (same shapes as Grads) scaled by factor to the
-// parameters. Optimizers use this as the single mutation point.
-func (m *MLP) ApplyDelta(g *Grads, factor float64) {
-	for l := range m.weights {
-		for i := range m.weights[l] {
-			m.weights[l][i] += factor * g.weights[l][i]
-		}
-		for i := range m.biases[l] {
-			m.biases[l][i] += factor * g.biases[l][i]
-		}
-	}
-}
-
 // Clone returns a deep copy of the network.
 func (m *MLP) Clone() *MLP {
 	c := &MLP{sizes: append([]int(nil), m.sizes...), hidden: m.hidden}
@@ -369,43 +264,6 @@ func (m *MLP) Clone() *MLP {
 		c.biases = append(c.biases, append([]float64(nil), m.biases[l]...))
 	}
 	return c
-}
-
-// CopyFrom overwrites m's parameters with src's. The architectures must
-// match.
-func (m *MLP) CopyFrom(src *MLP) error {
-	if len(m.sizes) != len(src.sizes) {
-		return errors.New("nn: CopyFrom architecture mismatch")
-	}
-	for i := range m.sizes {
-		if m.sizes[i] != src.sizes[i] {
-			return errors.New("nn: CopyFrom architecture mismatch")
-		}
-	}
-	for l := range m.weights {
-		copy(m.weights[l], src.weights[l])
-		copy(m.biases[l], src.biases[l])
-	}
-	return nil
-}
-
-// Save serializes the network with gob (the wire layout of MLPWire; gob
-// matches struct fields by name, so streams from earlier versions decode).
-func (m *MLP) Save(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(m.Wire())
-}
-
-// Load deserializes a network saved with Save.
-func Load(r io.Reader) (*MLP, error) {
-	var wire MLPWire
-	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("nn: load: %w", err)
-	}
-	m, err := MLPFromWire(wire)
-	if err != nil {
-		return nil, fmt.Errorf("nn: load: %w", err)
-	}
-	return m, nil
 }
 
 // Softmax returns the softmax of logits, computed stably.
@@ -441,22 +299,4 @@ func SoftmaxInto(dst, logits []float64) {
 	for i := range out {
 		out[i] /= sum
 	}
-}
-
-// LogSumExp returns log(sum(exp(xs))) computed stably.
-func LogSumExp(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.Inf(-1)
-	}
-	max := xs[0]
-	for _, v := range xs[1:] {
-		if v > max {
-			max = v
-		}
-	}
-	sum := 0.0
-	for _, v := range xs {
-		sum += math.Exp(v - max)
-	}
-	return max + math.Log(sum)
 }

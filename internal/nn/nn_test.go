@@ -288,20 +288,6 @@ func TestSoftmaxEmpty(t *testing.T) {
 	}
 }
 
-func TestLogSumExp(t *testing.T) {
-	got := LogSumExp([]float64{0, 0})
-	if math.Abs(got-math.Log(2)) > 1e-12 {
-		t.Fatalf("LogSumExp = %v", got)
-	}
-	if !math.IsInf(LogSumExp(nil), -1) {
-		t.Fatal("LogSumExp(empty) should be -inf")
-	}
-	// Stability: huge values must not overflow.
-	if got := LogSumExp([]float64{1e300 / 1e297, 1000}); math.IsInf(got, 1) || math.IsNaN(got) {
-		t.Fatalf("LogSumExp unstable: %v", got)
-	}
-}
-
 func TestXavierInitBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	m := MustMLP(rng, Tanh, 10, 20, 5)

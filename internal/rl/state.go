@@ -1,36 +1,37 @@
 package rl
 
 import (
-	"bytes"
+	"bufio"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"slices"
 
+	"github.com/genet-go/genet/internal/ckpt"
 	"github.com/genet-go/genet/internal/nn"
 )
 
 // Serialization formats.
 //
-// Two stream kinds exist per agent, both single gob values with a leading
-// Version field:
+// Two stream kinds exist per agent, both carrying one gob value with a
+// leading Version field:
 //
 //   - model streams (Save/Load*Agent): networks and logStd only — the
 //     model.bin format genet-train and fleet write and serve and
-//     genet-eval read. No optimizer state: a model is a policy to deploy
-//     or evaluate, not a training run to continue.
+//     genet-eval read. The value sits in the "policy" section of a ckpt
+//     container, so the section CRC covers every byte of a model. No
+//     optimizer state: a model is a policy to deploy or evaluate, not a
+//     training run to continue.
 //   - state streams (SaveState/Load*AgentState): the complete training
 //     state — config, networks, logStd, and every Adam moment and step
 //     counter — such that LoadState followed by Update is bit-identical to
 //     never having serialized at all. Checkpoint/resume uses these.
-//
-// The historical model format (consecutive raw network gobs, and for the
-// Gaussian agent trailing text-encoded floats interleaved after the gob
-// stream) is still readable through a compat path in Load*Agent.
 const (
 	modelFormatVersion = 1
 	stateFormatVersion = 1
+	// modelSection names the container section that holds a model stream.
+	modelSection = "policy"
 )
 
 // init pins gob's process-global type ids for every wire type, in a fixed
@@ -120,47 +121,59 @@ func validateLogStd(cfg GaussianConfig, logStd []float64) error {
 	return nil
 }
 
-// readModel reads a model stream into wire, whose Version, Policy and Value
-// fields version, pw and vw address, and returns the restored networks,
-// validated against the config dimensions. Streams that do not decode as a
-// versioned model value are read in the pre-versioned layout instead — two
-// consecutive raw network gobs — and legacy is then positioned after them,
-// for any trailing legacy data; it is nil for versioned streams.
-func readModel(r io.Reader, obsSize int, hidden []int, out int, wire any, version *int, pw, vw *nn.MLPWire) (policy, value *nn.MLP, legacy *bytes.Reader, err error) {
-	data, err := io.ReadAll(r)
+// saveModel writes wire as the policy section of a model container.
+func saveModel(w io.Writer, wire any) error {
+	cw := ckpt.NewWriter()
+	if err := cw.AddGob(modelSection, wire); err != nil {
+		return err
+	}
+	_, err := cw.WriteTo(w)
+	return err
+}
+
+// readModel reads a model container's policy section into wire, whose
+// Version, Policy and Value fields version, pw and vw address, and returns
+// the restored networks, validated against the config dimensions.
+func readModel(r io.Reader, obsSize int, hidden []int, out int, wire any, version *int, pw, vw *nn.MLPWire) (policy, value *nn.MLP, err error) {
+	f, err := ckpt.Read(r)
+	if errors.Is(err, ckpt.ErrNotContainer) {
+		return nil, nil, fmt.Errorf("rl: load model: stream is not a model container (a model.bin from an older build? re-run genet-train): %w", err)
+	}
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("rl: load: %w", err)
+		return nil, nil, fmt.Errorf("rl: load model: %w", err)
 	}
-	if gob.NewDecoder(bytes.NewReader(data)).Decode(wire) == nil && *version >= modelFormatVersion {
-		if policy, err = nn.MLPFromWire(*pw); err != nil {
-			return nil, nil, nil, fmt.Errorf("rl: load policy: %w", err)
-		}
-		if value, err = nn.MLPFromWire(*vw); err != nil {
-			return nil, nil, nil, fmt.Errorf("rl: load value net: %w", err)
-		}
-	} else {
-		legacy = bytes.NewReader(data)
-		if policy, err = nn.Load(legacy); err != nil {
-			return nil, nil, nil, fmt.Errorf("rl: load legacy policy: %w", err)
-		}
-		if value, err = nn.Load(legacy); err != nil {
-			return nil, nil, nil, fmt.Errorf("rl: load legacy value net: %w", err)
-		}
+	if err := f.Gob(modelSection, wire); err != nil {
+		return nil, nil, fmt.Errorf("rl: load model: %w", err)
 	}
-	return policy, value, legacy, validateNets(obsSize, hidden, out, policy, value)
+	if *version < 1 || *version > modelFormatVersion {
+		return nil, nil, fmt.Errorf("rl: unsupported model version %d (this build reads <= %d)", *version, modelFormatVersion)
+	}
+	if policy, err = nn.MLPFromWire(*pw); err != nil {
+		return nil, nil, fmt.Errorf("rl: load policy: %w", err)
+	}
+	if value, err = nn.MLPFromWire(*vw); err != nil {
+		return nil, nil, fmt.Errorf("rl: load value net: %w", err)
+	}
+	return policy, value, validateNets(obsSize, hidden, out, policy, value)
 }
 
 var (
 	errStateNoConfig = errors.New("rl: agent state stream carries no config (was it written with Save instead of SaveState?)")
-	// A model-only stream gob-decodes into a state wire shape with zeroed
-	// optimizers; accepting it would silently train with LR 0 after resume.
-	errStateNoOptimizer = errors.New("rl: stream lacks optimizer state (written with Save instead of SaveState?)")
+	// A model container, or a bare model value, which gob-decodes into a
+	// state wire shape with zeroed optimizers; accepting either would
+	// silently train with LR 0 after resume.
+	errStateModelOnly = errors.New("rl: stream lacks optimizer state (written with Save instead of SaveState?)")
 )
 
 // decodeState decodes one state stream into wire, whose Version field
-// version addresses, and checks the version is one this build reads.
+// version addresses, and checks the version is one this build reads. It
+// may read past the end of the state value.
 func decodeState(r io.Reader, wire any, version *int) error {
-	if err := gob.NewDecoder(r).Decode(wire); err != nil {
+	br := bufio.NewReader(r)
+	if head, _ := br.Peek(len(ckpt.Magic)); string(head) == ckpt.Magic {
+		return errStateModelOnly
+	}
+	if err := gob.NewDecoder(br).Decode(wire); err != nil {
 		return fmt.Errorf("rl: load state: %w", err)
 	}
 	if *version < 1 || *version > stateFormatVersion {
@@ -192,11 +205,11 @@ func restoreNets(obsSize int, hidden []int, out int, pw, vw nn.MLPWire, po, vo n
 
 // --- DiscreteAgent ---
 
-// Save writes the agent's model stream: config and networks as one
-// versioned gob value, without optimizer state (use SaveState to checkpoint
+// Save writes the agent's model stream: config and networks in a model
+// container, without optimizer state (use SaveState to checkpoint
 // training).
 func (a *DiscreteAgent) Save(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(discreteModelWire{
+	return saveModel(w, discreteModelWire{
 		Version: modelFormatVersion,
 		Cfg:     a.cfg,
 		Policy:  a.policy.Wire(),
@@ -207,11 +220,10 @@ func (a *DiscreteAgent) Save(w io.Writer) error {
 // LoadDiscreteAgent restores an agent saved with Save, with fresh optimizer
 // state. The networks are validated against cfg (observation width, action
 // count, hidden sizes); a mismatch is a descriptive error, never a deferred
-// shape panic. Streams written by the pre-versioned format (raw
-// consecutive network gobs) are still accepted.
+// shape panic.
 func LoadDiscreteAgent(cfg DiscreteConfig, r io.Reader) (*DiscreteAgent, error) {
 	var wire discreteModelWire
-	policy, value, _, err := readModel(r, cfg.ObsSize, cfg.Hidden, cfg.NumActions, &wire, &wire.Version, &wire.Policy, &wire.Value)
+	policy, value, err := readModel(r, cfg.ObsSize, cfg.Hidden, cfg.NumActions, &wire, &wire.Version, &wire.Policy, &wire.Value)
 	if err != nil {
 		return nil, err
 	}
@@ -246,7 +258,7 @@ func LoadDiscreteAgentState(r io.Reader) (*DiscreteAgent, error) {
 		return nil, errStateNoConfig
 	}
 	if wire.POpt.LR <= 0 || wire.VOpt.LR <= 0 {
-		return nil, errStateNoOptimizer
+		return nil, errStateModelOnly
 	}
 	policy, value, pOpt, vOpt, err := restoreNets(cfg.ObsSize, cfg.Hidden, cfg.NumActions, wire.Policy, wire.Value, wire.POpt, wire.VOpt)
 	if err != nil {
@@ -260,10 +272,10 @@ func LoadDiscreteAgentState(r io.Reader) (*DiscreteAgent, error) {
 // --- GaussianAgent ---
 
 // Save writes the agent's model stream: config, networks and the log-std
-// vector as one versioned gob value, without optimizer state (use SaveState
-// to checkpoint training).
+// vector in a model container, without optimizer state (use SaveState to
+// checkpoint training).
 func (a *GaussianAgent) Save(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(gaussianModelWire{
+	return saveModel(w, gaussianModelWire{
 		Version: modelFormatVersion,
 		Cfg:     a.cfg,
 		Policy:  a.policy.Wire(),
@@ -273,29 +285,17 @@ func (a *GaussianAgent) Save(w io.Writer) error {
 }
 
 // LoadGaussianAgent restores an agent saved with Save, with fresh optimizer
-// state, validating the networks and log-std vector against cfg. Streams in
-// the historical mixed gob+text format are still accepted.
+// state, validating the networks and log-std vector against cfg.
 func LoadGaussianAgent(cfg GaussianConfig, r io.Reader) (*GaussianAgent, error) {
 	var wire gaussianModelWire
-	policy, value, legacy, err := readModel(r, cfg.ObsSize, cfg.Hidden, cfg.ActionDim, &wire, &wire.Version, &wire.Policy, &wire.Value)
+	policy, value, err := readModel(r, cfg.ObsSize, cfg.Hidden, cfg.ActionDim, &wire, &wire.Version, &wire.Policy, &wire.Value)
 	if err != nil {
 		return nil, err
 	}
-	logStd := append([]float64(nil), wire.LogStd...)
-	if legacy != nil {
-		// The historical layout follows the networks with one
-		// text-encoded float per action dimension.
-		logStd = make([]float64, cfg.ActionDim)
-		for i := range logStd {
-			if _, err := fmt.Fscan(legacy, &logStd[i]); err != nil {
-				return nil, fmt.Errorf("rl: load legacy logstd: %w", err)
-			}
-		}
-	}
-	if err := validateLogStd(cfg, logStd); err != nil {
+	if err := validateLogStd(cfg, wire.LogStd); err != nil {
 		return nil, err
 	}
-	return newGaussian(cfg, policy, value, logStd), nil
+	return newGaussian(cfg, policy, value, wire.LogStd), nil
 }
 
 // SaveState serializes the agent's complete training state: config,
@@ -327,7 +327,7 @@ func LoadGaussianAgentState(r io.Reader) (*GaussianAgent, error) {
 		return nil, errStateNoConfig
 	}
 	if wire.POpt.LR <= 0 || wire.VOpt.LR <= 0 || wire.SOpt.LR <= 0 {
-		return nil, errStateNoOptimizer
+		return nil, errStateModelOnly
 	}
 	policy, value, pOpt, vOpt, err := restoreNets(cfg.ObsSize, cfg.Hidden, cfg.ActionDim, wire.Policy, wire.Value, wire.POpt, wire.VOpt)
 	if err != nil {

@@ -2,7 +2,8 @@ package rl
 
 import (
 	"bytes"
-	"fmt"
+	"encoding/gob"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -127,80 +128,6 @@ func TestLossySaveDivergesAfterTraining(t *testing.T) {
 	lossy.TrainIterationVec(banditVec(2), 64, contRng2)
 	if bytes.Equal(discreteStateBytes(t, agent), discreteStateBytes(t, lossy)) {
 		t.Fatal("lossy round-trip unexpectedly reproduced the uninterrupted run; Save is no longer lossy and the model-stream docs are stale")
-	}
-}
-
-// --- legacy model-format compatibility ---
-
-// writeLegacyDiscrete reproduces the pre-versioned Save format: two raw
-// consecutive network gob streams.
-func writeLegacyDiscrete(t *testing.T, a *DiscreteAgent, w *bytes.Buffer) {
-	t.Helper()
-	if err := a.policy.Save(w); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.value.Save(w); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// writeLegacyGaussian reproduces the historical mixed encoding: raw network
-// gobs followed by text-formatted log-std floats.
-func writeLegacyGaussian(t *testing.T, a *GaussianAgent, w *bytes.Buffer) {
-	t.Helper()
-	if err := a.policy.Save(w); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.value.Save(w); err != nil {
-		t.Fatal(err)
-	}
-	for _, ls := range a.logStd {
-		fmt.Fprintf(w, "%v\n", ls)
-	}
-}
-
-func TestDiscreteLoadReadsLegacyFormat(t *testing.T) {
-	rng := rand.New(rand.NewSource(50))
-	cfg := DefaultDiscreteConfig(4, 3)
-	agent, err := NewDiscreteAgent(cfg, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	writeLegacyDiscrete(t, agent, &buf)
-	back, err := LoadDiscreteAgent(cfg, &buf)
-	if err != nil {
-		t.Fatalf("legacy format rejected: %v", err)
-	}
-	obs := []float64{0.1, 0.2, 0.3, 0.4}
-	a, b := agent.Probs(obs), back.Probs(obs)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("legacy-loaded agent differs")
-		}
-	}
-}
-
-func TestGaussianLoadReadsLegacyFormat(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	cfg := DefaultGaussianConfig(2, 1)
-	agent, err := NewGaussianAgent(cfg, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agent.logStd[0] = -0.73
-	var buf bytes.Buffer
-	writeLegacyGaussian(t, agent, &buf)
-	back, err := LoadGaussianAgent(cfg, &buf)
-	if err != nil {
-		t.Fatalf("legacy format rejected: %v", err)
-	}
-	obs := []float64{0.5, -0.5}
-	if agent.Mean(obs)[0] != back.Mean(obs)[0] {
-		t.Fatal("legacy-loaded policy differs")
-	}
-	if back.logStd[0] != -0.73 {
-		t.Fatalf("legacy log-std = %v, want -0.73", back.logStd[0])
 	}
 }
 
@@ -329,8 +256,8 @@ func TestStateRoundTripFreshAgents(t *testing.T) {
 // model.bin writes fixed in genet-train and fleet: a model file truncated at
 // *any* byte boundary — what a watcher could have read mid-write before the
 // writers adopted temp+rename — must fail to load with an error, never load
-// silently or panic. Both the versioned-gob path and the legacy fallback
-// path it can fall through to are covered by scanning every prefix.
+// silently or panic. Scanning every prefix cuts the container header, the
+// section table and the policy payload at each possible point.
 func TestTornModelStreamRejected(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
 	dcfg := DiscreteConfig{
@@ -376,5 +303,118 @@ func TestTornModelStreamRejected(t *testing.T) {
 	}
 	if _, err := LoadGaussianAgent(gcfg, bytes.NewReader(full)); err != nil {
 		t.Fatalf("complete gaussian model rejected: %v", err)
+	}
+}
+
+// modelBytes saves an agent's model stream.
+func modelBytes(t *testing.T, save func(io.Writer) error) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestModelBitFlipRejected flips one bit at evenly spaced offsets across a
+// model stream. The container's section CRC covers every payload byte and
+// the header and table are checked field by field, so every flip must fail
+// the load: a corrupt model.bin never reaches the serving data plane.
+func TestModelBitFlipRejected(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	dcfg := DefaultDiscreteConfig(4, 3)
+	dAgent, err := NewDiscreteAgent(dcfg, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gcfg := DefaultGaussianConfig(3, 1)
+	gAgent, err := NewGaussianAgent(gcfg, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		data []byte
+		load func(io.Reader) error
+	}{
+		{"discrete", modelBytes(t, dAgent.Save), func(r io.Reader) error {
+			_, err := LoadDiscreteAgent(dcfg, r)
+			return err
+		}},
+		{"gaussian", modelBytes(t, gAgent.Save), func(r io.Reader) error {
+			_, err := LoadGaussianAgent(gcfg, r)
+			return err
+		}},
+	}
+	const flips = 40
+	for _, tc := range cases {
+		if err := tc.load(bytes.NewReader(tc.data)); err != nil {
+			t.Fatalf("%s: intact model rejected: %v", tc.name, err)
+		}
+		for k := 0; k < flips; k++ {
+			off := k * (len(tc.data) - 1) / (flips - 1)
+			c := append([]byte(nil), tc.data...)
+			c[off] ^= 1 << (k % 8)
+			if err := tc.load(bytes.NewReader(c)); err == nil {
+				t.Fatalf("%s: bit %d flipped at byte %d/%d loaded without error", tc.name, k%8, off, len(tc.data))
+			}
+		}
+	}
+}
+
+// TestTruncatedModelErrorNamesTheModel pins the error a torn model.bin
+// produces: it reports the truncated container, not a failed attempt at
+// some other format.
+func TestTruncatedModelErrorNamesTheModel(t *testing.T) {
+	cfg := DefaultDiscreteConfig(4, 3)
+	agent, err := NewDiscreteAgent(cfg, rand.New(rand.NewSource(62)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := modelBytes(t, agent.Save)
+	_, err = LoadDiscreteAgent(cfg, bytes.NewReader(data[:len(data)-10]))
+	if err == nil {
+		t.Fatal("truncated model accepted")
+	}
+	if strings.Contains(err.Error(), "legacy") || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("truncated model error %q does not report the truncation", err)
+	}
+}
+
+// TestPreContainerModelRejected feeds the loaders the model stream older
+// builds wrote — the bare gob model value, with no container around it —
+// and requires an error that says so.
+func TestPreContainerModelRejected(t *testing.T) {
+	rng := rand.New(rand.NewSource(63))
+	dcfg := DefaultDiscreteConfig(4, 3)
+	dAgent, err := NewDiscreteAgent(dcfg, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gcfg := DefaultGaussianConfig(3, 1)
+	gAgent, err := NewGaussianAgent(gcfg, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dBuf, gBuf bytes.Buffer
+	if err := gob.NewEncoder(&dBuf).Encode(discreteModelWire{
+		Version: modelFormatVersion, Cfg: dcfg, Policy: dAgent.policy.Wire(), Value: dAgent.value.Wire(),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewEncoder(&gBuf).Encode(gaussianModelWire{
+		Version: modelFormatVersion, Cfg: gcfg, Policy: gAgent.policy.Wire(), Value: gAgent.value.Wire(), LogStd: gAgent.logStd,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_, dErr := LoadDiscreteAgent(dcfg, &dBuf)
+	_, gErr := LoadGaussianAgent(gcfg, &gBuf)
+	for name, err := range map[string]error{"discrete": dErr, "gaussian": gErr} {
+		if err == nil {
+			t.Fatalf("%s: pre-container model stream accepted", name)
+		}
+		if !strings.Contains(err.Error(), "not a model container") {
+			t.Fatalf("%s: error %q does not say the stream is not a model container", name, err)
+		}
 	}
 }

@@ -55,11 +55,12 @@ type Model struct {
 	gaussian *rl.GaussianAgent
 }
 
-// ReadModel parses and validates a model stream for the given use case. The
-// architecture is checked against the use case's canonical configuration
-// (observation width, action space, hidden sizes), so a cc model handed to
-// an abr server — or any torn or corrupt stream — is an error here, before
-// anything is published to the data plane.
+// ReadModel parses and validates a model.bin for the given use case. The
+// container's section CRC covers every model byte, and the architecture is
+// checked against the use case's canonical configuration (observation
+// width, action space, hidden sizes), so a cc model handed to an abr server
+// — or any torn or corrupt file — is an error here, before anything is
+// published to the data plane.
 func ReadModel(useCase string, r io.Reader) (*Model, error) {
 	uc, err := core.LookupUseCase(useCase)
 	if err != nil {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -9,6 +11,7 @@ import (
 	"github.com/genet-go/genet/internal/ckpt"
 	"github.com/genet-go/genet/internal/faults"
 	"github.com/genet-go/genet/internal/guard"
+	"github.com/genet-go/genet/internal/nn"
 )
 
 // Chaos goldens: the training-health guard must (a) be bit-invisible on a
@@ -147,10 +150,72 @@ func TestChaosGoldenCompletesWithRecoveries(t *testing.T) {
 	}
 }
 
-// TestChaosQuarantineAndCheckpointRoundTrip drives the quarantine path
-// hard (frequent env-step panics) and pins that quarantine state survives
-// a checkpoint/resume round trip.
-func TestChaosQuarantineAndCheckpointRoundTrip(t *testing.T) {
+// chaosPin is one pinned chaos run: the SHA-256 of the final agent state,
+// the guard's counters and every recovery event.
+type chaosPin struct {
+	StateSHA256 string          `json:"state_sha256"`
+	Guard       string          `json:"guard"`
+	Recoveries  []RecoveryEvent `json:"recoveries"`
+}
+
+// goldenChaos pins the guarded, fault-injected runs across commits: chaosRun
+// (every site armed) and quarantineRun (frequent env-step panics, so
+// rollouts are contained). The rerun comparisons only prove a run replays
+// itself; this proves the armed rollout path still computes what it did.
+type goldenChaos struct {
+	Kernel string              `json:"kernel"`
+	Runs   map[string]chaosPin `json:"runs"`
+}
+
+const goldenChaosPath = "testdata/golden_chaos.json"
+
+func pinChaos(rep *Report, state []byte, st guard.Stats) chaosPin {
+	sum := sha256.Sum256(state)
+	return chaosPin{StateSHA256: hex.EncodeToString(sum[:]), Guard: st.String(), Recoveries: allRecoveries(rep)}
+}
+
+// TestChaosGoldenPinned compares both chaos runs against the committed
+// golden, exactly. Refresh intentionally with
+//
+//	go test ./internal/core/ -run TestChaosGoldenPinned -update
+func TestChaosGoldenPinned(t *testing.T) {
+	got := goldenChaos{Kernel: nn.KernelName(), Runs: map[string]chaosPin{}}
+	got.Runs["chaos"] = pinChaos(chaosRun(t))
+	rep, state, st, _ := quarantineRun(t)
+	got.Runs["quarantine"] = pinChaos(rep, state, st)
+	if *updateGolden {
+		writeGolden(t, goldenChaosPath, got)
+		return
+	}
+	var want goldenChaos
+	readGolden(t, goldenChaosPath, &want)
+	if want.Kernel != got.Kernel {
+		t.Skipf("chaos golden recorded on %q kernels, this machine runs %q", want.Kernel, got.Kernel)
+	}
+	for name, w := range want.Runs {
+		g := got.Runs[name]
+		if g.Guard != w.Guard {
+			t.Fatalf("%s: guard stats = %s, golden %s", name, g.Guard, w.Guard)
+		}
+		if len(g.Recoveries) != len(w.Recoveries) {
+			t.Fatalf("%s: %d recovery events, golden has %d:\n%+v", name, len(g.Recoveries), len(w.Recoveries), g.Recoveries)
+		}
+		for i := range w.Recoveries {
+			if g.Recoveries[i] != w.Recoveries[i] {
+				t.Fatalf("%s: recovery %d = %+v, golden %+v", name, i, g.Recoveries[i], w.Recoveries[i])
+			}
+		}
+		if g.StateSHA256 != w.StateSHA256 {
+			t.Fatalf("%s: final agent state sha256 = %s, golden %s (bit-exact determinism broken)", name, g.StateSHA256, w.StateSHA256)
+		}
+	}
+}
+
+// quarantineRun drives the quarantine path hard (frequent env-step panics,
+// contained by the guard) and returns the report, the final agent bytes,
+// the guard's counters and the run's checkpoint path.
+func quarantineRun(t *testing.T) (*Report, []byte, guard.Stats, string) {
+	t.Helper()
 	in := faults.New(5)
 	in.Enable(faults.EnvStepPanic, 30)
 
@@ -164,6 +229,14 @@ func TestChaosQuarantineAndCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return rep, agentStateBytes(t, h), opts.Guard.Snapshot(), path
+}
+
+// TestChaosQuarantineAndCheckpointRoundTrip drives the quarantine path
+// hard (frequent env-step panics) and pins that quarantine state survives
+// a checkpoint/resume round trip.
+func TestChaosQuarantineAndCheckpointRoundTrip(t *testing.T) {
+	rep, _, _, path := quarantineRun(t)
 	nq := rep.Distribution.NumQuarantined()
 	if nq == 0 {
 		t.Skip("schedule produced no quarantine at this seed; covered by the rl-level tests")

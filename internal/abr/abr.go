@@ -302,15 +302,10 @@ func (s *Sim) FutureDownloadTime(level, chunk int, atClock float64) float64 {
 	return dl
 }
 
-// NextSizes returns the byte sizes of the upcoming chunk at every level, or
-// nil when the session is done.
-func (s *Sim) NextSizes() []float64 {
-	return s.NextSizesInto(nil)
-}
-
-// NextSizesInto is NextSizes appending into dst (overwriting from dst[:0]),
-// so per-step callers can reuse one buffer. Returns nil when the session is
-// done, leaving dst's backing array intact for the next episode.
+// NextSizesInto writes the byte sizes of the upcoming chunk at every level
+// into dst (overwriting from dst[:0]) and returns them, so per-step callers
+// can reuse one buffer. Returns nil when the session is done, leaving dst's
+// backing array intact for the next episode.
 func (s *Sim) NextSizesInto(dst []float64) []float64 {
 	if s.Done() {
 		return nil

@@ -207,7 +207,7 @@ func TestNextSizesAndRemaining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sizes := sim.NextSizes()
+	sizes := sim.NextSizesInto(nil)
 	if len(sizes) != 6 || sizes[0] != v.Sizes[0][0] {
 		t.Fatalf("NextSizes = %v", sizes)
 	}
@@ -221,7 +221,7 @@ func TestNextSizesAndRemaining(t *testing.T) {
 	for !sim.Done() {
 		sim.Next(0)
 	}
-	if sim.NextSizes() != nil {
+	if sim.NextSizesInto(nil) != nil {
 		t.Fatal("NextSizes after done should be nil")
 	}
 }

@@ -308,45 +308,12 @@ func IntoFromGen(gen InstanceGen) InstanceInto {
 	return func(rng *rand.Rand, _ *Instance) *Instance { return gen(rng) }
 }
 
-// RLEnv adapts the ABR simulator to rl.DiscreteEnv. Each Reset draws a new
-// instance from the generator.
-type RLEnv struct {
-	gen   InstanceGen
-	sim   *Sim
-	obs   *Observation
-	scale float64
-}
-
-// NewRLEnv wraps an instance generator as an RL environment.
-func NewRLEnv(gen InstanceGen) *RLEnv { return &RLEnv{gen: gen} }
-
-// ObsSize implements rl.DiscreteEnv.
-func (*RLEnv) ObsSize() int { return ObsSize }
-
-// NumActions implements rl.DiscreteEnv.
-func (*RLEnv) NumActions() int { return len(DefaultBitratesKbps) }
-
-// Reset implements rl.DiscreteEnv.
-func (e *RLEnv) Reset(rng *rand.Rand) []float64 {
-	in := e.gen(rng)
-	e.sim = in.NewSim()
-	e.scale = RewardScale(in.Trace.Mean(), in.Video)
-	e.obs = &Observation{
-		ThroughputHist: make([]float64, HistLen),
-		DownloadHist:   make([]float64, HistLen),
-		Video:          e.sim.Video(),
-		MaxBuffer:      in.SimCfg.MaxBufferSec,
-		LastLevel:      -1,
-		TotalChunks:    e.sim.Video().NumChunks(),
-	}
-	e.syncObs()
-	return ObsVector(e.obs)
-}
-
-func (e *RLEnv) syncObs() {
-	e.obs.Buffer = e.sim.Buffer()
-	e.obs.NextSizes = e.sim.NextSizes()
-	e.obs.RemainingChunks = e.sim.RemainingChunks()
+// NewRLEnv returns the scalar training environment over gen: a width-1
+// VecEnv seen through rl's slot view, so scalar and vectorized training
+// share one copy of the dynamics. Each Reset draws a new instance from the
+// generator.
+func NewRLEnv(gen InstanceGen) *rl.DiscreteSlot {
+	return rl.NewDiscreteSlot(NewVecEnv(IntoFromGen(gen), 1))
 }
 
 // RewardScale returns the per-environment training-reward normalizer: the
@@ -373,20 +340,6 @@ func TrainReward(raw, scale float64) float64 {
 		return 2
 	}
 	return r
-}
-
-// Step implements rl.DiscreteEnv.
-func (e *RLEnv) Step(action int) ([]float64, float64, bool) {
-	if e.sim == nil {
-		panic("abr: Step before Reset")
-	}
-	res := e.sim.Next(action)
-	pushHist(e.obs.ThroughputHist, res.Throughput)
-	pushHist(e.obs.DownloadHist, res.DownloadTime)
-	e.obs.LastLevel = res.Level
-	e.obs.LastRebuffer = res.Rebuffer
-	e.syncObs()
-	return ObsVector(e.obs), TrainReward(res.Reward, e.scale), res.Done
 }
 
 // AgentPolicy adapts a trained rl.DiscreteAgent into an abr.Policy for

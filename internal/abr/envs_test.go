@@ -67,7 +67,7 @@ func TestObsVectorShapeAndRange(t *testing.T) {
 		MaxBuffer:      60,
 		LastLevel:      -1,
 		TotalChunks:    sim.Video().NumChunks(),
-		NextSizes:      sim.NextSizes(),
+		NextSizes:      sim.NextSizesInto(nil),
 	}
 	v := ObsVector(obs)
 	if len(v) != ObsSize {

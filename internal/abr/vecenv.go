@@ -4,13 +4,14 @@ import (
 	"math/rand"
 )
 
-// VecEnv is the native vectorized ABR training environment: K independent
+// VecEnv is the vectorized ABR training environment: K independent
 // streaming sessions held in per-slot state that is regenerated in place
 // (video sizes, synthetic trace, simulator, observation, buffers) instead of
-// reallocated per episode. It implements rl.DiscreteVecEnv; slot i driven
-// with rng R produces bit-identical episodes to NewRLEnv over the equivalent
-// generator driven with the same R, because the materializer consumes rng in
-// the same order as the generator and the simulator arithmetic is shared.
+// reallocated per episode. It implements rl.DiscreteVecEnv, and NewRLEnv is
+// its width-1 slot view; slot i driven with rng R produces bit-identical
+// episodes to NewRLEnv over the equivalent generator driven with the same
+// R, because the materializer consumes rng in the same order as the
+// generator.
 type VecEnv struct {
 	mat   InstanceInto
 	slots []vecSlot
@@ -87,9 +88,10 @@ func (v *VecEnv) StepSlot(i int, action int, obs []float64) (float64, bool) {
 	return TrainReward(res.Reward, s.scale), res.Done
 }
 
-// syncObs mirrors RLEnv.syncObs with a reused NextSizes buffer. When the
-// session is done NextSizesInto returns nil (matching the scalar env's
-// Observation), but the slot keeps its backing buffer for the next episode.
+// syncObs refreshes the observation from the session, reusing the
+// NextSizes buffer. When the session is done NextSizesInto returns nil and
+// the observation carries no next sizes, but the slot keeps its backing
+// buffer for the next episode.
 func (s *vecSlot) syncObs() {
 	s.obs.Buffer = s.sim.Buffer()
 	if ns := s.sim.NextSizesInto(s.nextSizes[:0]); ns != nil {

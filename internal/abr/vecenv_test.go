@@ -12,10 +12,11 @@ import (
 
 // Equivalence contract of the native vectorized environment: CollectVec over
 // NewVecEnv(IntoFromX(...), k) is bit-identical per slot to sequential
-// Collect over NewRLEnv(GenFromX(...)) with the same seed, because the
-// materializer consumes rng exactly as the generator and the simulator is
-// shared. These tests pin that for both the fixed-config and the
-// distribution (trace-augmented) materializers.
+// Collect over NewRLEnv(GenFromX(...)) with the same seed: NewRLEnv is a
+// width-1 slot view of the same VecEnv over IntoFromGen, and the reusing
+// materializer consumes rng exactly as the generator. These tests pin that
+// for both the fixed-config and the distribution (trace-augmented)
+// materializers.
 
 func sameBatches(t *testing.T, tag string, seq, vec *rl.Batch) {
 	t.Helper()

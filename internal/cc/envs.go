@@ -112,6 +112,35 @@ func miFeatures(s MIStats) [featuresPerMI]float64 {
 	}
 }
 
+// encoder is the one observation encoder of the CC agent, shared by
+// training (VecEnv) and evaluation (AgentSender): the features of the last
+// HistMIs monitor intervals, oldest first, then the sending rate.
+type encoder struct {
+	rate float64
+	hist [HistMIs][featuresPerMI]float64
+}
+
+// reset starts a connection at rate with an empty history.
+func (e *encoder) reset(rate float64) {
+	e.rate = rate
+	e.hist = [HistMIs][featuresPerMI]float64{}
+}
+
+// push appends monitor interval s to the history, dropping the oldest.
+func (e *encoder) push(s MIStats) {
+	copy(e.hist[:], e.hist[1:])
+	e.hist[HistMIs-1] = miFeatures(s)
+}
+
+// encode overwrites obs (length ObsSize) with the observation.
+func (e *encoder) encode(obs []float64) {
+	v := obs[:0]
+	for _, f := range e.hist {
+		v = append(v, f[0], f[1], f[2])
+	}
+	_ = append(v, rateFeature(e.rate))
+}
+
 func clampF(x, lo, hi float64) float64 {
 	if x < lo {
 		return lo
@@ -276,18 +305,6 @@ func ApplyRateAction(rate, action float64) float64 {
 	return clampF(rate, 0.01, 2000)
 }
 
-// RLEnv adapts the CC simulator to rl.ContinuousEnv. Each Reset draws a new
-// instance from the generator. Training rewards are the Table 1 per-MI
-// rewards compressed by TrainReward; evaluation always reports raw rewards.
-type RLEnv struct {
-	gen   InstanceGen
-	inst  *Instance
-	sim   *Sim
-	rate  float64
-	scale float64
-	hist  [][featuresPerMI]float64
-}
-
 // RewardScale returns the normalization constant for an environment whose
 // bandwidth trace has the given mean rate: the Table 1 throughput reward of
 // fully utilizing the link, floored so near-idle links do not blow the
@@ -310,63 +327,25 @@ func TrainReward(raw, scale float64) float64 {
 	return clampF(raw/scale, -5, 2)
 }
 
-// NewRLEnv wraps an instance generator as an RL environment.
-func NewRLEnv(gen InstanceGen) *RLEnv { return &RLEnv{gen: gen} }
-
-// ObsSize implements rl.ContinuousEnv.
-func (*RLEnv) ObsSize() int { return ObsSize }
-
-// ActionDim implements rl.ContinuousEnv.
-func (*RLEnv) ActionDim() int { return 1 }
-
-// Reset implements rl.ContinuousEnv.
-//
-// The initial sending rate is drawn log-uniformly between a trickle and 2x
-// the link's mean rate. Evaluation always starts at the fixed 0.5 Mbps
-// (RunEpisode's default); randomizing only the *training* initial state
-// ensures the policy experiences high-rate states early, without which
-// on-policy exploration rarely escapes the send-at-minimum local optimum.
-func (e *RLEnv) Reset(rng *rand.Rand) []float64 {
-	e.inst = e.gen(rng)
-	e.sim = e.inst.NewSim(rng)
-	meanBW := e.inst.Trace.Mean()
-	lo, hi := 0.05, math.Max(0.1, 2*meanBW)
-	e.rate = lo * math.Exp(rng.Float64()*math.Log(hi/lo))
-	e.scale = RewardScale(meanBW)
-	e.hist = make([][featuresPerMI]float64, HistMIs)
-	return e.obs()
-}
-
-func (e *RLEnv) obs() []float64 {
-	v := make([]float64, 0, ObsSize)
-	for _, f := range e.hist {
-		v = append(v, f[0], f[1], f[2])
-	}
-	return append(v, rateFeature(e.rate))
-}
-
-// Step implements rl.ContinuousEnv.
-func (e *RLEnv) Step(action []float64) ([]float64, float64, bool) {
-	if e.sim == nil {
-		panic("cc: Step before Reset")
-	}
-	e.rate = ApplyRateAction(e.rate, action[0])
-	mi := e.sim.RunMI(e.rate)
-	copy(e.hist, e.hist[1:])
-	e.hist[len(e.hist)-1] = miFeatures(mi)
-	done := e.sim.Clock() >= e.inst.Duration
-	return e.obs(), TrainReward(mi.Reward(), e.scale), done
+// NewRLEnv returns the scalar training environment over gen: a width-1
+// VecEnv seen through rl's slot view, so scalar and vectorized training
+// share one copy of the dynamics. Each Reset draws a new instance from the
+// generator; training rewards are the Table 1 per-MI rewards compressed by
+// TrainReward, while evaluation always reports raw rewards.
+func NewRLEnv(gen InstanceGen) *rl.ContinuousSlot {
+	return rl.NewContinuousSlot(NewVecEnv(IntoFromGen(gen), 1))
 }
 
 // AgentSender adapts a trained rl.GaussianAgent into a Sender so it can be
 // evaluated head-to-head with the rule-based baselines. It acts with the
-// policy mean (deterministic evaluation).
+// policy mean (deterministic evaluation) on the training observation
+// encoding.
 type AgentSender struct {
 	Agent *rl.GaussianAgent
 	Label string
 
-	rate float64
-	hist [][featuresPerMI]float64
+	enc encoder
+	obs [ObsSize]float64
 }
 
 // Name implements Sender.
@@ -379,20 +358,14 @@ func (a *AgentSender) Name() string {
 
 // Reset implements Sender.
 func (a *AgentSender) Reset(initRate, baseRTT float64) {
-	a.rate = initRate
-	a.hist = make([][featuresPerMI]float64, HistMIs)
+	a.enc.reset(initRate)
 }
 
 // OnMI implements Sender.
 func (a *AgentSender) OnMI(s MIStats) float64 {
-	copy(a.hist, a.hist[1:])
-	a.hist[len(a.hist)-1] = miFeatures(s)
-	obs := make([]float64, 0, ObsSize)
-	for _, f := range a.hist {
-		obs = append(obs, f[0], f[1], f[2])
-	}
-	obs = append(obs, rateFeature(a.rate))
-	act := a.Agent.Mean(obs)
-	a.rate = ApplyRateAction(a.rate, act[0])
-	return a.rate
+	a.enc.push(s)
+	a.enc.encode(a.obs[:])
+	act := a.Agent.Mean(a.obs[:])
+	a.enc.rate = ApplyRateAction(a.enc.rate, act[0])
+	return a.enc.rate
 }

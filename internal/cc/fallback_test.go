@@ -22,17 +22,22 @@ func TestFallback(t *testing.T) {
 }
 
 // TestFallbackReadsNewestMI ties Fallback's indices to the encoder: it
-// reacts to loss in the newest monitor interval RLEnv encodes, and not to
-// loss in an older one.
+// reacts to loss in the newest monitor interval the encoder writes, and not
+// to loss in an older one.
 func TestFallbackReadsNewestMI(t *testing.T) {
-	lossy := miFeatures(MIStats{SendRate: 10, Throughput: 10, LossRate: 0.05, AvgLatency: 0.05, BaseRTT: 0.05})
-	e := &RLEnv{rate: 10, hist: make([][featuresPerMI]float64, HistMIs)}
-	e.hist[HistMIs-1] = lossy
-	if a := Fallback(e.obs()); a >= 0 {
+	lossy := MIStats{SendRate: 10, Throughput: 10, LossRate: 0.05, AvgLatency: 0.05, BaseRTT: 0.05}
+	clean := MIStats{SendRate: 10, Throughput: 10, AvgLatency: 0.05, BaseRTT: 0.05}
+	var enc encoder
+	enc.reset(10)
+	obs := make([]float64, ObsSize)
+	enc.push(lossy)
+	enc.encode(obs)
+	if a := Fallback(obs); a >= 0 {
 		t.Fatalf("loss in the newest MI got action %v, want decrease", a)
 	}
-	e.hist[HistMIs-1], e.hist[HistMIs-2] = e.hist[HistMIs-2], lossy
-	if a := Fallback(e.obs()); a <= 0 {
+	enc.push(clean)
+	enc.encode(obs)
+	if a := Fallback(obs); a <= 0 {
 		t.Fatalf("loss only in an older MI got action %v, want increase", a)
 	}
 }

@@ -88,13 +88,15 @@ func TestObsIncludesRateFeature(t *testing.T) {
 }
 
 func TestTrainingInitialRateRandomized(t *testing.T) {
-	e := NewRLEnv(GenFromConfig(env.CCSpace(env.RL3).Default(env.CCDefaults())))
+	v := NewVecEnv(IntoFromGen(GenFromConfig(env.CCSpace(env.RL3).Default(env.CCDefaults()))), 1)
+	obs := make([]float64, ObsSize)
 	seen := map[float64]bool{}
 	for i := 0; i < 8; i++ {
-		e.Reset(rand.New(rand.NewSource(int64(i))))
-		seen[e.rate] = true
-		if e.rate < 0.05 {
-			t.Fatalf("initial rate %v below trickle floor", e.rate)
+		v.ResetSlot(0, rand.New(rand.NewSource(int64(i))), obs)
+		rate := v.slots[0].enc.rate
+		seen[rate] = true
+		if rate < 0.05 {
+			t.Fatalf("initial rate %v below trickle floor", rate)
 		}
 	}
 	if len(seen) < 4 {

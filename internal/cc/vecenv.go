@@ -5,24 +5,23 @@ import (
 	"math/rand"
 )
 
-// VecEnv is the native vectorized CC training environment: K independent
+// VecEnv is the vectorized CC training environment: K independent
 // connections with per-slot state regenerated in place (synthetic trace,
 // simulator, feature history) instead of reallocated per episode. It
-// implements rl.ContinuousVecEnv; slot i driven with rng R is bit-identical
-// to NewRLEnv over the equivalent generator driven with the same R.
+// implements rl.ContinuousVecEnv, and NewRLEnv is its width-1 slot view;
+// slot i driven with rng R is bit-identical to NewRLEnv over the equivalent
+// generator driven with the same R.
 type VecEnv struct {
 	mat   InstanceInto
 	slots []vecSlot
 }
 
-// vecSlot is one connection's reusable state. The feature history is a fixed
-// array (the scalar env allocates a fresh slice per Reset).
+// vecSlot is one connection's reusable state.
 type vecSlot struct {
 	inst  *Instance
 	sim   Sim
-	rate  float64
 	scale float64
-	hist  [HistMIs][featuresPerMI]float64
+	enc   encoder // the sending rate and feature history
 }
 
 // NewVecEnv builds a width-slot vectorized environment over the materializer.
@@ -42,9 +41,15 @@ func (*VecEnv) ActionDim() int { return 1 }
 // Width implements rl.ContinuousVecEnv.
 func (v *VecEnv) Width() int { return len(v.slots) }
 
-// ResetSlot implements rl.ContinuousVecEnv, mirroring RLEnv.Reset: draw the
-// instance, start a connection (the slot's rng also drives loss and delay
-// noise), draw the log-uniform initial rate, clear the history.
+// ResetSlot implements rl.ContinuousVecEnv: draw the instance, start a
+// connection (the slot's rng also drives loss and delay noise), draw the
+// initial rate, clear the history.
+//
+// The initial sending rate is drawn log-uniformly between a trickle and 2x
+// the link's mean rate. Evaluation always starts at the fixed 0.5 Mbps
+// (RunEpisode's default); randomizing only the *training* initial state
+// ensures the policy experiences high-rate states early, without which
+// on-policy exploration rarely escapes the send-at-minimum local optimum.
 func (v *VecEnv) ResetSlot(i int, rng *rand.Rand, obs []float64) {
 	s := &v.slots[i]
 	s.inst = v.mat(rng, s.inst)
@@ -53,33 +58,22 @@ func (v *VecEnv) ResetSlot(i int, rng *rand.Rand, obs []float64) {
 	}
 	meanBW := s.inst.Trace.Mean()
 	lo, hi := 0.05, math.Max(0.1, 2*meanBW)
-	s.rate = lo * math.Exp(rng.Float64()*math.Log(hi/lo))
+	s.enc.reset(lo * math.Exp(rng.Float64()*math.Log(hi/lo)))
 	s.scale = RewardScale(meanBW)
-	s.hist = [HistMIs][featuresPerMI]float64{}
-	s.writeObs(obs)
+	s.enc.encode(obs)
 }
 
-// StepSlot implements rl.ContinuousVecEnv, mirroring RLEnv.Step.
+// StepSlot implements rl.ContinuousVecEnv: apply the rate action, run one
+// monitor interval, and reward it with the compressed Table 1 reward.
 func (v *VecEnv) StepSlot(i int, action []float64, obs []float64) (float64, bool) {
 	s := &v.slots[i]
 	if s.inst == nil {
 		panic("cc: StepSlot before ResetSlot")
 	}
-	s.rate = ApplyRateAction(s.rate, action[0])
-	mi := s.sim.RunMI(s.rate)
-	copy(s.hist[:], s.hist[1:])
-	s.hist[len(s.hist)-1] = miFeatures(mi)
+	s.enc.rate = ApplyRateAction(s.enc.rate, action[0])
+	mi := s.sim.RunMI(s.enc.rate)
+	s.enc.push(mi)
 	done := s.sim.Clock() >= s.inst.Duration
-	s.writeObs(obs)
+	s.enc.encode(obs)
 	return TrainReward(mi.Reward(), s.scale), done
-}
-
-// writeObs overwrites obs (length ObsSize) with the slot's observation,
-// matching RLEnv.obs element for element.
-func (s *vecSlot) writeObs(obs []float64) {
-	v := obs[:0]
-	for _, f := range s.hist {
-		v = append(v, f[0], f[1], f[2])
-	}
-	_ = append(v, rateFeature(s.rate))
 }

@@ -46,7 +46,10 @@ type UseCase struct {
 	Discrete *rl.DiscreteConfig
 	Gaussian *rl.GaussianConfig
 	// NewDiscreteEnv or NewContinuousEnv (whichever matches the agent)
-	// samples a fresh scalar environment from the level's space.
+	// samples a fresh scalar environment from the level's space: the use
+	// case's RLEnv, a width-1 slot view of its VecEnv (the training
+	// dynamics), whose returned observation is rewritten by the next
+	// Reset or Step.
 	NewDiscreteEnv   func(env.RangeLevel, *rand.Rand) rl.DiscreteEnv
 	NewContinuousEnv func(env.RangeLevel, *rand.Rand) rl.ContinuousEnv
 	// Fallback is the rule-based decision for one ObsSize observation: a

@@ -94,48 +94,12 @@ func GenFromDistribution(dist *env.Distribution) EnvGen {
 // cannot dominate a gradient update.
 const slowdownRewardCap = 50
 
-// RLEnv adapts the LB simulator to rl.DiscreteEnv: one step per arriving
-// job, action = observed server index, reward = −slowdown (capped).
-type RLEnv struct {
-	gen     EnvGen
-	stepper *Stepper
-}
-
-// NewRLEnv wraps an environment generator as an RL environment.
-func NewRLEnv(gen EnvGen) *RLEnv { return &RLEnv{gen: gen} }
-
-// ObsSize implements rl.DiscreteEnv.
-func (*RLEnv) ObsSize() int { return ObsSize }
-
-// NumActions implements rl.DiscreteEnv.
-func (*RLEnv) NumActions() int { return NumServers }
-
-// Reset implements rl.DiscreteEnv.
-func (e *RLEnv) Reset(rng *rand.Rand) []float64 {
-	envr := e.gen(rng)
-	st, err := envr.NewStepper(rng)
-	if err != nil {
-		panic(fmt.Sprintf("lb: stepper: %v", err))
-	}
-	e.stepper = st
-	return ObsVector(st.Observe())
-}
-
-// Step implements rl.DiscreteEnv.
-func (e *RLEnv) Step(action int) ([]float64, float64, bool) {
-	if e.stepper == nil {
-		panic("lb: Step before Reset")
-	}
-	slow, _ := e.stepper.Assign(action)
-	if slow > slowdownRewardCap {
-		slow = slowdownRewardCap
-	}
-	reward := -slow
-	if e.stepper.Done() {
-		// Terminal: return a zero observation of the right shape.
-		return make([]float64, ObsSize), reward, true
-	}
-	return ObsVector(e.stepper.Observe()), reward, false
+// NewRLEnv returns the scalar training environment over gen: a width-1
+// VecEnv seen through rl's slot view, so scalar and vectorized training
+// share one copy of the dynamics. One step per arriving job, action =
+// observed server index, reward = −slowdown (capped).
+func NewRLEnv(gen EnvGen) *rl.DiscreteSlot {
+	return rl.NewDiscreteSlot(NewVecEnv(gen, 1))
 }
 
 // AgentPolicy adapts a trained rl.DiscreteAgent into an lb.Policy for

@@ -6,12 +6,12 @@ import (
 )
 
 // VecEnv is the vectorized LB training environment: K independent episodes
-// stepped in lockstep, implementing rl.DiscreteVecEnv. Unlike the abr and cc
-// vectorized environments it regenerates workloads through the ordinary
-// EnvGen (the LB episode state is a cluster of heaps that NewStepper sizes
-// per workload; its per-episode allocation is modest and not on the pinned
-// path), but observations are encoded into the engine's row buffers without
-// per-step allocation.
+// stepped in lockstep, implementing rl.DiscreteVecEnv; NewRLEnv is its
+// width-1 slot view. Unlike the abr and cc vectorized environments it
+// regenerates workloads through the ordinary EnvGen (the LB episode state is
+// a cluster of heaps that NewStepper sizes per workload; its per-episode
+// allocation is modest and not on the pinned path), but observations are
+// encoded into the engine's row buffers without per-step allocation.
 type VecEnv struct {
 	gen   EnvGen
 	slots []vecSlot
@@ -38,7 +38,8 @@ func (*VecEnv) NumActions() int { return NumServers }
 // Width implements rl.DiscreteVecEnv.
 func (v *VecEnv) Width() int { return len(v.slots) }
 
-// ResetSlot implements rl.DiscreteVecEnv, mirroring RLEnv.Reset.
+// ResetSlot implements rl.DiscreteVecEnv: draw a workload and start its
+// job stream.
 func (v *VecEnv) ResetSlot(i int, rng *rand.Rand, obs []float64) {
 	s := &v.slots[i]
 	envr := v.gen(rng)
@@ -50,8 +51,9 @@ func (v *VecEnv) ResetSlot(i int, rng *rand.Rand, obs []float64) {
 	AppendObsVector(obs[:0], st.Observe())
 }
 
-// StepSlot implements rl.DiscreteVecEnv, mirroring RLEnv.Step (including the
-// zero terminal observation).
+// StepSlot implements rl.DiscreteVecEnv: route the arriving job to the
+// action's server, reward the capped negative slowdown, and write the next
+// job's observation (zero after the last job).
 func (v *VecEnv) StepSlot(i int, action int, obs []float64) (float64, bool) {
 	s := &v.slots[i]
 	if s.stepper == nil {

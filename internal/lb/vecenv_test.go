@@ -11,7 +11,8 @@ import (
 
 // Equivalence contract of the vectorized LB environment: CollectVec over
 // NewVecEnv(gen, k) is bit-identical per slot to sequential Collect over
-// NewRLEnv(gen) with the same seed, including the zero terminal observation.
+// NewRLEnv(gen), its width-1 slot view, with the same seed, including the
+// zero terminal observation.
 
 func lbSameBatches(t *testing.T, tag string, seq, vec *rl.Batch) {
 	t.Helper()

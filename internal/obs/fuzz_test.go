@@ -1,0 +1,31 @@
+package obs
+
+import "testing"
+
+// FuzzParseTraceID fuzzes the X-Genet-Trace header parser. It must never
+// panic; an accepted ID fits in TraceIDBits and round-trips through its
+// String form; a rejected one comes back as zero.
+func FuzzParseTraceID(f *testing.F) {
+	for _, seed := range []string{
+		"", "0", "1", "0000000000abc", "fffffffffffff", "FFFFFFFFFFFFF", "10000000000000",
+		"zzz", "-1", "+1", "0x1f", "1_0", "fffffffffffffff1", " 1", "00000000000000000000001",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		id, err := ParseTraceID(s)
+		if err != nil {
+			if id != 0 {
+				t.Fatalf("rejected %q parsed to %v", s, id)
+			}
+			return
+		}
+		if uint64(id)>>TraceIDBits != 0 {
+			t.Fatalf("accepted %q parsed to %#x, wider than %d bits", s, uint64(id), TraceIDBits)
+		}
+		back, err := ParseTraceID(id.String())
+		if err != nil || back != id {
+			t.Fatalf("%q: %v -> %q -> (%v, %v)", s, id, id.String(), back, err)
+		}
+	})
+}

@@ -29,10 +29,11 @@ type Runtime struct {
 	UpdateWorkers int
 
 	// RolloutWorkers caps the goroutines used for rollout collection in
-	// TrainIterationVec (0 means GOMAXPROCS). Bit-identical for every
-	// value: each slot owns its rng stream and the batched forward computes
-	// every row exactly as a batch of one would, so the worker grouping
-	// only changes which goroutine computes what.
+	// TrainIterationVec and CollectVec (0 means GOMAXPROCS), guard and
+	// faults armed or not. Bit-identical for every value: each slot owns
+	// its rng and fault streams and the batched forward computes every row
+	// exactly as a batch of one would, so the worker grouping only changes
+	// which goroutine computes what.
 	RolloutWorkers int
 
 	// Metrics optionally receives per-update telemetry (loss, entropy, grad
@@ -45,12 +46,16 @@ type Runtime struct {
 	// NaN/Inf scan with a skip-update path, rollout panic containment,
 	// and rolling divergence statistics. Nil (the default) costs one nil
 	// check; an armed guard with healthy updates is a pure observer and
-	// keeps training bit-identical.
+	// keeps training bit-identical. Containment runs inside the lockstep
+	// engine: a slot whose env panics in a reset or step is dropped with a
+	// nil batch, and the other slots carry on.
 	Guard *guard.Guard
 
 	// Faults optionally injects deterministic faults (poisoned
 	// gradients, env-step panics, corrupted observations) for chaos
-	// testing. Nil disables injection at zero cost.
+	// testing. Nil disables injection at zero cost. The rollout sites wrap
+	// the vectorized env (faultyVec) with streams keyed by each slot's
+	// seed; Collect never injects.
 	Faults *faults.Injector
 
 	// Recorder optionally records rl/rollout and rl/update spans in the
@@ -67,8 +72,8 @@ func workers(limit int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// scalarEnv is the per-environment contract of the collect loop, satisfied
-// by DiscreteEnv (A = int) and ContinuousEnv (A = []float64).
+// scalarEnv is the per-environment contract of Collect, satisfied by
+// DiscreteEnv (A = int) and ContinuousEnv (A = []float64).
 type scalarEnv[A any] interface {
 	ObsSize() int
 	Reset(rng *rand.Rand) []float64
@@ -137,15 +142,12 @@ type agent[A any] struct {
 	perm                   []int
 	permN                  int
 
-	// Pooled rollout state (per slot or lockstep group) and the merged
-	// batch: together they make the steady-state iteration allocation-free.
+	// Pooled rollout state (per slot or lockstep group), the fault-site
+	// wrapper and the merged batch: together they make the steady-state
+	// iteration allocation-free.
 	seedBuf                  []int64
-	rngPool                  []*rand.Rand
-	collectPool              []*collectState
-	batchPtrs                []*Batch
-	vecObs                   []float64 // [K x ObsSize] current observations
-	vecGroups                []*vecGroup
-	slotViews                []slotEnv[A]
+	roll                     rollout[A]
+	faulty                   faultyVec[A]
 	merged                   Batch
 	trainPCache, trainVCache *nn.BatchCache
 }
@@ -271,9 +273,8 @@ func (c *agent[A]) ensureShards(k int) {
 
 // collectState is the reusable workspace of one slot's rollout.
 type collectState struct {
-	ps, vs1        *nn.Scratch    // batch-1 policy (scalar loop) and value (bootstrap) scratch
+	vs1            *nn.Scratch    // batch-1 value scratch (truncation bootstrap)
 	pCache, vCache *nn.BatchCache // recorded rollout activations
-	ws             []float64      // the head's sampling workspace
 	epRew          float64        // reward of the episode in flight
 	ar             floatArena
 	trs            []Transition
@@ -282,11 +283,9 @@ type collectState struct {
 
 func (c *agent[A]) newCollectState(maxSteps int) *collectState {
 	return &collectState{
-		ps:     c.policy.NewScratch(1),
 		vs1:    c.value.NewScratch(1),
 		pCache: c.policy.NewBatchCache(maxSteps + 1),
 		vCache: c.value.NewBatchCache(maxSteps + 1),
-		ws:     make([]float64, c.policy.OutSize()),
 		trs:    make([]Transition, 0, maxSteps+1),
 	}
 }
@@ -302,11 +301,11 @@ func (st *collectState) begin() *Batch {
 	return &st.batch
 }
 
-// record is the per-slot state machine both collect loops share: it appends
-// tr (whose step left observation next) and reports whether the slot goes
-// on, resetting first if tr ended an episode. A slot collects at least one
-// full episode, then stops at perSlot transitions, truncating a live
-// episode with a V(s') bootstrap.
+// record is the per-slot state machine of the collect loop: it appends tr
+// (whose step left observation next) and reports whether the slot goes on,
+// resetting first if tr ended an episode. A slot collects at least one full
+// episode, then stops at perSlot transitions, truncating a live episode
+// with a V(s') bootstrap.
 func (c *agent[A]) record(st *collectState, tr *Transition, next []float64, perSlot int) bool {
 	b := &st.batch
 	st.epRew += tr.Reward
@@ -343,37 +342,24 @@ func (c *agent[A]) finishCollect(st *collectState) {
 	st.trs = b.Transitions[:0]
 }
 
-// Collect rolls the stochastic policy through env for up to maxSteps steps,
-// restarting episodes as they finish, and returns the batch. At least one
-// full episode is always collected, even if it exceeds maxSteps.
-//
-// Collect owns its forward scratches and observation arena, so the per-step
-// cost is allocation-free; it is safe to run concurrently with other Collect
-// calls on the same agent (the networks are only read).
-func (c *agent[A]) Collect(env scalarEnv[A], maxSteps int, rng *rand.Rand) *Batch {
-	return c.collectWith(c.newCollectState(maxSteps), env, maxSteps, rng)
+// rollout is the workspace of one run of the lockstep engine over the
+// slots of venv: per-slot rng streams, collect states and result batches,
+// the [K x ObsSize] observation matrix the slots step in, and the
+// per-worker groups.
+type rollout[A any] struct {
+	venv    vecEnv[A]
+	perSlot int
+	d       int  // venv.ObsSize()
+	contain bool // recover a slot's env panic instead of propagating it
+	rngs    []*rand.Rand
+	states  []*collectState
+	batches []*Batch
+	obs     []float64
+	groups  []*vecGroup
 }
 
-// collectWith is the scalar collect loop over a caller-owned workspace: the
-// lockstep engine's reference and the guarded/faulted fallback.
-func (c *agent[A]) collectWith(st *collectState, env scalarEnv[A], perSlot int, rng *rand.Rand) *Batch {
-	b := st.begin()
-	obs := env.Reset(rng)
-	for {
-		out := c.policy.ForwardBatch(st.ps, obs, 1)
-		st.pCache.AppendScratch(st.ps)
-		action, tr := c.head.sample(out, st.ws, rng, &st.ar)
-		// Clone before stepping: env may reuse the observation slice.
-		tr.Obs = st.ar.clone(obs)
-		obs, tr.Reward, tr.Done = env.Step(action)
-		if !c.record(st, &tr, obs, perSlot) {
-			return b
-		}
-		if tr.Done {
-			obs = env.Reset(rng)
-		}
-	}
-}
+// row returns slot i's observation row.
+func (r *rollout[A]) row(i int) []float64 { return r.obs[i*r.d : (i+1)*r.d] }
 
 // vecGroup is the reusable per-worker state of the lockstep engine.
 type vecGroup struct {
@@ -383,23 +369,30 @@ type vecGroup struct {
 	ws    []float64   // the head's sampling workspace
 }
 
-// prepareSlots sizes the per-slot pools for venv's width and perSlot steps,
-// and reseeds slot i's rng from seedBuf[i] — bit-identical to a fresh
-// rand.New(rand.NewSource(seed)) without the two allocations.
-func (c *agent[A]) prepareSlots(venv vecEnv[A], perSlot int) {
-	k, d := venv.Width(), venv.ObsSize()
-	for len(c.rngPool) < k {
-		c.rngPool = append(c.rngPool, rand.New(rand.NewSource(0)))
+func (c *agent[A]) newVecGroup(rows int) *vecGroup {
+	return &vecGroup{ps: c.policy.NewScratch(rows), ws: make([]float64, c.policy.OutSize())}
+}
+
+// Collect rolls the stochastic policy through env for up to maxSteps steps,
+// restarting episodes as they finish, and returns the batch. At least one
+// full episode is always collected, even if it exceeds maxSteps.
+//
+// Collect is a width-1 run of the lockstep engine on rng over a workspace
+// of its own, so the batch stays valid after later collects, and Collect is
+// safe to run concurrently with other Collect calls on the same agent (the
+// networks are only read). It never injects faults or contains panics.
+func (c *agent[A]) Collect(env scalarEnv[A], maxSteps int, rng *rand.Rand) *Batch {
+	r := &rollout[A]{
+		venv:    vecAdapter[A, scalarEnv[A]]{envs: []scalarEnv[A]{env}},
+		perSlot: maxSteps,
+		d:       env.ObsSize(),
+		rngs:    []*rand.Rand{rng},
+		states:  []*collectState{c.newCollectState(maxSteps)},
+		batches: make([]*Batch, 1),
+		obs:     make([]float64, env.ObsSize()),
 	}
-	for i := 0; i < k; i++ {
-		c.rngPool[i].Seed(c.seedBuf[i])
-	}
-	for len(c.collectPool) < k {
-		c.collectPool = append(c.collectPool, c.newCollectState(perSlot))
-	}
-	c.batchPtrs = grow(c.batchPtrs, k)
-	c.vecObs = grow(c.vecObs, k*d)
-	c.slotViews = grow(c.slotViews, k)
+	c.runGroup(r, c.newVecGroup(1), 0, 1)
+	return r.batches[0]
 }
 
 // CollectVec rolls the policy through every slot of venv and returns one
@@ -417,71 +410,81 @@ func (c *agent[A]) CollectVec(venv vecEnv[A], perSlot int, seeds []int64) []*Bat
 	}
 	c.seedBuf = grow(c.seedBuf, k)
 	copy(c.seedBuf, seeds)
-	c.collect(venv, perSlot)
-	return append([]*Batch(nil), c.batchPtrs...)
+	return append([]*Batch(nil), c.collect(venv, perSlot)...)
 }
 
-// collect rolls out every slot of venv, seeded from seedBuf, into batchPtrs:
-// through the lockstep engine, or the scalar loop per slot when the guard or
-// rollout faults are armed (see collectSlotsScalar) — the same batches.
-func (c *agent[A]) collect(venv vecEnv[A], perSlot int) {
-	c.prepareSlots(venv, perSlot)
-	wrapFaults := c.Faults.SiteEnabled(faults.EnvStepPanic) || c.Faults.SiteEnabled(faults.TraceCorrupt)
-	if wrapFaults || c.Guard.Enabled() {
-		c.collectSlotsScalar(venv, perSlot, wrapFaults, c.Guard.Enabled())
-		return
-	}
+// collect rolls out every slot of venv, seeded from seedBuf, through the
+// agent's pooled rollout and returns its per-slot batches. Armed or not, it
+// is one engine: the fault sites wrap venv (see faultyVec) and an armed
+// guard contains slot panics (see contain).
+func (c *agent[A]) collect(venv vecEnv[A], perSlot int) []*Batch {
 	k := venv.Width()
+	r := &c.roll
+	for len(r.rngs) < k {
+		// Reseeded below: bit-identical to a fresh
+		// rand.New(rand.NewSource(seed)) without the two allocations.
+		r.rngs = append(r.rngs, rand.New(rand.NewSource(0)))
+	}
+	for i := 0; i < k; i++ {
+		r.rngs[i].Seed(c.seedBuf[i])
+	}
+	for len(r.states) < k {
+		r.states = append(r.states, c.newCollectState(perSlot))
+	}
+	r.venv = c.faulty.wrap(venv, c.Faults, c.seedBuf[:k])
+	r.perSlot, r.d, r.contain = perSlot, venv.ObsSize(), c.Guard.Enabled()
+	r.batches = grow(r.batches, k)
+	r.obs = grow(r.obs, k*r.d)
 	groups := min(workers(c.RolloutWorkers), k)
-	for len(c.vecGroups) < groups {
-		c.vecGroups = append(c.vecGroups, &vecGroup{
-			ps: c.policy.NewScratch(k/groups + 1),
-			ws: make([]float64, c.policy.OutSize()),
-		})
+	for len(r.groups) < groups {
+		r.groups = append(r.groups, c.newVecGroup(k/groups+1))
 	}
 	par.ForN(groups, groups, func(gi int) {
 		lo, hi := groupBounds(gi, groups, k)
-		c.collectVecGroup(c.vecGroups[gi], venv, lo, hi, perSlot)
+		c.runGroup(r, r.groups[gi], lo, hi)
 	})
+	return r.batches
 }
 
-// collectVecGroup runs the lockstep collect loop over slots [lo,hi): reset
+// runGroup runs the lockstep collect loop over slots [lo,hi) of r: reset
 // every slot, then per tick pack the active slots' observations, run one
 // batched policy forward, and advance each active slot (in index order)
-// through sample, step and record — the exact per-slot state machine of the
-// scalar loop. Per-slot results are bit-identical to it: every row of a
-// batched forward equals the batch-1 forward of that row (see
-// nn.matmulNT), each slot draws all its randomness from its own rng, and
-// per-slot activation caches record rows in the slot's own step order.
-func (c *agent[A]) collectVecGroup(g *vecGroup, venv vecEnv[A], lo, hi, perSlot int) {
-	d := venv.ObsSize()
+// through sample, step and record. Per-slot results are independent of
+// the grouping and bit-identical to a scalar loop over the slot (the
+// reference in oracle_test.go): every row of a batched forward equals the
+// batch-1 forward of that row (see nn.matmulNT), each slot draws all its
+// randomness from its own rng, and per-slot activation caches record rows
+// in the slot's own step order.
+func (c *agent[A]) runGroup(r *rollout[A], g *vecGroup, lo, hi int) {
+	d := r.d
 	k := c.policy.OutSize()
 	g.slots = g.slots[:0]
 	for i := lo; i < hi; i++ {
-		c.batchPtrs[i] = c.collectPool[i].begin()
-		venv.ResetSlot(i, c.rngPool[i], c.vecObs[i*d:(i+1)*d])
-		g.slots = append(g.slots, i)
+		r.batches[i] = r.states[i].begin()
+		if c.resetSlot(r, i) {
+			g.slots = append(g.slots, i)
+		}
 	}
 	for len(g.slots) > 0 {
 		m := len(g.slots)
 		g.x = grow(g.x, m*d)
-		for r, i := range g.slots {
-			copy(g.x[r*d:(r+1)*d], c.vecObs[i*d:(i+1)*d])
+		for j, i := range g.slots {
+			copy(g.x[j*d:(j+1)*d], r.row(i))
 		}
 		out := c.policy.ForwardBatch(g.ps, g.x, m)
 		w := 0
-		for r, i := range g.slots {
-			st := c.collectPool[i]
-			row := c.vecObs[i*d : (i+1)*d]
-			st.pCache.AppendScratchRow(g.ps, r)
-			action, tr := c.head.sample(out[r*k:(r+1)*k], g.ws, c.rngPool[i], &st.ar)
+		for j, i := range g.slots {
+			st := r.states[i]
+			row := r.row(i)
+			st.pCache.AppendScratchRow(g.ps, j)
+			action, tr := c.head.sample(out[j*k:(j+1)*k], g.ws, r.rngs[i], &st.ar)
 			tr.Obs = st.ar.clone(row)
-			tr.Reward, tr.Done = venv.StepSlot(i, action, row)
-			if !c.record(st, &tr, row, perSlot) {
+			var ok bool
+			if tr.Reward, tr.Done, ok = c.stepSlot(r, i, action); !ok || !c.record(st, &tr, row, r.perSlot) {
 				continue
 			}
-			if tr.Done {
-				venv.ResetSlot(i, c.rngPool[i], row)
+			if tr.Done && !c.resetSlot(r, i) {
+				continue
 			}
 			g.slots[w] = i
 			w++
@@ -490,36 +493,37 @@ func (c *agent[A]) collectVecGroup(g *vecGroup, venv vecEnv[A], lo, hi, perSlot 
 	}
 }
 
-// collectSlotsScalar runs the scalar loop per slot over slot views of a
-// prepared venv, in parallel. Fault streams are keyed by the slot seed, so
-// chaos schedules replay regardless of scheduling; with the guard armed a
-// panicking slot is contained: it leaves a nil batch, the survivors still
-// train, and the guard's quarantine policy sees the fault.
-func (c *agent[A]) collectSlotsScalar(venv vecEnv[A], perSlot int, wrapFaults, contain bool) {
-	d := venv.ObsSize()
-	par.For(venv.Width(), func(i int) {
-		c.slotViews[i] = slotEnv[A]{v: venv, i: i, row: c.vecObs[i*d : (i+1)*d]}
-		var env scalarEnv[A] = &c.slotViews[i]
-		if wrapFaults {
-			env = &faultyEnv[A]{
-				scalarEnv: env,
-				panicSt:   c.Faults.Stream(faults.EnvStepPanic, c.seedBuf[i]),
-				corruptSt: c.Faults.Stream(faults.TraceCorrupt, c.seedBuf[i]),
-			}
-		}
-		if contain {
-			// Containment is opt-in via the guard: with no guard a
-			// rollout panic is a genuine bug and must crash loudly.
-			defer func() {
-				if r := recover(); r != nil {
-					c.batchPtrs[i] = nil
-					c.Guard.RecordRolloutFault(r)
-					c.Metrics.Counter("guard/contained_rollouts").Inc()
-				}
-			}()
-		}
-		c.batchPtrs[i] = c.collectWith(c.collectPool[i], env, perSlot, c.rngPool[i])
-	})
+// resetSlot starts a new episode in slot i of r, reporting false if the
+// env panicked and the panic was contained.
+func (c *agent[A]) resetSlot(r *rollout[A], i int) (ok bool) {
+	if r.contain {
+		defer c.contain(r, i)
+	}
+	r.venv.ResetSlot(i, r.rngs[i], r.row(i))
+	return true
+}
+
+// stepSlot applies action to slot i of r, reporting ok false if the env
+// panicked and the panic was contained.
+func (c *agent[A]) stepSlot(r *rollout[A], i int, action A) (reward float64, done, ok bool) {
+	if r.contain {
+		defer c.contain(r, i)
+	}
+	reward, done = r.venv.StepSlot(i, action, r.row(i))
+	return reward, done, true
+}
+
+// contain is deferred around a slot's env call when the guard is armed: it
+// recovers a panic, leaves the slot a nil batch (the engine drops the slot,
+// the survivors still train) and puts the fault on the guard's record for
+// its quarantine policy. Containment is opt-in via the guard: with no guard
+// a rollout panic is a genuine bug and must crash loudly.
+func (c *agent[A]) contain(r *rollout[A], i int) {
+	if v := recover(); v != nil {
+		r.batches[i] = nil
+		c.Guard.RecordRolloutFault(v)
+		c.Metrics.Counter("guard/contained_rollouts").Inc()
+	}
 }
 
 // --- training ---
@@ -542,7 +546,7 @@ func (c *agent[A]) TrainIterationVec(venv vecEnv[A], totalSteps int, rng *rand.R
 	}
 	rt := c.Metrics.StartTimer("rl/rollout_seconds")
 	rsp := c.Recorder.Start("rl/rollout")
-	c.collect(venv, perEnv)
+	batches := c.collect(venv, perEnv)
 	rt.Stop()
 	if c.Recorder.Enabled() {
 		rsp.EndArgs(
@@ -550,7 +554,7 @@ func (c *agent[A]) TrainIterationVec(venv vecEnv[A], totalSteps int, rng *rand.R
 			obs.Arg{K: "steps_per_env", V: float64(perEnv)})
 	}
 	c.Guard.ObserveRollouts()
-	return c.mergeAndUpdate(c.batchPtrs, rng)
+	return c.mergeAndUpdate(batches, rng)
 }
 
 // mergeAndUpdate merges the per-slot batches in index order, skipping

@@ -7,9 +7,12 @@
 // control).
 //
 // Both learners are one rollout/training core (agent.go), generic over the
-// action type: networks, optimizers, Runtime attachments, pools, the
-// lockstep and scalar collect loops, TrainIterationVec and the checks around
-// every optimizer apply. Each learner is a small policy head on it: the
+// action type: networks, optimizers, Runtime attachments, pools, the one
+// collect loop (the lockstep engine, which Collect runs at width 1 and
+// TrainIterationVec runs over a vectorized env, guard and faults armed or
+// not), TrainIterationVec and the checks around every optimizer apply. A
+// scalar environment is a slot view of a vectorized one (DiscreteSlot,
+// ContinuousSlot). Each learner is a small policy head on it: the
 // categorical DiscreteAgent with a single-pass A2C update replaying the
 // rollout's activations, and the diagonal-Gaussian GaussianAgent with PPO
 // epochs over shuffled minibatches and a log-std Adam.
@@ -37,6 +40,9 @@ type DiscreteEnv interface {
 	// Step applies an action, returning the next observation, the reward
 	// for the transition, and whether the episode ended.
 	Step(action int) (obs []float64, reward float64, done bool)
+	// The observation slice Reset or Step returns lives until the next
+	// Reset or Step: an env may rewrite it in place, so callers that keep
+	// an observation copy it.
 }
 
 // ContinuousEnv is a sequential decision environment with a real-valued
@@ -50,6 +56,8 @@ type ContinuousEnv interface {
 	Reset(rng *rand.Rand) []float64
 	// Step applies an action vector.
 	Step(action []float64) (obs []float64, reward float64, done bool)
+	// As for DiscreteEnv, the returned observation slice lives until the
+	// next Reset or Step.
 }
 
 // Transition is one (s, a, r) step of a rollout with the bookkeeping the

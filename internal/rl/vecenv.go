@@ -21,9 +21,9 @@ import (
 //
 // Slots must be independent: the engine may step different slots from
 // different goroutines (never the same slot concurrently), so per-slot state
-// must not be shared mutably across slots. A slot's dynamics given its rng
-// draws must be identical to the scalar environment it vectorizes — the
-// equivalence tests in the abr, cc, and lb packages pin this bit-exactly.
+// must not be shared mutably across slots. StepSlot must not read obs: the
+// engine may have poisoned the row (the TraceCorrupt fault site) since the
+// slot wrote it. NewDiscreteSlot turns a width-1 env back into a DiscreteEnv.
 type DiscreteVecEnv interface {
 	ObsSize() int
 	NumActions() int
@@ -108,27 +108,61 @@ func copyObs(dst, src []float64, d int) {
 	copy(dst, src)
 }
 
-// slotEnv adapts one slot of a vectorized environment back into a scalar
-// environment over a caller-owned observation row. TrainIterationVec uses
-// it on the guarded/fault-injected fallback path, where per-slot panic
-// containment and fault-stream wrapping need the scalar collect loop. The
-// returned observation slice is reused between calls; the scalar loop
-// clones each observation into its arena before stepping, so the aliasing
-// is safe.
-type slotEnv[A any] struct {
-	v   vecEnv[A]
-	i   int
+// DiscreteSlot is a width-1 DiscreteVecEnv seen as a DiscreteEnv. The abr,
+// cc and lb packages build their scalar RLEnv this way, over their VecEnv,
+// so the VecEnv is the one copy of each use case's training dynamics. Reset
+// and Step return the slot's own observation row, rewritten by the next
+// call.
+type DiscreteSlot struct {
+	slotEnv[int, DiscreteVecEnv]
+}
+
+// NewDiscreteSlot views the one slot of v as a DiscreteEnv.
+func NewDiscreteSlot(v DiscreteVecEnv) *DiscreteSlot {
+	return &DiscreteSlot{newSlotEnv[int](v)}
+}
+
+// NumActions implements DiscreteEnv.
+func (s *DiscreteSlot) NumActions() int { return s.v.NumActions() }
+
+// ContinuousSlot is the continuous-action twin of DiscreteSlot.
+type ContinuousSlot struct {
+	slotEnv[[]float64, ContinuousVecEnv]
+}
+
+// NewContinuousSlot views the one slot of v as a ContinuousEnv.
+func NewContinuousSlot(v ContinuousVecEnv) *ContinuousSlot {
+	return &ContinuousSlot{newSlotEnv[[]float64](v)}
+}
+
+// ActionDim implements ContinuousEnv.
+func (s *ContinuousSlot) ActionDim() int { return s.v.ActionDim() }
+
+// slotEnv is the core of DiscreteSlot and ContinuousSlot: slot 0 of v over
+// an observation row of its own.
+type slotEnv[A any, V vecEnv[A]] struct {
+	v   V
 	row []float64
 }
 
-func (s *slotEnv[A]) ObsSize() int { return s.v.ObsSize() }
+func newSlotEnv[A any, V vecEnv[A]](v V) slotEnv[A, V] {
+	if v.Width() != 1 {
+		panic(fmt.Sprintf("rl: slot view of a width-%d env", v.Width()))
+	}
+	return slotEnv[A, V]{v: v, row: make([]float64, v.ObsSize())}
+}
 
-func (s *slotEnv[A]) Reset(rng *rand.Rand) []float64 {
-	s.v.ResetSlot(s.i, rng, s.row)
+// ObsSize implements DiscreteEnv and ContinuousEnv.
+func (s *slotEnv[A, V]) ObsSize() int { return s.v.ObsSize() }
+
+// Reset implements DiscreteEnv and ContinuousEnv.
+func (s *slotEnv[A, V]) Reset(rng *rand.Rand) []float64 {
+	s.v.ResetSlot(0, rng, s.row)
 	return s.row
 }
 
-func (s *slotEnv[A]) Step(action A) ([]float64, float64, bool) {
-	reward, done := s.v.StepSlot(s.i, action, s.row)
+// Step implements DiscreteEnv and ContinuousEnv.
+func (s *slotEnv[A, V]) Step(action A) ([]float64, float64, bool) {
+	reward, done := s.v.StepSlot(0, action, s.row)
 	return s.row, reward, done
 }

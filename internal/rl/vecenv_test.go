@@ -8,12 +8,13 @@ import (
 )
 
 // The vectorized rollout engine's determinism contract: CollectVec over a
-// vectorized environment is bit-identical, per slot, to sequential Collect
-// over the equivalent scalar environment with the same seed — and therefore
-// TrainIterationVec is bit-identical to the same iteration spelled out over
-// the scalar collect loop. These tests pin the
-// contract on the generic scalar-wrapping adapters with the toy envs; the
-// abr, cc, and lb packages pin it again on the native SoA environments.
+// vectorized environment is bit-identical, per slot, to the sequential
+// scalar loop (oracleCollect, oracle_test.go) over the equivalent scalar
+// environment with the same seed — and therefore TrainIterationVec is
+// bit-identical to the same iteration spelled out over the scalar loop.
+// These tests pin the contract on the generic scalar-wrapping adapters with
+// the toy envs; the abr, cc, and lb packages pin CollectVec against Collect
+// over their RLEnv slot views.
 
 func sameTransitions(t *testing.T, tag string, seq, vec []Transition) {
 	t.Helper()
@@ -63,7 +64,7 @@ func TestDiscreteCollectVecMatchesSequential(t *testing.T) {
 
 		seq := make([]*Batch, width)
 		for i := range seq {
-			seq[i] = agent.Collect(&bandit{nActions: 3}, 40, rand.New(rand.NewSource(seeds[i])))
+			seq[i] = oracleCollect(&agent.agent, &bandit{nActions: 3}, 40, rand.New(rand.NewSource(seeds[i])))
 		}
 
 		envs := make([]DiscreteEnv, width)
@@ -95,7 +96,7 @@ func TestGaussianCollectVecMatchesSequential(t *testing.T) {
 
 		seq := make([]*Batch, width)
 		for i := range seq {
-			seq[i] = agent.Collect(&tracker{}, 40, rand.New(rand.NewSource(seeds[i])))
+			seq[i] = oracleCollect(&agent.agent, &tracker{}, 40, rand.New(rand.NewSource(seeds[i])))
 		}
 
 		envs := make([]ContinuousEnv, width)
@@ -111,9 +112,9 @@ func TestGaussianCollectVecMatchesSequential(t *testing.T) {
 }
 
 // referenceIteration is one train iteration spelled out over the scalar
-// collect loop: per-slot seeds drawn from rng in slot order, one sequential
-// Collect per environment with its own seeded rng, batches merged in slot
-// order, and one update drawing from rng after the seeds.
+// loop: per-slot seeds drawn from rng in slot order, one oracleCollect per
+// environment with its own seeded rng, batches merged in slot order, and
+// one update drawing from rng after the seeds.
 func referenceIteration[A any](c *agent[A], envs []scalarEnv[A], totalSteps int, rng *rand.Rand) (float64, UpdateStats) {
 	seeds := make([]int64, len(envs))
 	for i := range seeds {
@@ -121,7 +122,7 @@ func referenceIteration[A any](c *agent[A], envs []scalarEnv[A], totalSteps int,
 	}
 	merged := &Batch{}
 	for i, e := range envs {
-		b := c.Collect(e, totalSteps/len(envs), rand.New(rand.NewSource(seeds[i])))
+		b := oracleCollect(c, e, totalSteps/len(envs), rand.New(rand.NewSource(seeds[i])))
 		merged.Transitions = append(merged.Transitions, b.Transitions...)
 		merged.Episodes += b.Episodes
 		merged.TotalReward += b.TotalReward

@@ -119,7 +119,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	core.SetHarnessMetrics(h, reg)
 
 	// The live status view backs the introspection server's /run endpoint;
 	// it stays nil (free) without -introspect.
@@ -220,12 +219,7 @@ func main() {
 		total := *rounds * *iters
 		// No round structure means no rollback/quarantine policy, but the
 		// per-update scan and rollout containment still apply.
-		core.SetHarnessGuard(h, g)
-		core.SetHarnessFaults(h, injector)
-		core.SetHarnessRecorder(h, rec)
-		if g.Enabled() && reg.Enabled() {
-			g.SetMetrics(reg)
-		}
+		core.AttachHooks(h, reg, g, injector, rec)
 		fmt.Fprintf(os.Stderr, "training traditional %s on %s for %d iterations...\n", *strategy, uc.Name, total)
 		curve := core.TrainTraditional(h, total, rng)
 		fmt.Fprintf(os.Stderr, "final training reward: %.3f\n", curve[len(curve)-1])

@@ -22,53 +22,45 @@ type AgentStateHarness interface {
 	LoadAgentState(r io.Reader) error
 }
 
-// replaceAgent swaps *cur for the agent state load reads from r after
-// checking the configs agree. The replaced agent's rl.Runtime (worker caps,
-// metrics, guard, faults, flight recorder) carries over whole, so a resumed
-// or rolled-back run keeps every attachment. parts exposes an agent's
-// config and runtime.
-func replaceAgent[A, C any](cur **A, r io.Reader, load func(io.Reader) (*A, error), parts func(*A) (C, *rl.Runtime)) error {
-	loaded, err := load(r)
+// agentKind is what the harness needs of an rl agent type beyond the
+// rlAgent methods.
+type agentKind[A any] struct {
+	// parts exposes an agent's config and runtime attachments.
+	parts func(A) (cfg any, rt *rl.Runtime)
+	// loadState reads an agent written by SaveState.
+	loadState func(io.Reader) (A, error)
+	// model wraps an agent as a loaded policy.
+	model func(A) Agent
+}
+
+var (
+	discreteKind = agentKind[*rl.DiscreteAgent]{
+		parts:     func(a *rl.DiscreteAgent) (any, *rl.Runtime) { return a.Config(), &a.Runtime },
+		loadState: rl.LoadDiscreteAgentState,
+		model:     func(a *rl.DiscreteAgent) Agent { return Agent{Discrete: a} },
+	}
+	gaussianKind = agentKind[*rl.GaussianAgent]{
+		parts:     func(a *rl.GaussianAgent) (any, *rl.Runtime) { return a.Config(), &a.Runtime },
+		loadState: rl.LoadGaussianAgentState,
+		model:     func(a *rl.GaussianAgent) Agent { return Agent{Gaussian: a} },
+	}
+)
+
+// replaceAgent swaps *cur for the agent state read from r after checking
+// the configs agree. The replaced agent's rl.Runtime (worker caps, metrics,
+// guard, faults, flight recorder) carries over whole, so a resumed or
+// rolled-back run keeps every attachment.
+func replaceAgent[A any](cur *A, r io.Reader, kind agentKind[A]) error {
+	loaded, err := kind.loadState(r)
 	if err != nil {
 		return err
 	}
-	cfg, rt := parts(loaded)
-	oldCfg, oldRT := parts(*cur)
+	cfg, rt := kind.parts(loaded)
+	oldCfg, oldRT := kind.parts(*cur)
 	if !reflect.DeepEqual(cfg, oldCfg) {
 		return fmt.Errorf("core: checkpointed agent config %+v does not match harness config %+v", cfg, oldCfg)
 	}
 	*rt = *oldRT
 	*cur = loaded
 	return nil
-}
-
-func discreteParts(a *rl.DiscreteAgent) (rl.DiscreteConfig, *rl.Runtime) {
-	return a.Config(), &a.Runtime
-}
-func gaussianParts(a *rl.GaussianAgent) (rl.GaussianConfig, *rl.Runtime) {
-	return a.Config(), &a.Runtime
-}
-
-// SaveAgentState implements AgentStateHarness.
-func (h *ABRHarness) SaveAgentState(w io.Writer) error { return h.Agent.SaveState(w) }
-
-// LoadAgentState implements AgentStateHarness.
-func (h *ABRHarness) LoadAgentState(r io.Reader) error {
-	return replaceAgent(&h.Agent, r, rl.LoadDiscreteAgentState, discreteParts)
-}
-
-// SaveAgentState implements AgentStateHarness.
-func (h *LBHarness) SaveAgentState(w io.Writer) error { return h.Agent.SaveState(w) }
-
-// LoadAgentState implements AgentStateHarness.
-func (h *LBHarness) LoadAgentState(r io.Reader) error {
-	return replaceAgent(&h.Agent, r, rl.LoadDiscreteAgentState, discreteParts)
-}
-
-// SaveAgentState implements AgentStateHarness.
-func (h *CCHarness) SaveAgentState(w io.Writer) error { return h.Agent.SaveState(w) }
-
-// LoadAgentState implements AgentStateHarness.
-func (h *CCHarness) LoadAgentState(r io.Reader) error {
-	return replaceAgent(&h.Agent, r, rl.LoadGaussianAgentState, gaussianParts)
 }

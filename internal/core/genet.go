@@ -293,25 +293,11 @@ type Trainer struct {
 }
 
 // NewTrainer builds a trainer; opts fields at zero take Algorithm 2
-// defaults. A non-nil opts.Metrics is attached to the harness as well,
-// and a non-nil Guard or Faults is threaded through to the harness agent.
+// defaults. The non-nil hooks among opts.Metrics, Guard, Faults and
+// Recorder are attached to the harness and its agent (AttachHooks).
 func NewTrainer(h Harness, opts Options) *Trainer {
 	opts.defaults()
-	if opts.Metrics.Enabled() {
-		SetHarnessMetrics(h, opts.Metrics)
-	}
-	if opts.Guard.Enabled() {
-		SetHarnessGuard(h, opts.Guard)
-		if opts.Metrics.Enabled() {
-			opts.Guard.SetMetrics(opts.Metrics)
-		}
-	}
-	if opts.Faults != nil {
-		SetHarnessFaults(h, opts.Faults)
-	}
-	if opts.Recorder.Enabled() {
-		SetHarnessRecorder(h, opts.Recorder)
-	}
+	AttachHooks(h, opts.Metrics, opts.Guard, opts.Faults, opts.Recorder)
 	return &Trainer{h: h, opts: opts}
 }
 

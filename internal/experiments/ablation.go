@@ -111,11 +111,11 @@ func runAblationEnsemble(scale Scale, seed int64) (*Result, error) {
 	}
 	{
 		rng := rand.New(rand.NewSource(seed))
-		h, err := b.harness(core.CC, env.RL3, rng)
+		h, err := b.ccHarness(env.RL3, rng)
 		if err != nil {
 			return nil, err
 		}
-		ccAgentOf(h).Ensemble = []func() cc.Sender{
+		h.Ensemble = []func() cc.Sender{
 			func() cc.Sender { return cc.NewBBR() },
 			func() cc.Sender { return cc.NewCubic() },
 			func() cc.Sender { return cc.NewCopa() },

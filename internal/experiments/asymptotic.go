@@ -159,33 +159,31 @@ func runFig12(scale Scale, seed int64) (*Result, error) {
 	ccTest := &trace.Set{Name: "cc-test", Traces: append(append([]*trace.Trace{}, ts.cellularTest.Traces...), ts.ethernetTest.Traces...)}
 	for _, ratio := range ratios {
 		rng := rand.New(rand.NewSource(seed + int64(ratio*100)))
-		h, err := b.harness(core.CC, env.RL3, rng)
+		h, err := b.ccHarness(env.RL3, rng)
 		if err != nil {
 			return nil, err
 		}
-		ch := ccAgentOf(h)
-		ch.TraceSet = ccTrain
-		ch.TraceProb = ratio
+		h.TraceSet = ccTrain
+		h.TraceProb = ratio
 		core.TrainTraditional(h, b.totalIters(), rng)
 		r := ccEvalTraces(map[string]func() cc.Sender{
-			"rl": func() cc.Sender { return &cc.AgentSender{Agent: ch.Agent} },
+			"rl": func() cc.Sender { return &cc.AgentSender{Agent: h.Agent} },
 		}, ccTest, seed+31)
 		res.AddRow(fmt.Sprintf("cc-rl-real%.0f%%", ratio*100), meanOf(r["rl"]))
 	}
 	{
 		rng := rand.New(rand.NewSource(seed + 77))
-		h, err := b.harness(core.CC, env.RL3, rng)
+		h, err := b.ccHarness(env.RL3, rng)
 		if err != nil {
 			return nil, err
 		}
-		ch := ccAgentOf(h)
-		ch.TraceSet = ccTrain
-		ch.TraceProb = 0.3
+		h.TraceSet = ccTrain
+		h.TraceProb = 0.3
 		if _, err := core.NewTrainer(h, b.genetOptions()).Run(rng); err != nil {
 			return nil, err
 		}
 		r := ccEvalTraces(map[string]func() cc.Sender{
-			"rl": func() cc.Sender { return &cc.AgentSender{Agent: ch.Agent} },
+			"rl": func() cc.Sender { return &cc.AgentSender{Agent: h.Agent} },
 		}, ccTest, seed+31)
 		res.AddRow("cc-genet", meanOf(r["rl"]))
 	}
@@ -195,33 +193,31 @@ func runFig12(scale Scale, seed int64) (*Result, error) {
 	abrTest := &trace.Set{Name: "abr-test", Traces: append(append([]*trace.Trace{}, ts.fccTest.Traces...), ts.norwayTest.Traces...)}
 	for _, ratio := range ratios {
 		rng := rand.New(rand.NewSource(seed + 200 + int64(ratio*100)))
-		h, err := b.harness(core.ABR, env.RL3, rng)
+		h, err := b.abrHarness(rng)
 		if err != nil {
 			return nil, err
 		}
-		ah := abrAgentOf(h)
-		ah.TraceSet = abrTrain
-		ah.TraceProb = ratio
+		h.TraceSet = abrTrain
+		h.TraceProb = ratio
 		core.TrainTraditional(h, b.totalIters(), rng)
 		r := abrEvalTraces(map[string]abr.Policy{
-			"rl": &abr.AgentPolicy{Agent: ah.Agent},
+			"rl": &abr.AgentPolicy{Agent: h.Agent},
 		}, abrTest, seed+32)
 		res.AddRow(fmt.Sprintf("abr-rl-real%.0f%%", ratio*100), meanOf(r["rl"]))
 	}
 	{
 		rng := rand.New(rand.NewSource(seed + 277))
-		h, err := b.harness(core.ABR, env.RL3, rng)
+		h, err := b.abrHarness(rng)
 		if err != nil {
 			return nil, err
 		}
-		ah := abrAgentOf(h)
-		ah.TraceSet = abrTrain
-		ah.TraceProb = 0.3
+		h.TraceSet = abrTrain
+		h.TraceProb = 0.3
 		if _, err := core.NewTrainer(h, b.genetOptions()).Run(rng); err != nil {
 			return nil, err
 		}
 		r := abrEvalTraces(map[string]abr.Policy{
-			"rl": &abr.AgentPolicy{Agent: ah.Agent},
+			"rl": &abr.AgentPolicy{Agent: h.Agent},
 		}, abrTest, seed+32)
 		res.AddRow("abr-genet", meanOf(r["rl"]))
 	}

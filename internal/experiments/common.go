@@ -65,6 +65,24 @@ func (b budget) harness(uc *core.UseCase, level env.RangeLevel, rng *rand.Rand) 
 	return uc.NewHarness(level, "", 0, scaleSteps(uc.StepsPerIter, b.stepMult), rng)
 }
 
+// abrHarness and ccHarness are harness with the concrete type, for callers
+// that set a trace set or an ensemble.
+func (b budget) abrHarness(rng *rand.Rand) (*core.ABRHarness, error) {
+	h, err := core.NewABRHarness(core.ABR.Space(env.RL3), rng)
+	if err == nil {
+		h.StepsPerIter = scaleSteps(core.ABR.StepsPerIter, b.stepMult)
+	}
+	return h, err
+}
+
+func (b budget) ccHarness(level env.RangeLevel, rng *rand.Rand) (*core.CCHarness, error) {
+	h, err := core.NewCCHarness(core.CC.Space(level), rng)
+	if err == nil {
+		h.StepsPerIter = scaleSteps(core.CC.StepsPerIter, b.stepMult)
+	}
+	return h, err
+}
+
 func scaleSteps(base int, mult float64) int {
 	n := int(float64(base) * mult)
 	if n < 50 {
@@ -174,15 +192,6 @@ func makeTraceSets(b budget, seed int64) *traceSets {
 	ts.cellularTrain, ts.cellularTest = trace.GenerateTrainTest(trace.SpecCellular, b.traceScale, rng)
 	return ts
 }
-
-// abrAgentOf extracts the ABR agent from a harness built by this package.
-func abrAgentOf(h core.Harness) *core.ABRHarness { return h.(*core.ABRHarness) }
-
-// ccAgentOf extracts the CC agent from a harness built by this package.
-func ccAgentOf(h core.Harness) *core.CCHarness { return h.(*core.CCHarness) }
-
-// lbAgentOf extracts the LB agent from a harness built by this package.
-func lbAgentOf(h core.Harness) *core.LBHarness { return h.(*core.LBHarness) }
 
 // abrEvalTraces evaluates a set of ABR policies over every trace in set
 // (non-bandwidth parameters at Table 3 defaults) and returns per-policy

@@ -37,7 +37,7 @@ func runFig13(scale Scale, seed int64) (*Result, error) {
 	}
 	ccSenders := map[string]func() cc.Sender{}
 	for name, h := range ccSuite {
-		agent := ccAgentOf(h).Agent
+		agent := core.AgentOf(h).Gaussian
 		ccSenders[name] = func() cc.Sender { return &cc.AgentSender{Agent: agent} }
 	}
 	ccSenders["BBR"] = func() cc.Sender { return cc.NewBBR() }
@@ -57,7 +57,7 @@ func runFig13(scale Scale, seed int64) (*Result, error) {
 	}
 	abrPolicies := map[string]abr.Policy{}
 	for name, h := range abrSuite {
-		abrPolicies[name] = &abr.AgentPolicy{Agent: abrAgentOf(h).Agent, Label: name}
+		abrPolicies[name] = &abr.AgentPolicy{Agent: core.AgentOf(h).Discrete, Label: name}
 	}
 	abrPolicies["MPC"] = abr.NewRobustMPC()
 	for _, tc := range []struct {
@@ -77,11 +77,10 @@ func runFig13(scale Scale, seed int64) (*Result, error) {
 // baseline factory.
 func genetABRWithBaseline(b budget, seed int64, mk func() abr.Policy) (*core.ABRHarness, error) {
 	rng := rand.New(rand.NewSource(seed))
-	h, err := core.NewABRHarness(env.ABRSpace(env.RL3), rng)
+	h, err := b.abrHarness(rng)
 	if err != nil {
 		return nil, err
 	}
-	h.StepsPerIter = scaleSteps(400, b.stepMult)
 	h.NewBaseline = mk
 	if _, err := core.NewTrainer(h, b.genetOptions()).Run(rng); err != nil {
 		return nil, err
@@ -93,11 +92,10 @@ func genetABRWithBaseline(b budget, seed int64, mk func() abr.Policy) (*core.ABR
 // factory.
 func genetCCWithBaseline(b budget, seed int64, mk func() cc.Sender) (*core.CCHarness, error) {
 	rng := rand.New(rand.NewSource(seed))
-	h, err := core.NewCCHarness(env.CCSpace(env.RL3), rng)
+	h, err := b.ccHarness(env.RL3, rng)
 	if err != nil {
 		return nil, err
 	}
-	h.StepsPerIter = scaleSteps(800, b.stepMult)
 	h.NewBaseline = mk
 	opts := b.genetOptions()
 	opts.Objective = core.NormalizedGapObjective()
@@ -202,7 +200,7 @@ func runFig15(scale Scale, seed int64) (*Result, error) {
 			if name == "Genet" {
 				continue // replaced by the baseline-specific Genet below
 			}
-			policies[name] = &abr.AgentPolicy{Agent: abrAgentOf(h).Agent, Label: name}
+			policies[name] = &abr.AgentPolicy{Agent: core.AgentOf(h).Discrete, Label: name}
 		}
 		policies["Genet"] = &abr.AgentPolicy{Agent: genet.Agent, Label: "Genet"}
 		r := abrEvalTraces(policies, abrTest, seed+44)
@@ -233,7 +231,7 @@ func runFig15(scale Scale, seed int64) (*Result, error) {
 			if name == "Genet" {
 				continue
 			}
-			agent := ccAgentOf(h).Agent
+			agent := core.AgentOf(h).Gaussian
 			senders[name] = func() cc.Sender { return &cc.AgentSender{Agent: agent} }
 		}
 		senders["Genet"] = func() cc.Sender { return &cc.AgentSender{Agent: genet.Agent} }
@@ -284,7 +282,7 @@ func runFig17(scale Scale, seed int64) (*Result, error) {
 		"Oboe": abr.NewOboe(),
 	}
 	for name, h := range abrSuite {
-		abrPolicies[name] = &abr.AgentPolicy{Agent: abrAgentOf(h).Agent, Label: name}
+		abrPolicies[name] = &abr.AgentPolicy{Agent: core.AgentOf(h).Discrete, Label: name}
 	}
 	for _, tc := range []struct {
 		label string
@@ -322,7 +320,7 @@ func runFig17(scale Scale, seed int64) (*Result, error) {
 		"Vivace": func() cc.Sender { return cc.NewVivace() }, "Copa": func() cc.Sender { return cc.NewCopa() },
 	}
 	for name, h := range ccSuite {
-		agent := ccAgentOf(h).Agent
+		agent := core.AgentOf(h).Gaussian
 		ccSenders[name] = func() cc.Sender { return &cc.AgentSender{Agent: agent} }
 	}
 	for _, tc := range []struct {

@@ -75,7 +75,7 @@ func runFig3(scale Scale, seed int64) (*Result, error) {
 	res.AddRow("synthetic-trained/synthetic-test", meanOf(rl), meanOf(bl))
 
 	mkSenders := func(h core.Harness) map[string]func() cc.Sender {
-		agent := ccAgentOf(h).Agent
+		agent := core.AgentOf(h).Gaussian
 		return map[string]func() cc.Sender{
 			"rl":  func() cc.Sender { return &cc.AgentSender{Agent: agent} },
 			"bbr": func() cc.Sender { return cc.NewBBR() },
@@ -95,13 +95,12 @@ func runFig3(scale Scale, seed int64) (*Result, error) {
 	// (b) Cross-trace-set training.
 	trainOn := func(set *trace.Set, s int64) (core.Harness, error) {
 		rng := rand.New(rand.NewSource(s))
-		h, err := b.harness(core.CC, env.RL2, rng)
+		h, err := b.ccHarness(env.RL2, rng)
 		if err != nil {
 			return nil, err
 		}
-		ch := ccAgentOf(h)
-		ch.TraceSet = set
-		ch.TraceProb = 1.0
+		h.TraceSet = set
+		h.TraceProb = 1.0
 		core.TrainTraditional(h, b.totalIters(), rng)
 		return h, nil
 	}

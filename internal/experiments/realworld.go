@@ -78,7 +78,7 @@ func runFig16(scale Scale, seed int64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	abrAgent := abrAgentOf(genetABR).Agent
+	abrAgent := core.AgentOf(genetABR).Discrete
 	abrPolicies := map[string]abr.Policy{
 		"MPC":   abr.NewRobustMPC(),
 		"BBA":   &abr.BBA{},
@@ -112,7 +112,7 @@ func runFig16(scale Scale, seed int64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ccAgent := ccAgentOf(genetCC).Agent
+	ccAgent := core.AgentOf(genetCC).Gaussian
 	ccSenders := map[string]func() cc.Sender{
 		"BBR":   func() cc.Sender { return cc.NewBBR() },
 		"Cubic": func() cc.Sender { return cc.NewCubic() },

@@ -230,3 +230,23 @@ func TestSummaryFilesRoundTrip(t *testing.T) {
 		t.Fatalf("table.txt does not match TableString")
 	}
 }
+
+// TestTraditionalFaultedCellCountsGuard: a faulted traditional cell arms
+// the watchdog through the same attach path as a curriculum cell, so the
+// guard's counters reach the cell's event stream.
+func TestTraditionalFaultedCellCountsGuard(t *testing.T) {
+	cfg := testConfig([]string{"lb"}, []string{"rl3"}, []int64{1})
+	cfg.Faults = []string{"grad-nan:2"}
+	out := t.TempDir()
+	if _, err := Run(cfg, Options{OutDir: out, Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	cells := cfg.Cells()
+	events, err := os.ReadFile(filepath.Join(out, CellsDir, cells[0].ID, obs.EventsFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(events), `"guard/skipped_updates"`) {
+		t.Fatalf("faulted rl3 cell emitted no guard/skipped_updates:\n%s", events)
+	}
+}

@@ -322,7 +322,6 @@ func runCell(c Cell, dir string, cfg *Config, stop func() bool) (res CellResult,
 		finishManifest(obs.OutcomeFailed)
 		return res, false, err
 	}
-	core.SetHarnessMetrics(h, reg)
 
 	var injector *faults.Injector
 	var g *guard.Guard
@@ -380,9 +379,7 @@ func runCell(c Cell, dir string, cfg *Config, stop func() bool) (res CellResult,
 	} else {
 		// Traditional modes get the equal-budget iteration count: resolved
 		// warm-up plus rounds x iters, matching the experiment harness.
-		core.SetHarnessGuard(h, g)
-		core.SetHarnessFaults(h, injector)
-		core.SetHarnessRecorder(h, rec)
+		core.AttachHooks(h, reg, g, injector, rec)
 		total := resolvedWarmup(cfg.Budget.Warmup) + cfg.Budget.Rounds*cfg.Budget.ItersPerRound
 		curve := core.TrainTraditional(h, total, crng.Rand)
 		if len(curve) > 0 {

@@ -20,10 +20,18 @@ import (
 // mahimahiMTUBits is the size of one delivery opportunity.
 const mahimahiMTUBits = 1500 * 8
 
+// maxMahimahiBuckets bounds the bandwidth samples ReadMahimahi produces, so
+// a short file with a huge timestamp cannot demand gigabytes: 2^20 buckets
+// is six days at the default 0.5 s width.
+const maxMahimahiBuckets = 1 << 20
+
 // ReadMahimahi parses a Mahimahi packet-delivery trace into a bandwidth
-// time series with the given bucket width (seconds; 0.5 when non-positive).
+// time series with the given bucket width (seconds; 0.5 when not a positive
+// finite number). Timestamps must be finite, non-negative and
+// non-decreasing, and the trace at most maxMahimahiBuckets (2^20) buckets
+// long.
 func ReadMahimahi(r io.Reader, bucketSec float64) (*Trace, error) {
-	if bucketSec <= 0 {
+	if !(bucketSec > 0) || math.IsInf(bucketSec, 1) {
 		bucketSec = 0.5
 	}
 	scanner := bufio.NewScanner(r)
@@ -38,6 +46,9 @@ func ReadMahimahi(r io.Reader, bucketSec float64) (*Trace, error) {
 		ms, err := strconv.ParseFloat(text, 64)
 		if err != nil {
 			return nil, fmt.Errorf("trace: mahimahi line %d: %w", line, err)
+		}
+		if math.IsNaN(ms) || math.IsInf(ms, 0) {
+			return nil, fmt.Errorf("trace: mahimahi line %d: non-finite timestamp %v", line, ms)
 		}
 		if ms < 0 {
 			return nil, fmt.Errorf("trace: mahimahi line %d: negative timestamp %v", line, ms)
@@ -55,7 +66,11 @@ func ReadMahimahi(r io.Reader, bucketSec float64) (*Trace, error) {
 	}
 
 	durSec := stamps[len(stamps)-1]/1000 + bucketSec
-	nBuckets := int(math.Ceil(durSec / bucketSec))
+	buckets := math.Ceil(durSec / bucketSec)
+	if buckets > maxMahimahiBuckets {
+		return nil, fmt.Errorf("trace: mahimahi trace spans %.0f buckets of %v s (max %d)", buckets, bucketSec, maxMahimahiBuckets)
+	}
+	nBuckets := int(buckets)
 	counts := make([]int, nBuckets)
 	for _, ms := range stamps {
 		b := int(ms / 1000 / bucketSec)
@@ -68,6 +83,9 @@ func ReadMahimahi(r io.Reader, bucketSec float64) (*Trace, error) {
 	for b, c := range counts {
 		t.Timestamps = append(t.Timestamps, float64(b)*bucketSec)
 		t.Bandwidth = append(t.Bandwidth, float64(c)*mahimahiMTUBits/bucketSec/1e6)
+	}
+	if err := t.Validate(); err != nil {
+		return nil, fmt.Errorf("trace: mahimahi: %w", err)
 	}
 	return t, nil
 }

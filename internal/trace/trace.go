@@ -29,7 +29,8 @@ type Trace struct {
 }
 
 // Validate reports whether the trace is well formed: non-empty, equal-length
-// series, strictly increasing timestamps, and non-negative bandwidth.
+// series, finite and strictly increasing timestamps, and finite,
+// non-negative bandwidth.
 func (t *Trace) Validate() error {
 	if len(t.Timestamps) == 0 {
 		return errors.New("trace: empty")
@@ -38,6 +39,12 @@ func (t *Trace) Validate() error {
 		return fmt.Errorf("trace: %d timestamps vs %d bandwidth samples", len(t.Timestamps), len(t.Bandwidth))
 	}
 	for i := range t.Timestamps {
+		if ts := t.Timestamps[i]; math.IsNaN(ts) || math.IsInf(ts, 0) {
+			return fmt.Errorf("trace: non-finite timestamp %f at index %d", ts, i)
+		}
+		if bw := t.Bandwidth[i]; math.IsNaN(bw) || math.IsInf(bw, 0) {
+			return fmt.Errorf("trace: non-finite bandwidth %f at index %d", bw, i)
+		}
 		if t.Bandwidth[i] < 0 {
 			return fmt.Errorf("trace: negative bandwidth %f at index %d", t.Bandwidth[i], i)
 		}
@@ -353,6 +360,9 @@ func ReadJSON(r io.Reader) (*Set, error) {
 		return nil, fmt.Errorf("trace: decode set: %w", err)
 	}
 	for i, t := range s.Traces {
+		if t == nil {
+			return nil, fmt.Errorf("trace: set %q trace %d is null", s.Name, i)
+		}
 		if err := t.Validate(); err != nil {
 			return nil, fmt.Errorf("trace: set %q trace %d: %w", s.Name, i, err)
 		}

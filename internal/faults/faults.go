@@ -156,7 +156,7 @@ func (in *Injector) Stream(s Site, key int64) Stream {
 	if in == nil || in.thresh[s] == 0 {
 		return Stream{}
 	}
-	return Stream{in: in, site: s, key: uint64(key)}
+	return Stream{in: in, site: s, salt: mix(uint64(key) ^ uint64(s)<<56)}
 }
 
 // Stream is a per-worker fault-decision stream. The zero value is
@@ -164,7 +164,7 @@ func (in *Injector) Stream(s Site, key int64) Stream {
 type Stream struct {
 	in   *Injector
 	site Site
-	key  uint64
+	salt uint64 // the hashed (key, site) pair
 	n    uint64
 }
 
@@ -180,7 +180,7 @@ func (st *Stream) Fire() bool {
 	}
 	st.n++
 	st.in.calls[st.site].Add(1)
-	if st.in.decide(st.site, mix(st.key), st.n) {
+	if st.in.decide(st.site, st.salt, st.n) {
 		st.in.fired[st.site].Add(1)
 		return true
 	}

@@ -137,6 +137,30 @@ func TestStreamKeysAreIndependent(t *testing.T) {
 	}
 }
 
+// TestStreamSitesAreIndependent: one key armed at two sites at the same
+// rate draws two schedules, because the stream hash covers the site. A
+// rollout slot's env-step and trace-corrupt streams share their key.
+func TestStreamSitesAreIndependent(t *testing.T) {
+	in := New(7)
+	in.Enable(EnvStepPanic, 2)
+	in.Enable(TraceCorrupt, 2)
+	seq := func(s Site) string {
+		st := in.Stream(s, 42)
+		var b strings.Builder
+		for i := 0; i < 64; i++ {
+			if st.Fire() {
+				b.WriteByte('1')
+			} else {
+				b.WriteByte('0')
+			}
+		}
+		return b.String()
+	}
+	if a, b := seq(EnvStepPanic), seq(TraceCorrupt); a == b {
+		t.Fatalf("env-step and trace-corrupt streams of one key share a schedule: %s", a)
+	}
+}
+
 func TestEveryOneAlwaysFires(t *testing.T) {
 	in := New(3)
 	in.Enable(CkptWriteFail, 1)

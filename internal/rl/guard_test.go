@@ -420,9 +420,8 @@ func armedRun(t *testing.T, mk func(t *testing.T, rng *rand.Rand) guardAgent) ([
 }
 
 // armRollouts attaches a fresh guard and an injector with both rollout
-// sites armed to rt. A slot's two streams share one key, and so one hash
-// sequence: the rarer site fires only where the commoner one does.
-// Corruption is the commoner here, so both sites fire.
+// sites armed to rt. A slot's two streams share one key but hash their
+// site too, so each site fires on its own schedule.
 func armRollouts(rt *Runtime) (*guard.Guard, *faults.Injector) {
 	rt.Guard = guard.New(guard.Config{QuarantineAfter: 3})
 	rt.Faults = faults.New(8)

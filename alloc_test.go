@@ -6,6 +6,7 @@ import (
 
 	"github.com/genet-go/genet/internal/abr"
 	"github.com/genet-go/genet/internal/cc"
+	"github.com/genet-go/genet/internal/core"
 	"github.com/genet-go/genet/internal/env"
 	"github.com/genet-go/genet/internal/lb"
 	"github.com/genet-go/genet/internal/rl"
@@ -107,5 +108,55 @@ func TestRobustMPCEpisodeAllocs(t *testing.T) {
 	t.Logf("%d chunks: %.1f allocs/episode", inst.Video.NumChunks(), avg)
 	if avg > budget {
 		t.Fatalf("RobustMPC episode allocates %.1f/op, budget %d", avg, budget)
+	}
+}
+
+// TestEvalSteadyStateAllocs pins the allocations of one paired evaluation,
+// the call every Genet BO query makes: h.Eval over 10 environments of a
+// pinned RL3 configuration with the default baseline, after warm-up.
+// AllocsPerRun runs at GOMAXPROCS=1, so par.For spawns no goroutines and
+// the count is the per-environment cost: instance generation, the
+// baseline's policy and planner scratch, episode buffers and the per-call
+// seed and sample slices. Greedy inference, the CC episode's per-MI series
+// and BBR's bandwidth window allocate nothing per step. The measured steady
+// states are abr 583 and cc 453; the budgets add 17, because under the race
+// detector sync.Pool drops a random quarter of its Puts, and the fmt
+// printers behind each instance's trace name come from one (about 7 more
+// per Eval). One per-step allocation in either half of the evaluation is
+// hundreds more, so it still fails them.
+func TestEvalSteadyStateAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation pinning is not meaningful under -short")
+	}
+	cases := []struct {
+		name   string
+		budget float64
+		cfg    env.Config
+		build  func(rng *rand.Rand) (core.Harness, error)
+	}{
+		{"abr", 600, env.ABRSpace(env.RL3).Default(env.ABRDefaults()), func(rng *rand.Rand) (core.Harness, error) {
+			return core.NewABRHarness(env.ABRSpace(env.RL3), rng)
+		}},
+		{"cc", 470, env.CCSpace(env.RL3).Default(env.CCDefaults()), func(rng *rand.Rand) (core.Harness, error) {
+			return core.NewCCHarness(env.CCSpace(env.RL3), rng)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			h, err := tc.build(rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eval := func() { h.Eval(tc.cfg, 10, core.NeedBaseline, rng) }
+			for i := 0; i < 3; i++ {
+				eval()
+			}
+			avg := testing.AllocsPerRun(10, eval)
+			t.Logf("%s: %.1f allocs/Eval", tc.name, avg)
+			if avg > tc.budget {
+				t.Fatalf("10-env Eval allocates %.1f/op in steady state, budget %v", avg, tc.budget)
+			}
+		})
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"github.com/genet-go/genet/internal/abr"
 	"github.com/genet-go/genet/internal/cc"
 	"github.com/genet-go/genet/internal/ckpt"
+	"github.com/genet-go/genet/internal/core"
 	"github.com/genet-go/genet/internal/env"
 	"github.com/genet-go/genet/internal/nn"
 	"github.com/genet-go/genet/internal/obs"
@@ -394,6 +395,13 @@ func runMicro(outPath string, reps int) error {
 				inst.Evaluate(abr.NewRobustMPC())
 			}
 		}},
+		// EvalABR and EvalCC are one paired evaluation, the call every
+		// Genet BO query makes: h.Eval over 10 environments of a pinned
+		// RL3 configuration with the default baseline (the operation of
+		// TestEvalSteadyStateAllocs). Environments run on par.For at
+		// GOMAXPROCS, so allocs/op includes its goroutine spawns.
+		{"EvalABR", 0, evalBench(core.NewABRHarness, env.ABRSpace(env.RL3), env.ABRDefaults())},
+		{"EvalCC", 0, evalBench(core.NewCCHarness, env.CCSpace(env.RL3), env.CCDefaults())},
 	}
 
 	base := microBaseline{
@@ -449,6 +457,24 @@ func runMicro(outPath string, reps int) error {
 		return err
 	}
 	return out.Close()
+}
+
+// evalBench returns the benchmark of one 10-environment NeedBaseline Eval
+// on a harness built by newHarness, at space's defaults.
+func evalBench[H core.Harness](newHarness func(*env.Space, *rand.Rand) (H, error), space *env.Space, defaults map[string]float64) func(b *testing.B) {
+	return func(b *testing.B) {
+		rng := rand.New(rand.NewSource(11))
+		h, err := newHarness(space, rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := space.Default(defaults)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			h.Eval(cfg, 10, core.NeedBaseline, rng)
+		}
+	}
 }
 
 // benchmark runs fn through testing.Benchmark: for exactly iters

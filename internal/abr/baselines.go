@@ -139,7 +139,7 @@ func (m *MPC) Select(obs *Observation) int {
 	if m.Robust {
 		maxErr := 0.0
 		for _, e := range m.errs[:m.nErrs] {
-			maxErr = math.Max(maxErr, e)
+			maxErr = max(maxErr, e)
 		}
 		pred /= 1 + maxErr
 	}
@@ -173,7 +173,7 @@ func (m *MPC) plan(obs *Observation, horizon int, pred float64) int {
 	for l := 0; l < n; l++ {
 		br[l] = v.BitrateMbps(l)
 		brTerm[l] = RewardBitrateCoef * br[l]
-		brMax = math.Max(brMax, brTerm[l])
+		brMax = max(brMax, brTerm[l])
 		size := br[l] * v.ChunkLength // Mbit nominal
 		dlNom[l] = size / pred
 		dl0[l] = dlNom[l]
@@ -211,7 +211,7 @@ func (m *MPC) plan(obs *Observation, horizon int, pred float64) int {
 		if d == 0 {
 			dl = dl0[l]
 		}
-		rebuf := math.Max(0, dl-buf[d])
+		rebuf := max(0, dl-buf[d])
 		r := brTerm[l] + RewardRebufCoef*rebuf + chg[(path[d]+1)*n+l]
 		s := score[d] + r
 		first := path[1]
@@ -230,7 +230,7 @@ func (m *MPC) plan(obs *Observation, horizon int, pred float64) int {
 		if ub < bestScore || (ub == bestScore && first >= best) {
 			continue
 		}
-		nb := math.Max(0, buf[d]-dl) + v.ChunkLength
+		nb := max(0, buf[d]-dl) + v.ChunkLength
 		if nb > obs.MaxBuffer {
 			nb = obs.MaxBuffer
 		}

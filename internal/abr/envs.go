@@ -100,17 +100,12 @@ func squash(x, c float64) float64 {
 	return x / (x + c)
 }
 
-// ObsVector encodes an Observation as the fixed-length input of the RL
-// policy network. Both the training environment and the AgentPolicy
+// AppendObsVector appends the ObsSize-element encoding of obs, the
+// fixed-length input of the RL policy network, to v and returns the
+// extended slice. Both the training environment and the AgentPolicy
 // evaluation adapter use this single encoder, so train and test views are
-// identical by construction.
-func ObsVector(obs *Observation) []float64 {
-	return AppendObsVector(make([]float64, 0, ObsSize), obs)
-}
-
-// AppendObsVector appends the ObsSize-element encoding of obs to v and
-// returns the extended slice. Callers on the hot path pass a reused buffer
-// sliced to [:0]; ObsVector is the allocating convenience wrapper.
+// identical by construction. Hot-path callers pass a reused or stack
+// buffer sliced to [:0].
 func AppendObsVector(v []float64, obs *Observation) []float64 {
 	lastBr := 0.0
 	if obs.LastLevel >= 0 {
@@ -363,5 +358,6 @@ func (*AgentPolicy) Reset() {}
 
 // Select implements Policy.
 func (p *AgentPolicy) Select(obs *Observation) int {
-	return p.Agent.Greedy(ObsVector(obs))
+	var buf [ObsSize]float64
+	return p.Agent.Greedy(AppendObsVector(buf[:0], obs))
 }

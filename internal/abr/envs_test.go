@@ -69,7 +69,7 @@ func TestObsVectorShapeAndRange(t *testing.T) {
 		TotalChunks:    sim.Video().NumChunks(),
 		NextSizes:      sim.NextSizesInto(nil),
 	}
-	v := ObsVector(obs)
+	v := AppendObsVector(nil, obs)
 	if len(v) != ObsSize {
 		t.Fatalf("obs len = %d, want %d", len(v), ObsSize)
 	}

@@ -45,7 +45,7 @@ func TestFallbackReadsEncodedBuffer(t *testing.T) {
 	}
 	for _, b := range []float64{2, 12.5, 30} {
 		obs := &Observation{Video: v, LastLevel: -1, Buffer: b, MaxBuffer: 60, TotalChunks: 48}
-		if got, want := Fallback(ObsVector(obs)), Fallback(obsWithBuffer(b)); got != want {
+		if got, want := Fallback(AppendObsVector(nil, obs)), Fallback(obsWithBuffer(b)); got != want {
 			t.Fatalf("buffer %.1fs: encoded observation picked %d, want %d", b, got, want)
 		}
 	}

@@ -161,7 +161,7 @@ func (s *Sim) runFor(sendRate, dur float64) MIStats {
 
 	end := s.clock + dur
 	for s.clock < end {
-		dt := math.Min(simStep, end-s.clock)
+		dt := min(simStep, end-s.clock)
 		var bw float64
 		bw, s.traceCur = s.trace.AtWrappedHint(s.clock, s.traceCur)
 		bw *= 1e6 // bits/sec
@@ -184,7 +184,7 @@ func (s *Sim) runFor(sendRate, dur float64) MIStats {
 
 		// Service.
 		served := bw * dt
-		delivered := math.Min(served, s.queueBits)
+		delivered := min(served, s.queueBits)
 		s.queueBits -= delivered
 		deliveredBits += delivered
 
@@ -201,7 +201,7 @@ func (s *Sim) runFor(sendRate, dur float64) MIStats {
 			lat := s.baseRTT + qDelay + noise
 			latencySum += lat
 			nSamples++
-			latencyMin = math.Min(latencyMin, lat)
+			latencyMin = min(latencyMin, lat)
 		}
 		s.clock += dt
 	}
@@ -213,14 +213,14 @@ func (s *Sim) runFor(sendRate, dur float64) MIStats {
 	if math.IsInf(latencyMin, 1) {
 		latencyMin = avgLat
 	}
-	s.minSeen = math.Min(s.minSeen, latencyMin)
+	s.minSeen = min(s.minSeen, latencyMin)
 
 	loss := 0.0
 	if sentBits > 0 {
 		// Accumulation order can push lost a few ULPs past sent when the
 		// queue sits at capacity over a stalled link; a loss *fraction*
 		// stays in [0, 1] by definition.
-		loss = math.Min(lostBits/sentBits, 1)
+		loss = min(lostBits/sentBits, 1)
 	}
 	return MIStats{
 		Duration:   dur,
@@ -229,7 +229,7 @@ func (s *Sim) runFor(sendRate, dur float64) MIStats {
 		AvgLatency: avgLat,
 		MinLatency: latencyMin,
 		LossRate:   loss,
-		BaseRTT:    math.Min(s.minSeen, s.baseRTT),
+		BaseRTT:    min(s.minSeen, s.baseRTT),
 		Elapsed:    s.clock,
 	}
 }
@@ -254,7 +254,14 @@ func RunEpisode(sim *Sim, sender Sender, duration, initRate float64) Metrics {
 	}
 	sender.Reset(initRate, sim.BaseRTT())
 	rate := initRate
-	var rewards, tputs, lats, rates []float64
+	// Size the per-MI series for the whole episode: an MI lasts
+	// max(baseRTT, 50 ms) (see RunMI).
+	n := 0
+	if mis := (duration - sim.Clock()) / max(sim.BaseRTT(), 0.05); mis > 0 && mis < 1<<20 {
+		n = int(mis) + 1
+	}
+	rewards, tputs := make([]float64, 0, n), make([]float64, 0, n)
+	lats, rates := make([]float64, 0, n), make([]float64, 0, n)
 	var sent, lost float64
 	for sim.Clock() < duration {
 		mi := sim.RunMI(rate)

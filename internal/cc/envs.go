@@ -365,7 +365,8 @@ func (a *AgentSender) Reset(initRate, baseRTT float64) {
 func (a *AgentSender) OnMI(s MIStats) float64 {
 	a.enc.push(s)
 	a.enc.encode(a.obs[:])
-	act := a.Agent.Mean(a.obs[:])
+	var act [1]float64 // the one-dimensional rate action
+	a.Agent.MeanInto(act[:], a.obs[:])
 	a.enc.rate = ApplyRateAction(a.enc.rate, act[0])
 	return a.enc.rate
 }

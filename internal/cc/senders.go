@@ -70,7 +70,8 @@ func (c *Cubic) OnMI(s MIStats) float64 {
 type BBR struct {
 	btlBw      float64
 	rtProp     float64
-	maxBwHist  []float64
+	maxBwHist  [10]float64 // the last nBwHist throughputs, oldest first
+	nBwHist    int
 	phase      int
 	startup    bool
 	lastProbe  float64
@@ -90,7 +91,7 @@ func (*BBR) Name() string { return "BBR" }
 func (b *BBR) Reset(initRate, baseRTT float64) {
 	b.btlBw = initRate
 	b.rtProp = baseRTT
-	b.maxBwHist = b.maxBwHist[:0]
+	b.nBwHist = 0
 	b.phase = 0
 	b.startup = true
 	b.lastProbe = 0
@@ -100,12 +101,14 @@ func (b *BBR) Reset(initRate, baseRTT float64) {
 // OnMI implements Sender.
 func (b *BBR) OnMI(s MIStats) float64 {
 	// Update bottleneck bandwidth estimate (windowed max over ~10 MIs).
-	b.maxBwHist = append(b.maxBwHist, s.Throughput)
-	if len(b.maxBwHist) > 10 {
-		b.maxBwHist = b.maxBwHist[1:]
+	if b.nBwHist < len(b.maxBwHist) {
+		b.nBwHist++
+	} else {
+		copy(b.maxBwHist[:], b.maxBwHist[1:])
 	}
+	b.maxBwHist[b.nBwHist-1] = s.Throughput
 	b.btlBw = 0
-	for _, v := range b.maxBwHist {
+	for _, v := range b.maxBwHist[:b.nBwHist] {
 		b.btlBw = math.Max(b.btlBw, v)
 	}
 	if b.btlBw < 0.01 {
@@ -115,7 +118,7 @@ func (b *BBR) OnMI(s MIStats) float64 {
 
 	if b.startup {
 		// Startup: grow 2x per MI until throughput stops increasing.
-		if s.Throughput < 0.8*s.SendRate && len(b.maxBwHist) > 2 {
+		if s.Throughput < 0.8*s.SendRate && b.nBwHist > 2 {
 			b.startup = false
 		}
 		return math.Max(s.SendRate*2, 0.02)

@@ -13,16 +13,12 @@ import (
 // per-server queued work and request counts.
 const ObsSize = 2 + 2*NumServers
 
-// ObsVector encodes an Observation for the policy network. Queued work is
-// normalized against the workload's mean job size on a log scale so the
-// encoding keeps resolution from idle queues up to deep overload, and stays
-// scale free across the Table 5 job-size range.
-func ObsVector(obs *Observation) []float64 {
-	return AppendObsVector(make([]float64, 0, ObsSize), obs)
-}
-
-// AppendObsVector appends the ObsSize-element encoding of obs to v and
-// returns the extended slice; hot-path callers pass a reused buffer at [:0].
+// AppendObsVector appends the ObsSize-element encoding of obs for the
+// policy network to v and returns the extended slice; hot-path callers
+// pass a reused or stack buffer at [:0]. Queued work is normalized against
+// the workload's mean job size on a log scale so the encoding keeps
+// resolution from idle queues up to deep overload, and stays scale free
+// across the Table 5 job-size range.
 func AppendObsVector(v []float64, obs *Observation) []float64 {
 	ref := obs.MeanJobBytes
 	if ref <= 0 {
@@ -122,5 +118,6 @@ func (*AgentPolicy) Reset() {}
 
 // Select implements Policy.
 func (p *AgentPolicy) Select(obs *Observation) int {
-	return p.Agent.Greedy(ObsVector(obs))
+	var buf [ObsSize]float64
+	return p.Agent.Greedy(AppendObsVector(buf[:0], obs))
 }

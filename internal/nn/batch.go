@@ -474,14 +474,6 @@ func applyActivationDeriv(a Activation, delta, y []float64) {
 	}
 }
 
-// dot is the dispatching dot product used by the single-sample forward path.
-func dot(a, b []float64) float64 {
-	if useASM && len(b) >= len(a) {
-		return dotAsm(a, b)
-	}
-	return dotUnroll(a, b)
-}
-
 // dotUnroll is a dot product with four independent accumulators, breaking
 // the add dependency chain that serializes the naive loop.
 func dotUnroll(a, b []float64) float64 {

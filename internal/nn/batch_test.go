@@ -24,10 +24,10 @@ func maxAbsDiff(a, b []float64) float64 {
 	return d
 }
 
-// testForwardBatchEquivalence pins the batched forward against the
-// per-sample path: same parameters, same inputs, agreement to 1e-9 (the
-// paths reassociate sums differently, so bit-equality is not required; the
-// observed error is ~1e-12).
+// testForwardBatchEquivalence pins the batched forward, and Forward with
+// it, against the per-element scalar forward of oracle_test.go: same
+// parameters, same inputs, bit-identical outputs (every output element is
+// one dot product with the same kernel plus the bias).
 func testForwardBatchEquivalence(t *testing.T, act Activation) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
@@ -40,9 +40,13 @@ func testForwardBatchEquivalence(t *testing.T, act Activation) {
 		s := m.NewScratch(batch)
 		got := m.ForwardBatch(s, x, batch)
 		for r := 0; r < batch; r++ {
-			want := m.Forward(x[r*m.InSize() : (r+1)*m.InSize()])
-			if d := maxAbsDiff(got[r*m.OutSize():(r+1)*m.OutSize()], want); d > 1e-9 {
+			xr := x[r*m.InSize() : (r+1)*m.InSize()]
+			want, _ := m.ForwardCache(xr)
+			if d := maxAbsDiff(got[r*m.OutSize():(r+1)*m.OutSize()], want); d != 0 {
 				t.Fatalf("batch=%d row %d: batched vs per-sample forward diff %g", batch, r, d)
+			}
+			if d := maxAbsDiff(m.Forward(xr), want); d != 0 {
+				t.Fatalf("batch=%d row %d: Forward vs per-sample forward diff %g", batch, r, d)
 			}
 		}
 	}
@@ -182,7 +186,8 @@ func TestBatchCacheAppendAndMerge(t *testing.T) {
 }
 
 // TestBatchedPathsAllocationFree verifies the steady-state batched kernels
-// perform zero heap allocations once scratch and grads are warm.
+// and the single-row ForwardInto perform zero heap allocations once
+// scratch and grads are warm.
 func TestBatchedPathsAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	m, err := NewMLP(rng, Tanh, 8, 16, 8, 4)
@@ -207,6 +212,12 @@ func TestBatchedPathsAllocationFree(t *testing.T) {
 		m.BackwardBatchRows(c, 0, batch, gradOut, s, g)
 	}); n != 0 {
 		t.Fatalf("BackwardBatchRows allocates %v per run", n)
+	}
+	out := make([]float64, m.OutSize())
+	if n := testing.AllocsPerRun(50, func() {
+		m.ForwardInto(out, x[:m.InSize()])
+	}); n != 0 {
+		t.Fatalf("ForwardInto allocates %v per run", n)
 	}
 }
 

@@ -1,11 +1,12 @@
 // Package nn is a small, dependency-free neural-network library sufficient
 // for the policy-gradient learners in this repository: fully connected
-// multi-layer perceptrons with tanh/ReLU hidden activations, a single-sample
-// Forward for inference, batched forward/backward kernels for training, the
+// multi-layer perceptrons with tanh/ReLU hidden activations, an
+// allocation-free single-row forward for inference (ForwardInto, a width-1
+// batch), batched forward/backward kernels for training, the
 // Adam optimizer, and wire forms (MLPWire, AdamWire) that callers embed in
 // their own serialized values. The per-sample backward path, SGD and a
 // gradient check live in the package tests, as the reference the batched
-// kernels are checked against.
+// kernels are checked against; so does the per-element scalar forward.
 //
 // It deliberately trades generality for clarity and determinism: all
 // computation is single-threaded per network, uses float64 throughout, and
@@ -18,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 )
 
 // Activation selects the nonlinearity applied after a hidden layer.
@@ -46,20 +48,6 @@ func (a Activation) String() string {
 	return "unknown"
 }
 
-func (a Activation) apply(x float64) float64 {
-	switch a {
-	case Tanh:
-		return math.Tanh(x)
-	case ReLU:
-		if x < 0 {
-			return 0
-		}
-		return x
-	default:
-		return x
-	}
-}
-
 // MLP is a fully connected network: sizes[0] inputs, len(sizes)-2 hidden
 // layers with the configured hidden activation, and sizes[len-1] linear
 // outputs.
@@ -70,6 +58,14 @@ type MLP struct {
 	// biases[l] has length out.
 	weights [][]float64
 	biases  [][]float64
+
+	// free holds width-1 scratches for ForwardInto. A mutex-guarded free
+	// list rather than a sync.Pool: the pool drops a random quarter of its
+	// Puts under the race detector and empties on GC, and either turns a
+	// zero-allocation single-row forward into an occasional scratch
+	// allocation. The list grows to the peak number of concurrent callers.
+	freeMu sync.Mutex
+	free   []*Scratch
 }
 
 // NewMLP builds an MLP with Xavier/Glorot-uniform initial weights drawn from
@@ -112,26 +108,41 @@ func (m *MLP) InSize() int { return m.sizes[0] }
 // OutSize returns the output width.
 func (m *MLP) OutSize() int { return m.sizes[len(m.sizes)-1] }
 
-// Forward computes the network output for input x (len must equal InSize).
+// Forward computes the network output for input x (len must equal InSize)
+// into a newly allocated slice. ForwardInto is the allocation-free form.
 func (m *MLP) Forward(x []float64) []float64 {
+	out := make([]float64, m.OutSize())
+	m.ForwardInto(out, x)
+	return out
+}
+
+// ForwardInto writes the network output for input x into dst (len(x) must
+// equal InSize and len(dst) OutSize) without allocating. It runs the
+// width-1 ForwardBatch on a scratch borrowed from the network, so the
+// result is bit-identical to the same row of any batched forward, and
+// concurrent callers may share one network as long as none of them changes
+// its parameters.
+func (m *MLP) ForwardInto(dst, x []float64) {
 	if len(x) != m.InSize() {
 		panic(fmt.Sprintf("nn: input size %d, want %d", len(x), m.InSize()))
 	}
-	cur := x
-	last := len(m.weights) - 1
-	for l, w := range m.weights {
-		in, out := m.sizes[l], m.sizes[l+1]
-		next := make([]float64, out)
-		for o := 0; o < out; o++ {
-			sum := m.biases[l][o] + dot(w[o*in:(o+1)*in], cur)
-			if l != last {
-				sum = m.hidden.apply(sum)
-			}
-			next[o] = sum
-		}
-		cur = next
+	if len(dst) != m.OutSize() {
+		panic(fmt.Sprintf("nn: output size %d, want %d", len(dst), m.OutSize()))
 	}
-	return cur
+	m.freeMu.Lock()
+	var s *Scratch
+	if n := len(m.free); n > 0 {
+		s = m.free[n-1]
+		m.free = m.free[:n-1]
+	}
+	m.freeMu.Unlock()
+	if s == nil {
+		s = m.NewScratch(1)
+	}
+	copy(dst, m.ForwardBatch(s, x, 1))
+	m.freeMu.Lock()
+	m.free = append(m.free, s)
+	m.freeMu.Unlock()
 }
 
 // Grads accumulates parameter gradients with the same shapes as the MLP's

@@ -54,6 +54,16 @@ func TestForwardPanicsOnWrongInput(t *testing.T) {
 	m.Forward([]float64{1})
 }
 
+func TestForwardIntoPanicsOnWrongOutput(t *testing.T) {
+	m := MustMLP(rand.New(rand.NewSource(1)), Tanh, 4, 2)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("wrong output size did not panic")
+		}
+	}()
+	m.ForwardInto(make([]float64, 3), make([]float64, 4))
+}
+
 func TestActivations(t *testing.T) {
 	if ReLU.apply(-1) != 0 || ReLU.apply(2) != 2 {
 		t.Fatal("ReLU wrong")

@@ -10,11 +10,35 @@ import (
 	"testing"
 )
 
-// This file holds the single-sample training path: a per-sample forward
+// This file holds the single-sample path: a per-element scalar forward
 // that keeps its activations, backpropagation over them, plain SGD, a
 // finite-difference gradient check and a gob round trip for one network.
-// No production code trains one sample at a time; the path stays here as
-// the straightforward reference the batched kernels are checked against.
+// No production code runs one sample at a time (inference is a width-1
+// ForwardBatch); the path stays here as the straightforward reference the
+// batched kernels are checked against.
+
+func (a Activation) apply(x float64) float64 {
+	switch a {
+	case Tanh:
+		return math.Tanh(x)
+	case ReLU:
+		if x < 0 {
+			return 0
+		}
+		return x
+	default:
+		return x
+	}
+}
+
+// dot is the dispatching dot product of the scalar forward: the kernel
+// matmulNT runs per output element, so the two forwards agree bit for bit.
+func dot(a, b []float64) float64 {
+	if useASM && len(b) >= len(a) {
+		return dotAsm(a, b)
+	}
+	return dotUnroll(a, b)
+}
 
 // derivFromOutput returns dActivation/dx given the activation *output* y
 // (both tanh and ReLU admit this form, which avoids caching pre-activations).
@@ -54,8 +78,10 @@ type Cache struct {
 	acts [][]float64
 }
 
-// ForwardCache computes the output exactly as Forward does and retains the
-// intermediate activations so Backward can compute gradients.
+// ForwardCache computes the output one element at a time — bias plus one
+// dot product, then the activation — and retains the intermediate
+// activations so Backward can compute gradients. It is the reference the
+// batched forward, and so Forward, must match bit for bit.
 func (m *MLP) ForwardCache(x []float64) ([]float64, *Cache) {
 	if len(x) != m.InSize() {
 		panic(fmt.Sprintf("nn: input size %d, want %d", len(x), m.InSize()))

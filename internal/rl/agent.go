@@ -225,7 +225,9 @@ func newNets(rng *rand.Rand, obsSize int, hidden []int, out int) (policy, value 
 
 // Value returns the critic's state-value estimate at obs.
 func (c *agent[A]) Value(obs []float64) float64 {
-	return c.value.Forward(obs)[0]
+	var v [1]float64
+	c.value.ForwardInto(v[:], obs)
+	return v[0]
 }
 
 // Reserve pre-sizes the update buffers and shard pool for batches of up to

@@ -74,9 +74,23 @@ func (a *DiscreteAgent) Probs(obs []float64) []float64 {
 	return nn.Softmax(a.policy.Forward(obs))
 }
 
-// Greedy returns the argmax action (deterministic evaluation mode).
+// maxStackActions bounds the action count whose logits Greedy keeps on
+// the stack; every use case in the repository has at most 10 actions.
+const maxStackActions = 16
+
+// Greedy returns the argmax action (deterministic evaluation mode). It
+// makes no heap allocation for up to maxStackActions actions, and is safe
+// for concurrent callers sharing the agent while it is not trained.
 func (a *DiscreteAgent) Greedy(obs []float64) int {
-	return argmaxF(a.policy.Forward(obs))
+	var buf [maxStackActions]float64
+	n := a.policy.OutSize()
+	logits := buf[:]
+	if n > len(buf) {
+		logits = make([]float64, n)
+	}
+	logits = logits[:n]
+	a.policy.ForwardInto(logits, obs)
+	return argmaxF(logits)
 }
 
 func argmaxF(xs []float64) int {

@@ -95,6 +95,13 @@ func (a *GaussianAgent) Mean(obs []float64) []float64 {
 	return a.policy.Forward(obs)
 }
 
+// MeanInto is Mean writing into dst (len must equal the action dimension)
+// without allocating. It returns dst.
+func (a *GaussianAgent) MeanInto(dst, obs []float64) []float64 {
+	a.policy.ForwardInto(dst, obs)
+	return dst
+}
+
 // Std returns the current per-dimension action standard deviations.
 func (a *GaussianAgent) Std() []float64 {
 	return a.stdInto(make([]float64, len(a.logStd)))

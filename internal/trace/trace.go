@@ -142,9 +142,14 @@ func (t *Trace) AtWrappedHint(ts float64, hint int) (bw float64, newHint int) {
 	if d <= 0 {
 		return t.At(ts), hint
 	}
-	off := math.Mod(ts-t.Timestamps[0], d)
-	if off < 0 {
-		off += d
+	off := ts - t.Timestamps[0]
+	// math.Mod returns off unchanged on [0, d), where a simulator almost
+	// always is; skip its cost there.
+	if !(0 <= off && off < d) {
+		off = math.Mod(off, d)
+		if off < 0 {
+			off += d
+		}
 	}
 	return t.AtHint(t.Timestamps[0]+off, hint)
 }

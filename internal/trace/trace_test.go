@@ -76,6 +76,30 @@ func TestAtWrappedReplays(t *testing.T) {
 	}
 }
 
+// TestAtWrappedHintSpanEdges pins the offsets where AtWrappedHint's
+// in-span shortcut around math.Mod starts and stops: the result must equal
+// the always-Mod fold at zero, negative zero, one ulp either side of both
+// span ends, and the span end itself, which wraps to the start.
+func TestAtWrappedHintSpanEdges(t *testing.T) {
+	tr := mkTrace(t, []float64{0, 4, 10}, []float64{1, 2, 3})
+	d := tr.Duration()
+	negZero := math.Copysign(0, -1)
+	for _, ts := range []float64{0, negZero, math.Nextafter(0, -1), math.Nextafter(0, 1),
+		math.Nextafter(d, 0), d, math.Nextafter(d, 20), 4, 14, -6, 3 * d} {
+		off := math.Mod(ts-tr.Timestamps[0], d)
+		if off < 0 {
+			off += d
+		}
+		want := tr.At(tr.Timestamps[0] + off)
+		if got, _ := tr.AtWrappedHint(ts, 0); got != want {
+			t.Errorf("AtWrappedHint(%v) = %v, always-Mod fold = %v", ts, got, want)
+		}
+	}
+	if got, _ := tr.AtWrappedHint(d, 0); got != 1 {
+		t.Errorf("AtWrappedHint(duration) = %v, want the first sample's 1", got)
+	}
+}
+
 func TestAtWrappedNegativeOffset(t *testing.T) {
 	tr := mkTrace(t, []float64{5, 15}, []float64{1, 2})
 	// ts before start wraps backwards without panicking.

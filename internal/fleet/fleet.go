@@ -14,10 +14,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 
 	"github.com/genet-go/genet/internal/core"
+	"github.com/genet-go/genet/internal/faults"
 )
 
 // Budget bundles the per-cell training knobs every cell of a sweep shares,
@@ -134,6 +136,23 @@ func (c *Config) Validate() error {
 	}
 	if len(c.Faults) == 0 {
 		c.Faults = []string{""}
+	}
+	for _, f := range c.Faults {
+		if _, err := faults.ParseSpec(0, f); err != nil {
+			return fmt.Errorf("fleet: bad fault profile: %w", err)
+		}
+	}
+	// A cell ID names the run directory Run may wipe and recreate, so it
+	// must be one local path element and belong to one cell only.
+	ids := map[string]bool{}
+	for _, cell := range c.Cells() {
+		if !filepath.IsLocal(cell.ID) || strings.ContainsAny(cell.ID, `/\`) {
+			return fmt.Errorf("fleet: cell id %q is not a single path element", cell.ID)
+		}
+		if ids[cell.ID] {
+			return fmt.Errorf("fleet: duplicate cell id %q", cell.ID)
+		}
+		ids[cell.ID] = true
 	}
 	c.Budget.defaults()
 	if c.EvalEnvs <= 0 {

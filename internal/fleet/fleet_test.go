@@ -50,6 +50,9 @@ func TestConfigValidate(t *testing.T) {
 		{"bad-mode", func(c *Config) { c.Modes = []string{"sgd"} }, "unknown mode"},
 		{"dup-seed", func(c *Config) { c.Seeds = []int64{1, 1} }, "duplicate seed"},
 		{"dup-env", func(c *Config) { c.Envs = []string{"abr", "ABR"} }, "duplicate env"},
+		{"bad-fault", func(c *Config) { c.Faults = []string{"grad-nan:0"} }, "bad fault profile"},
+		{"escaping-fault", func(c *Config) { c.Faults = []string{"grad-nan:2/../../../victim"} }, "bad fault profile"},
+		{"dup-cell-id", func(c *Config) { c.Faults = []string{"grad-nan:2", " grad-nan:2"} }, "duplicate cell id"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -64,6 +67,45 @@ func TestConfigValidate(t *testing.T) {
 			}
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error = %v, want substring %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestRunRejectsUnsafeFaultProfiles: a fault profile whose cell ID would
+// climb out of the sweep directory, and two profiles that collapse to one
+// cell ID, are rejected before Run touches the filesystem. Run wipes a
+// cell's directory before training it, so the first once deleted a sibling
+// of the sweep and the second had two cells share one directory.
+func TestRunRejectsUnsafeFaultProfiles(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		faults []string
+		want   string
+	}{
+		{"escape", []string{"grad-nan:2/../../../victim"}, "bad fault profile"},
+		{"dup-id", []string{"grad-nan:2", " grad-nan:2"}, "duplicate cell id"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := t.TempDir()
+			keep := filepath.Join(root, "victim", "keep")
+			if err := os.MkdirAll(filepath.Dir(keep), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(keep, []byte("x"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			cfg := testConfig([]string{"abr"}, []string{"rl1"}, []int64{1})
+			cfg.Faults = tc.faults
+			out := filepath.Join(root, "sweep")
+			if _, err := Run(cfg, Options{OutDir: out}); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Run error = %v, want substring %q", err, tc.want)
+			}
+			if _, err := os.Stat(keep); err != nil {
+				t.Fatalf("sibling of the sweep directory was touched: %v", err)
+			}
+			if _, err := os.Stat(out); !os.IsNotExist(err) {
+				t.Fatalf("rejected sweep created its output directory (stat err %v)", err)
 			}
 		})
 	}

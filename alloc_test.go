@@ -36,7 +36,7 @@ func TestTrainIterationVecSteadyStateAllocs(t *testing.T) {
 				return nil, err
 			}
 			agent.RolloutWorkers, agent.UpdateWorkers = 1, 1
-			venv := abr.NewVecEnv(abr.IntoFromConfig(env.ABRSpace(env.RL1).Default(nil)), 2)
+			venv := abr.NewVecEnv(abr.GenFromConfig(env.ABRSpace(env.RL1).Default(nil)), 2)
 			return func() { agent.TrainIterationVec(venv, 100, rng) }, nil
 		}},
 		{"cc", 22, func(rng *rand.Rand) (func(), error) {
@@ -45,7 +45,7 @@ func TestTrainIterationVecSteadyStateAllocs(t *testing.T) {
 				return nil, err
 			}
 			agent.RolloutWorkers, agent.UpdateWorkers = 1, 1
-			venv := cc.NewVecEnv(cc.IntoFromConfig(env.CCSpace(env.RL1).Default(nil)), 2)
+			venv := cc.NewVecEnv(cc.GenFromConfig(env.CCSpace(env.RL1).Default(nil)), 2)
 			return func() { agent.TrainIterationVec(venv, 100, rng) }, nil
 		}},
 		{"cc/update-workers=2", 10, func(rng *rand.Rand) (func(), error) {
@@ -54,7 +54,7 @@ func TestTrainIterationVecSteadyStateAllocs(t *testing.T) {
 				return nil, err
 			}
 			agent.RolloutWorkers, agent.UpdateWorkers = 1, 2
-			venv := cc.NewVecEnv(cc.IntoFromConfig(env.CCSpace(env.RL1).Default(nil)), 2)
+			venv := cc.NewVecEnv(cc.GenFromConfig(env.CCSpace(env.RL1).Default(nil)), 2)
 			return func() { agent.TrainIterationVec(venv, 100, rng) }, nil
 		}},
 		{"lb", 24, func(rng *rand.Rand) (func(), error) {

@@ -279,7 +279,7 @@ func runMicro(outPath string, reps int) error {
 				b.Fatal(err)
 			}
 			agent.RolloutWorkers, agent.UpdateWorkers = 1, 1
-			venv := abr.NewVecEnv(abr.IntoFromConfig(env.ABRSpace(env.RL1).Default(nil)), 2)
+			venv := abr.NewVecEnv(abr.GenFromConfig(env.ABRSpace(env.RL1).Default(nil)), 2)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -373,7 +373,7 @@ func runMicro(outPath string, reps int) error {
 			}
 			agent.RolloutWorkers, agent.UpdateWorkers = 1, 1
 			agent.Recorder = obs.NewRecorder(0)
-			venv := abr.NewVecEnv(abr.IntoFromConfig(env.ABRSpace(env.RL1).Default(nil)), 2)
+			venv := abr.NewVecEnv(abr.GenFromConfig(env.ABRSpace(env.RL1).Default(nil)), 2)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -524,7 +524,7 @@ var scalingCurves = []scalingCurve{
 				b.Fatal(err)
 			}
 			agent.RolloutWorkers = w
-			venv := abr.NewVecEnv(abr.IntoFromConfig(env.ABRSpace(env.RL1).Default(nil)), width)
+			venv := abr.NewVecEnv(abr.GenFromConfig(env.ABRSpace(env.RL1).Default(nil)), width)
 			seeds := make([]int64, width)
 			for i := range seeds {
 				seeds[i] = rng.Int63()

@@ -131,7 +131,7 @@ func TestRLEnvRewardsMatchMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	scale := RewardScale(inst.Trace.Mean(), inst.Video)
-	e := NewRLEnv(func(rng *rand.Rand) *Instance { return inst })
+	e := NewRLEnv(func(*rand.Rand, *Instance) *Instance { return inst })
 	e.Reset(rand.New(rand.NewSource(0)))
 	total := 0.0
 	done := false
@@ -180,13 +180,13 @@ func TestGenFromDistributionUsesTraceSet(t *testing.T) {
 	set := &trace.Set{Name: "s", Traces: []*trace.Trace{constTrace(3, 50)}}
 	gen := GenFromDistribution(dist, set, 1.0) // always trace-driven
 	rng := rand.New(rand.NewSource(7))
-	inst := gen(rng)
+	inst := gen(rng, nil)
 	if inst.Trace != set.Traces[0] {
 		t.Fatal("trace-driven generator ignored the trace set")
 	}
 	genNone := GenFromDistribution(dist, set, 0.0) // never
-	inst2 := genNone(rng)
-	if inst2.Trace == set.Traces[0] {
+	inst2 := genNone(rng, inst)                    // reuse must not write the set trace
+	if inst2.Trace == set.Traces[0] || set.Traces[0].Bandwidth[0] != 3 {
 		t.Fatal("zero trace probability still used the trace set")
 	}
 }

@@ -9,11 +9,9 @@ import (
 // (video sizes, synthetic trace, simulator, observation, buffers) instead of
 // reallocated per episode. It implements rl.DiscreteVecEnv, and NewRLEnv is
 // its width-1 slot view; slot i driven with rng R produces bit-identical
-// episodes to NewRLEnv over the equivalent generator driven with the same
-// R, because the materializer consumes rng in the same order as the
-// generator.
+// episodes to NewRLEnv over the same generator driven with the same R.
 type VecEnv struct {
-	mat   InstanceInto
+	gen   InstanceGen
 	slots []vecSlot
 }
 
@@ -28,13 +26,13 @@ type vecSlot struct {
 }
 
 // NewVecEnv builds a width-slot vectorized environment over the
-// materializer. Slots are independent: each episode's instance is drawn
+// generator. Slots are independent: each episode's instance is drawn
 // with the slot's own rng at ResetSlot time.
-func NewVecEnv(mat InstanceInto, width int) *VecEnv {
+func NewVecEnv(gen InstanceGen, width int) *VecEnv {
 	if width <= 0 {
 		panic("abr: non-positive vec env width")
 	}
-	return &VecEnv{mat: mat, slots: make([]vecSlot, width)}
+	return &VecEnv{gen: gen, slots: make([]vecSlot, width)}
 }
 
 // ObsSize implements rl.DiscreteVecEnv.
@@ -51,7 +49,7 @@ func (v *VecEnv) Width() int { return len(v.slots) }
 // obs (length ObsSize).
 func (v *VecEnv) ResetSlot(i int, rng *rand.Rand, obs []float64) {
 	s := &v.slots[i]
-	s.inst = v.mat(rng, s.inst)
+	s.inst = v.gen(rng, s.inst)
 	s.inst.ResetSim(&s.sim)
 	s.scale = RewardScale(s.inst.Trace.Mean(), s.inst.Video)
 	if s.obs.ThroughputHist == nil {

@@ -11,12 +11,12 @@ import (
 )
 
 // Equivalence contract of the native vectorized environment: CollectVec over
-// NewVecEnv(IntoFromX(...), k) is bit-identical per slot to sequential
-// Collect over NewRLEnv(GenFromX(...)) with the same seed: NewRLEnv is a
-// width-1 slot view of the same VecEnv over IntoFromGen, and the reusing
-// materializer consumes rng exactly as the generator. These tests pin that
-// for both the fixed-config and the distribution (trace-augmented)
-// materializers.
+// NewVecEnv(GenFromX(...), k) is bit-identical per slot to sequential
+// Collect over NewRLEnv(GenFromX(...)) with the same seed, and slot state
+// regenerated in place leaks nothing across episodes or collects. These
+// tests pin that for both the fixed-config and the distribution
+// (trace-augmented) generators; TestRegenInstanceMatchesNewInstance pins
+// that reuse never changes what a generator draws.
 
 func sameBatches(t *testing.T, tag string, seq, vec *rl.Batch) {
 	t.Helper()
@@ -46,7 +46,7 @@ func sameBatches(t *testing.T, tag string, seq, vec *rl.Batch) {
 	}
 }
 
-func vecEquivCheck(t *testing.T, tag string, gen InstanceGen, mat InstanceInto, width, perSlot int) {
+func vecEquivCheck(t *testing.T, tag string, gen InstanceGen, width, perSlot int) {
 	t.Helper()
 	agent, err := rl.NewDiscreteAgent(rl.DefaultDiscreteConfig(ObsSize, len(DefaultBitratesKbps)), rand.New(rand.NewSource(21)))
 	if err != nil {
@@ -60,13 +60,13 @@ func vecEquivCheck(t *testing.T, tag string, gen InstanceGen, mat InstanceInto, 
 	for i := range seq {
 		seq[i] = agent.Collect(NewRLEnv(gen), perSlot, rand.New(rand.NewSource(seeds[i])))
 	}
-	vec := agent.CollectVec(NewVecEnv(mat, width), perSlot, seeds)
+	vec := agent.CollectVec(NewVecEnv(gen, width), perSlot, seeds)
 	for i := range seq {
 		sameBatches(t, tag, seq[i], vec[i])
 	}
 	// Re-collect on the same env: slot state regeneration must not leak
 	// anything across episodes or collects.
-	venv := NewVecEnv(mat, width)
+	venv := NewVecEnv(gen, width)
 	_ = agent.CollectVec(venv, perSlot, seeds)
 	vec2 := agent.CollectVec(venv, perSlot, seeds)
 	for i := range seq {
@@ -77,7 +77,7 @@ func vecEquivCheck(t *testing.T, tag string, gen InstanceGen, mat InstanceInto, 
 func TestVecEnvMatchesRLEnvConfig(t *testing.T) {
 	cfg := defaultCfg()
 	for _, width := range []int{1, 2, 5} {
-		vecEquivCheck(t, "config", GenFromConfig(cfg), IntoFromConfig(cfg), width, 120)
+		vecEquivCheck(t, "config", GenFromConfig(cfg), width, 120)
 	}
 }
 
@@ -88,13 +88,12 @@ func TestVecEnvMatchesRLEnvDistribution(t *testing.T) {
 	// traceProb 0.5 exercises both the shared-trace aliasing path and the
 	// synthetic-scratch reuse path, interleaved within one slot's episodes.
 	gen := GenFromDistribution(dist, set, 0.5)
-	mat := IntoFromDistribution(dist, set, 0.5)
 	for _, width := range []int{1, 3} {
-		vecEquivCheck(t, "distribution", gen, mat, width, 120)
+		vecEquivCheck(t, "distribution", gen, width, 120)
 	}
 }
 
-// TestRegenInstanceMatchesNewInstance pins the materializer's rng contract
+// TestRegenInstanceMatchesNewInstance pins the generators' rng contract
 // directly: regenerating into a dirty instance produces the same video,
 // trace, and sim config as a fresh NewInstance with an identically-seeded
 // rng — including after a trace-driven episode parked the synthetic scratch.

@@ -25,7 +25,7 @@ type Instance struct {
 	Duration float64
 
 	// synth is the reusable synthetic-trace scratch for in-place
-	// regeneration (InstanceInto); see the abr package for the aliasing
+	// regeneration (InstanceGen's prev); see the abr package for the aliasing
 	// rationale.
 	synth *trace.Trace
 }
@@ -33,27 +33,7 @@ type Instance struct {
 // NewInstance materializes a CC environment from cfg. When tr is nil a
 // synthetic trace is generated per §A.2; otherwise tr drives the bandwidth.
 func NewInstance(cfg env.Config, tr *trace.Trace, rng *rand.Rand) (*Instance, error) {
-	if tr == nil {
-		var err error
-		tr, err = trace.GenerateCC(trace.CCGenConfig{
-			MaxBW:          math.Max(cfg.Get(env.CCMaxBW), 1),
-			ChangeInterval: cfg.Get(env.CCBWChangeInterval),
-			Duration:       EpisodeDuration,
-		}, rng)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return &Instance{
-		Trace: tr,
-		Link: LinkParams{
-			OneWayDelayMs: cfg.Get(env.CCMinRTT) / 2,
-			QueuePackets:  math.Max(cfg.Get(env.CCQueue), 1),
-			RandomLoss:    cfg.Get(env.CCLossRate),
-			DelayNoiseMs:  cfg.Get(env.CCDelayNoise),
-		},
-		Duration: EpisodeDuration,
-	}, nil
+	return regenInstance(cfg, tr, rng, nil)
 }
 
 // NewSim starts a fresh connection over this instance.
@@ -175,14 +155,16 @@ func Fallback(obs []float64) float64 {
 	return fallbackIncrease
 }
 
-// InstanceGen produces a fresh environment instance per episode.
-type InstanceGen func(rng *rand.Rand) *Instance
+// InstanceGen produces a fresh environment instance per episode, writing
+// into prev's backing arrays when prev is non-nil and allocating when prev
+// is nil; prev never changes what is drawn.
+type InstanceGen func(rng *rand.Rand, prev *Instance) *Instance
 
 // GenFromConfig returns a generator materializing synthetic instances of a
 // fixed configuration.
 func GenFromConfig(cfg env.Config) InstanceGen {
-	return func(rng *rand.Rand) *Instance {
-		in, err := NewInstance(cfg, nil, rng)
+	return func(rng *rand.Rand, prev *Instance) *Instance {
+		in, err := regenInstance(cfg, nil, rng, prev)
 		if err != nil {
 			panic(fmt.Sprintf("cc: config instance: %v", err))
 		}
@@ -193,8 +175,10 @@ func GenFromConfig(cfg env.Config) InstanceGen {
 // GenFromDistribution returns a generator that samples a configuration from
 // dist and, with probability traceProb, swaps in a bandwidth trace from set
 // whose mean bandwidth falls within the configuration's range (§4.2).
+// Trace-driven episodes alias the set trace; synthetic ones reuse the
+// instance's private trace scratch.
 func GenFromDistribution(dist *env.Distribution, set *trace.Set, traceProb float64) InstanceGen {
-	return func(rng *rand.Rand) *Instance {
+	return func(rng *rand.Rand, prev *Instance) *Instance {
 		cfg := dist.Sample(rng)
 		var tr *trace.Trace
 		if set != nil && set.Len() > 0 && rng.Float64() < traceProb {
@@ -208,7 +192,7 @@ func GenFromDistribution(dist *env.Distribution, set *trace.Set, traceProb float
 				tr = set.Sample(rng)
 			}
 		}
-		in, err := NewInstance(cfg, tr, rng)
+		in, err := regenInstance(cfg, tr, rng, prev)
 		if err != nil {
 			panic(fmt.Sprintf("cc: distribution instance: %v", err))
 		}
@@ -216,12 +200,8 @@ func GenFromDistribution(dist *env.Distribution, set *trace.Set, traceProb float
 	}
 }
 
-// InstanceInto is the reusing form of InstanceGen: it materializes a fresh
-// instance per episode, writing into prev's backing arrays when prev is
-// non-nil, with rng consumption identical to the corresponding InstanceGen.
-type InstanceInto func(rng *rand.Rand, prev *Instance) *Instance
-
-// regenInstance is NewInstance writing into prev.
+// regenInstance materializes cfg into prev (a fresh instance when prev is
+// nil).
 func regenInstance(cfg env.Config, tr *trace.Trace, rng *rand.Rand, prev *Instance) (*Instance, error) {
 	if prev == nil {
 		prev = &Instance{}
@@ -247,46 +227,6 @@ func regenInstance(cfg env.Config, tr *trace.Trace, rng *rand.Rand, prev *Instan
 	}
 	prev.Duration = EpisodeDuration
 	return prev, nil
-}
-
-// IntoFromConfig is GenFromConfig in reusing form.
-func IntoFromConfig(cfg env.Config) InstanceInto {
-	return func(rng *rand.Rand, prev *Instance) *Instance {
-		in, err := regenInstance(cfg, nil, rng, prev)
-		if err != nil {
-			panic(fmt.Sprintf("cc: config instance: %v", err))
-		}
-		return in
-	}
-}
-
-// IntoFromDistribution is GenFromDistribution in reusing form.
-func IntoFromDistribution(dist *env.Distribution, set *trace.Set, traceProb float64) InstanceInto {
-	return func(rng *rand.Rand, prev *Instance) *Instance {
-		cfg := dist.Sample(rng)
-		var tr *trace.Trace
-		if set != nil && set.Len() > 0 && rng.Float64() < traceProb {
-			maxBW := cfg.Get(env.CCMaxBW)
-			matching := set.Filter(func(f trace.Features) bool {
-				return f.MeanBW <= maxBW
-			})
-			if matching.Len() > 0 {
-				tr = matching.Sample(rng)
-			} else {
-				tr = set.Sample(rng)
-			}
-		}
-		in, err := regenInstance(cfg, tr, rng, prev)
-		if err != nil {
-			panic(fmt.Sprintf("cc: distribution instance: %v", err))
-		}
-		return in
-	}
-}
-
-// IntoFromGen adapts any InstanceGen as an InstanceInto (without reuse).
-func IntoFromGen(gen InstanceGen) InstanceInto {
-	return func(rng *rand.Rand, _ *Instance) *Instance { return gen(rng) }
 }
 
 // RateActionScale bounds how much one action can move the sending rate: the
@@ -333,7 +273,7 @@ func TrainReward(raw, scale float64) float64 {
 // generator; training rewards are the Table 1 per-MI rewards compressed by
 // TrainReward, while evaluation always reports raw rewards.
 func NewRLEnv(gen InstanceGen) *rl.ContinuousSlot {
-	return rl.NewContinuousSlot(NewVecEnv(IntoFromGen(gen), 1))
+	return rl.NewContinuousSlot(NewVecEnv(gen, 1))
 }
 
 // AgentSender adapts a trained rl.GaussianAgent into a Sender so it can be

@@ -114,12 +114,12 @@ func TestGenFromDistributionTraceFiltering(t *testing.T) {
 	slow := constCCTrace(2, 30)
 	set := &trace.Set{Traces: []*trace.Trace{slow}}
 	gen := GenFromDistribution(dist, set, 1.0)
-	inst := gen(rand.New(rand.NewSource(4)))
+	inst := gen(rand.New(rand.NewSource(4)), nil)
 	if inst.Trace != slow {
 		t.Fatal("trace set ignored at probability 1")
 	}
 	genNone := GenFromDistribution(dist, nil, 1.0)
-	if inst := genNone(rand.New(rand.NewSource(5))); inst.Trace == slow {
+	if inst2 := genNone(rand.New(rand.NewSource(5)), inst); inst2.Trace == slow {
 		t.Fatal("nil set produced a set trace")
 	}
 }

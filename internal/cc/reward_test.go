@@ -88,7 +88,7 @@ func TestObsIncludesRateFeature(t *testing.T) {
 }
 
 func TestTrainingInitialRateRandomized(t *testing.T) {
-	v := NewVecEnv(IntoFromGen(GenFromConfig(env.CCSpace(env.RL3).Default(env.CCDefaults()))), 1)
+	v := NewVecEnv(GenFromConfig(env.CCSpace(env.RL3).Default(env.CCDefaults())), 1)
 	obs := make([]float64, ObsSize)
 	seen := map[float64]bool{}
 	for i := 0; i < 8; i++ {

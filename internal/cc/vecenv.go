@@ -9,10 +9,10 @@ import (
 // connections with per-slot state regenerated in place (synthetic trace,
 // simulator, feature history) instead of reallocated per episode. It
 // implements rl.ContinuousVecEnv, and NewRLEnv is its width-1 slot view;
-// slot i driven with rng R is bit-identical to NewRLEnv over the equivalent
+// slot i driven with rng R is bit-identical to NewRLEnv over the same
 // generator driven with the same R.
 type VecEnv struct {
-	mat   InstanceInto
+	gen   InstanceGen
 	slots []vecSlot
 }
 
@@ -24,12 +24,12 @@ type vecSlot struct {
 	enc   encoder // the sending rate and feature history
 }
 
-// NewVecEnv builds a width-slot vectorized environment over the materializer.
-func NewVecEnv(mat InstanceInto, width int) *VecEnv {
+// NewVecEnv builds a width-slot vectorized environment over the generator.
+func NewVecEnv(gen InstanceGen, width int) *VecEnv {
 	if width <= 0 {
 		panic("cc: non-positive vec env width")
 	}
-	return &VecEnv{mat: mat, slots: make([]vecSlot, width)}
+	return &VecEnv{gen: gen, slots: make([]vecSlot, width)}
 }
 
 // ObsSize implements rl.ContinuousVecEnv.
@@ -52,7 +52,7 @@ func (v *VecEnv) Width() int { return len(v.slots) }
 // on-policy exploration rarely escapes the send-at-minimum local optimum.
 func (v *VecEnv) ResetSlot(i int, rng *rand.Rand, obs []float64) {
 	s := &v.slots[i]
-	s.inst = v.mat(rng, s.inst)
+	s.inst = v.gen(rng, s.inst)
 	if err := s.sim.Init(s.inst.Trace, s.inst.Link, rng); err != nil {
 		panic("cc: instance invariant violated: " + err.Error())
 	}

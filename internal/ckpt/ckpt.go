@@ -148,7 +148,9 @@ func (w *Writer) WriteFile(path string) error {
 // RemoveStaleTemps sweeps), is synced, and is renamed over path. A reader —
 // in particular a model-watching policy server — concurrently opening path
 // sees either the previous complete file or the new one, never a torn mix.
-// Any error removes the temp file and leaves path untouched.
+// The file is left 0644: models, checkpoints, manifests and traces are
+// shareable artifacts. Any error removes the temp file and leaves path
+// untouched.
 func AtomicWriteFile(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
@@ -159,6 +161,11 @@ func AtomicWriteFile(path string, write func(io.Writer) error) error {
 	cleanup := func() {
 		tmp.Close()
 		os.Remove(tmpName)
+	}
+	// CreateTemp makes the file 0600.
+	if err := tmp.Chmod(0o644); err != nil {
+		cleanup()
+		return fmt.Errorf("ckpt: chmod %s: %w", tmpName, err)
 	}
 	if err := write(tmp); err != nil {
 		cleanup()

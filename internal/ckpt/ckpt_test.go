@@ -314,14 +314,24 @@ func TestReadRejectsHugeClaimedPayloadWithoutAllocating(t *testing.T) {
 	}
 }
 
-// TestAtomicWriteFile covers the generic atomic-write helper the model
-// writers (genet-train, fleet cells) share with WriteFile: content lands
-// whole, overwrites replace atomically, a failing producer leaves the
-// previous file untouched and no temp behind, and temps match the
-// RemoveStaleTemps pattern.
+// TestAtomicWriteFile covers the generic atomic-write helper every artifact
+// writer (models, checkpoints, manifests, traces, fleet results) shares:
+// content lands whole and 0644, overwrites replace atomically, a failing
+// producer leaves the previous file untouched and no temp behind, and temps
+// match the RemoveStaleTemps pattern.
 func TestAtomicWriteFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "model.bin")
+	wantMode := func(when string) {
+		t.Helper()
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := st.Mode().Perm(); m != 0o644 {
+			t.Fatalf("%s: mode = %v, want 0644", when, m)
+		}
+	}
 
 	if err := AtomicWriteFile(path, func(w io.Writer) error {
 		_, err := w.Write([]byte("model-v1"))
@@ -332,6 +342,7 @@ func TestAtomicWriteFile(t *testing.T) {
 	if got, _ := os.ReadFile(path); string(got) != "model-v1" {
 		t.Fatalf("content = %q", got)
 	}
+	wantMode("write")
 
 	// Overwrite replaces the whole file.
 	if err := AtomicWriteFile(path, func(w io.Writer) error {
@@ -343,6 +354,7 @@ func TestAtomicWriteFile(t *testing.T) {
 	if got, _ := os.ReadFile(path); string(got) != "model-v2" {
 		t.Fatalf("content after overwrite = %q", got)
 	}
+	wantMode("overwrite")
 
 	// A failing producer must not disturb the existing file and must not
 	// strand its temp.
@@ -357,6 +369,7 @@ func TestAtomicWriteFile(t *testing.T) {
 	if got, _ := os.ReadFile(path); string(got) != "model-v2" {
 		t.Fatalf("failed write disturbed file: %q", got)
 	}
+	wantMode("failed write")
 	entries, rerr := os.ReadDir(dir)
 	if rerr != nil {
 		t.Fatal(rerr)

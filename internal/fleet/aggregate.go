@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"github.com/genet-go/genet/internal/ckpt"
 	"github.com/genet-go/genet/internal/stats"
 )
 
@@ -136,17 +137,12 @@ func (s *Summary) TableString() string {
 }
 
 // WriteFiles persists the summary and its rendered table into the sweep's
-// output directory (atomically, temp + rename).
+// output directory (atomically, temp + fsync + rename).
 func (s *Summary) WriteFiles(outDir string) error {
-	data, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
+	if err := writeJSON(filepath.Join(outDir, SummaryFile), s); err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	if err := atomicWrite(filepath.Join(outDir, SummaryFile), data); err != nil {
-		return err
-	}
-	return atomicWrite(filepath.Join(outDir, TableFile), []byte(s.TableString()))
+	return ckpt.AtomicWriteFile(filepath.Join(outDir, TableFile), s.WriteTable)
 }
 
 // ReadSummary loads a summary.json written by WriteFiles (or committed as a
@@ -163,14 +159,11 @@ func ReadSummary(path string) (*Summary, error) {
 	return &s, nil
 }
 
-func atomicWrite(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+// writeJSON atomically writes v as two-space-indented JSON and a newline.
+func writeJSON(path string, v any) error {
+	return ckpt.AtomicWriteFile(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(v)
+	})
 }

@@ -451,21 +451,7 @@ func evalCell(h core.Harness, c Cell, evalEnvs int, res *CellResult) {
 const evalSeedSalt = 0x5DEECE66D
 
 func writeResult(dir string, res CellResult) error {
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	final := filepath.Join(dir, ResultFile)
-	tmp := final + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return writeJSON(filepath.Join(dir, ResultFile), res)
 }
 
 // cellFlags records the budget and fault profile in the cell manifest, the

@@ -3,9 +3,11 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
+	"github.com/genet-go/genet/internal/ckpt"
 	"github.com/genet-go/genet/internal/metrics"
 )
 
@@ -73,24 +75,14 @@ func CreateRunDir(path string) error {
 	return nil
 }
 
-// WriteManifest atomically writes the manifest into dir (temp file + rename),
-// so a manifest on disk is always complete JSON.
+// WriteManifest atomically writes the manifest into dir (temp file + fsync +
+// rename), so a manifest on disk is always complete JSON.
 func WriteManifest(dir string, m Manifest) error {
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	final := filepath.Join(dir, ManifestFile)
-	tmp := final + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return ckpt.AtomicWriteFile(filepath.Join(dir, ManifestFile), func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(m)
+	})
 }
 
 // ReadManifest loads dir's manifest.

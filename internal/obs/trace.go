@@ -6,8 +6,9 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"sort"
+
+	"github.com/genet-go/genet/internal/ckpt"
 )
 
 // TraceEvent is one Chrome trace_event record — the JSON schema Perfetto
@@ -95,30 +96,12 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 	return enc.Encode(tf)
 }
 
-// WriteTraceFile writes the trace atomically (temp + rename), so a flush
-// racing a crash leaves either the previous complete trace or the new one,
-// never a torn file. Safe to call repeatedly; each call rewrites the whole
-// file from the current ring.
+// WriteTraceFile writes the trace atomically (temp + fsync + rename), so a
+// flush racing a crash leaves either the previous complete trace or the new
+// one, never a torn file. Safe to call repeatedly; each call rewrites the
+// whole file from the current ring.
 func (r *Recorder) WriteTraceFile(path string) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	if err := r.WriteTrace(tmp); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	// CreateTemp defaults to 0600; traces are shareable artifacts.
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return ckpt.AtomicWriteFile(path, r.WriteTrace)
 }
 
 // ReadTrace parses a trace produced by WriteTrace (or any object-form

@@ -49,8 +49,8 @@ func TestManifestRoundTrip(t *testing.T) {
 	if got.Outcome != "completed" || got.FinishedAt == "" {
 		t.Fatalf("rewrite = %+v", got)
 	}
-	if _, err := os.Stat(filepath.Join(dir, ManifestFile+".tmp")); !os.IsNotExist(err) {
-		t.Error("manifest temp file left behind")
+	if residue, _ := filepath.Glob(filepath.Join(dir, ManifestFile+".tmp*")); len(residue) != 0 {
+		t.Errorf("manifest temp file left behind: %v", residue)
 	}
 }
 

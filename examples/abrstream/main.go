@@ -45,7 +45,7 @@ func main() {
 			p.Name(), m.MeanReward, m.MeanBitrate, m.TotalRebuffer, m.MeanChange)
 	}
 	// The oracle plans with the ground-truth future bandwidth.
-	m := inst.EvaluateOmniscient(0)
+	m := inst.EvaluateOmniscient()
 	fmt.Fprintf(w, "Omniscient\t%.3f\t%.2f\t%.2f\t%.3f\n",
 		m.MeanReward, m.MeanBitrate, m.TotalRebuffer, m.MeanChange)
 	w.Flush()

@@ -262,22 +262,23 @@ func (Naive) Select(obs *Observation) int {
 
 // OmniscientMPC is the "optimal" reference of Strawman 3 (§3): MPC driven by
 // the ground-truth future bandwidth rather than a prediction. It plans with
-// a beam search over the next Horizon chunks using exact download times from
-// the live session's trace, so it upper-bounds prediction-based MPC at equal
-// depth. It must only be used with the sim passed at construction.
+// a beam search over the next omniscientHorizon chunks using exact download
+// times from the live session's trace, so it upper-bounds prediction-based
+// MPC at equal depth. It must only be used with the sim passed at
+// construction.
 type OmniscientMPC struct {
-	sim     *Sim
-	horizon int
-	beam    int
+	sim *Sim
 }
 
-// NewOmniscientMPC builds the oracle for a specific session. Horizon
-// defaults to 6 and beam width to 12 when non-positive.
-func NewOmniscientMPC(sim *Sim, horizon int) *OmniscientMPC {
-	if horizon <= 0 {
-		horizon = 6
-	}
-	return &OmniscientMPC{sim: sim, horizon: horizon, beam: 12}
+// The oracle's planning depth in chunks and its beam width.
+const (
+	omniscientHorizon = 6
+	omniscientBeam    = 12
+)
+
+// NewOmniscientMPC builds the oracle for a specific session.
+func NewOmniscientMPC(sim *Sim) *OmniscientMPC {
+	return &OmniscientMPC{sim: sim}
 }
 
 // Name implements Policy.
@@ -297,7 +298,7 @@ type beamState struct {
 
 // Select implements Policy.
 func (o *OmniscientMPC) Select(obs *Observation) int {
-	horizon := o.horizon
+	horizon := omniscientHorizon
 	if r := obs.RemainingChunks; r < horizon {
 		horizon = r
 	}
@@ -337,8 +338,8 @@ func (o *OmniscientMPC) Select(obs *Observation) int {
 			}
 		}
 		sort.Slice(next, func(i, j int) bool { return next[i].score > next[j].score })
-		if len(next) > o.beam {
-			next = next[:o.beam]
+		if len(next) > omniscientBeam {
+			next = next[:omniscientBeam]
 		}
 		frontier = next
 	}

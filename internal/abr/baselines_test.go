@@ -180,7 +180,7 @@ func TestOmniscientBeatsNaiveEverywhere(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		omni := inst.EvaluateOmniscient(0)
+		omni := inst.EvaluateOmniscient()
 		naive := inst.Evaluate(Naive{})
 		if omni.MeanReward <= naive.MeanReward {
 			t.Fatalf("seed %d: omniscient %.3f <= naive %.3f", i, omni.MeanReward, naive.MeanReward)
@@ -198,7 +198,7 @@ func TestOmniscientAtLeastMPCOnAverage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		omniSum += inst.EvaluateOmniscient(0).MeanReward
+		omniSum += inst.EvaluateOmniscient().MeanReward
 		mpcSum += inst.Evaluate(NewRobustMPC()).MeanReward
 	}
 	if omniSum < mpcSum {

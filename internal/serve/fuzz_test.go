@@ -2,11 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"github.com/genet-go/genet/internal/ckpt"
 	"github.com/genet-go/genet/internal/core"
+	"github.com/genet-go/genet/internal/metrics"
 	"github.com/genet-go/genet/internal/rl"
 )
 
@@ -98,6 +102,89 @@ func FuzzReadModel(f *testing.F) {
 		}
 		if _, err := m.Decide(make([]float64, uc.ObsSize)); err != nil {
 			t.Fatalf("accepted %s model cannot decide: %v", uc.Name, err)
+		}
+	})
+}
+
+// FuzzDecideBody POSTs arbitrary bytes to /decide on an instrumented server
+// of every use case. The body is untrusted client input, so the handler
+// must never panic, and it must answer 200 with a decision inside the use
+// case's action space or 400 with a structured error carrying the trace ID;
+// every 400 ticks exactly one of bad_requests_total and decide_errors_total.
+func FuzzDecideBody(f *testing.F) {
+	servers := make([]*Server, len(core.UseCases))
+	for i, uc := range core.UseCases {
+		m, err := ReadModel(uc.Name, bytes.NewReader(fuzzModel(f, uc, int64(i+1))))
+		if err != nil {
+			f.Fatal(err)
+		}
+		s, err := New(uc.Name, m, metrics.NewRegistry())
+		if err != nil {
+			f.Fatal(err)
+		}
+		s.Instrument(NewObserver(ObserverConfig{Seed: 1}))
+		servers[i] = s
+	}
+	for _, uc := range core.UseCases {
+		body, err := json.Marshal(DecideRequest{Obs: make([]float64, uc.ObsSize)})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	valid, _ := json.Marshal(DecideRequest{Obs: make([]float64, core.ABR.ObsSize)})
+	for _, seed := range []string{
+		`{"obs":[0.1,0.2,0.3]}`, // wrong length for every use case
+		`{"obs":null}`,
+		`[]`,
+		`{"obs":[1e309]}`, // out of float64 range
+		string(valid[:len(valid)/2]),
+		string(valid) + `}garbage`,
+	} {
+		f.Add([]byte(seed))
+	}
+
+	rejected := func(s *Server) int64 {
+		c := s.Snapshot().Counters
+		return c[MetricBadRequests] + c[MetricDecideErrors]
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for i, uc := range core.UseCases {
+			s := servers[i]
+			before := rejected(s)
+			req := httptest.NewRequest(http.MethodPost, "/decide", bytes.NewReader(body))
+			rw := httptest.NewRecorder()
+			NewHandler(s).ServeHTTP(rw, req)
+			switch rw.Code {
+			case http.StatusOK:
+				var d Decision
+				if err := json.Unmarshal(rw.Body.Bytes(), &d); err != nil {
+					t.Fatalf("%s: 200 body %q does not decode: %v", uc.Name, rw.Body.Bytes(), err)
+				}
+				if !validDecision(uc, d) {
+					t.Fatalf("%s: 200 with invalid decision %+v", uc.Name, d)
+				}
+			case http.StatusBadRequest:
+				var e ErrorBody
+				if err := json.Unmarshal(rw.Body.Bytes(), &e); err != nil {
+					t.Fatalf("%s: 400 body %q is not an ErrorBody: %v", uc.Name, rw.Body.Bytes(), err)
+				}
+				if e.Outcome != OutcomeError || e.Error == "" {
+					t.Fatalf("%s: 400 error body %+v", uc.Name, e)
+				}
+				if e.Trace == "" || rw.Header().Get(TraceHeader) != e.Trace {
+					t.Fatalf("%s: 400 trace %q, header %q", uc.Name, e.Trace, rw.Header().Get(TraceHeader))
+				}
+			default:
+				t.Fatalf("%s: status %d, want 200 or 400 (body %q)", uc.Name, rw.Code, rw.Body.Bytes())
+			}
+			want := int64(0)
+			if rw.Code == http.StatusBadRequest {
+				want = 1
+			}
+			if got := rejected(s) - before; got != want {
+				t.Fatalf("%s: status %d moved bad_requests+decide_errors by %d, want %d", uc.Name, rw.Code, got, want)
+			}
 		}
 	})
 }

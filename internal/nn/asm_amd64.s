@@ -151,3 +151,305 @@ axpy_scalar:
 axpy_done:
 	VZEROUPPER
 	RET
+
+// func dotRowsAsm(dst, w, x []float64, in int)
+// dst[o] = dot(w[o*in : o*in+in], x[:in]) for every o < len(dst) (caller
+// guarantees len(w) >= len(dst)*in and len(x) >= in). Rows run two per
+// pass against one load of x; each row keeps dotAsm's four accumulators,
+// 16/4/1 tails and reduction order, so every dst[o] is bit-identical to
+// dotAsm(w[o*in:o*in+in], x).
+TEXT ·dotRowsAsm(SB), NOSPLIT, $0-80
+	MOVQ	dst_base+0(FP), DI
+	MOVQ	dst_len+8(FP), BX
+	MOVQ	w_base+24(FP), SI
+	MOVQ	x_base+48(FP), R8
+	MOVQ	in+72(FP), R9
+	LEAQ	(R9*8), R10
+rows_pair:
+	CMPQ	BX, $2
+	JLT	rows_single
+	MOVQ	SI, AX
+	LEAQ	(SI)(R10*1), R11
+	MOVQ	R8, DX
+	VXORPD	Y0, Y0, Y0
+	VXORPD	Y1, Y1, Y1
+	VXORPD	Y2, Y2, Y2
+	VXORPD	Y3, Y3, Y3
+	VXORPD	Y4, Y4, Y4
+	VXORPD	Y5, Y5, Y5
+	VXORPD	Y6, Y6, Y6
+	VXORPD	Y7, Y7, Y7
+	MOVQ	R9, CX
+	MOVQ	CX, R12
+	SHRQ	$4, R12
+	JZ	pair_tail4
+pair_loop16:
+	VMOVUPD	(DX), Y8
+	VMOVUPD	32(DX), Y9
+	VMOVUPD	64(DX), Y10
+	VMOVUPD	96(DX), Y11
+	VFMADD231PD	(AX), Y8, Y0
+	VFMADD231PD	32(AX), Y9, Y1
+	VFMADD231PD	64(AX), Y10, Y2
+	VFMADD231PD	96(AX), Y11, Y3
+	VFMADD231PD	(R11), Y8, Y4
+	VFMADD231PD	32(R11), Y9, Y5
+	VFMADD231PD	64(R11), Y10, Y6
+	VFMADD231PD	96(R11), Y11, Y7
+	ADDQ	$128, AX
+	ADDQ	$128, R11
+	ADDQ	$128, DX
+	DECQ	R12
+	JNZ	pair_loop16
+pair_tail4:
+	ANDQ	$15, CX
+	MOVQ	CX, R12
+	SHRQ	$2, R12
+	JZ	pair_tail1
+pair_loop4:
+	VMOVUPD	(DX), Y8
+	VFMADD231PD	(AX), Y8, Y0
+	VFMADD231PD	(R11), Y8, Y4
+	ADDQ	$32, AX
+	ADDQ	$32, R11
+	ADDQ	$32, DX
+	DECQ	R12
+	JNZ	pair_loop4
+pair_tail1:
+	ANDQ	$3, CX
+	VADDPD	Y1, Y0, Y0
+	VADDPD	Y3, Y2, Y2
+	VADDPD	Y2, Y0, Y0
+	VEXTRACTF128	$1, Y0, X1
+	VADDPD	X1, X0, X0
+	VHADDPD	X0, X0, X0
+	VADDPD	Y5, Y4, Y4
+	VADDPD	Y7, Y6, Y6
+	VADDPD	Y6, Y4, Y4
+	VEXTRACTF128	$1, Y4, X5
+	VADDPD	X5, X4, X4
+	VHADDPD	X4, X4, X4
+	JZ	pair_store
+pair_scalar:
+	VMOVSD	(DX), X8
+	VFMADD231SD	(AX), X8, X0
+	VFMADD231SD	(R11), X8, X4
+	ADDQ	$8, AX
+	ADDQ	$8, R11
+	ADDQ	$8, DX
+	DECQ	CX
+	JNZ	pair_scalar
+pair_store:
+	VMOVSD	X0, (DI)
+	VMOVSD	X4, 8(DI)
+	ADDQ	$16, DI
+	LEAQ	(SI)(R10*2), SI
+	SUBQ	$2, BX
+	JMP	rows_pair
+rows_single:
+	TESTQ	BX, BX
+	JZ	rows_done
+	// One row left: dotAsm's loop verbatim.
+	MOVQ	SI, AX
+	MOVQ	R8, DX
+	VXORPD	Y0, Y0, Y0
+	VXORPD	Y1, Y1, Y1
+	VXORPD	Y2, Y2, Y2
+	VXORPD	Y3, Y3, Y3
+	MOVQ	R9, CX
+	MOVQ	CX, R12
+	SHRQ	$4, R12
+	JZ	one_tail4
+one_loop16:
+	VMOVUPD	(DX), Y8
+	VMOVUPD	32(DX), Y9
+	VMOVUPD	64(DX), Y10
+	VMOVUPD	96(DX), Y11
+	VFMADD231PD	(AX), Y8, Y0
+	VFMADD231PD	32(AX), Y9, Y1
+	VFMADD231PD	64(AX), Y10, Y2
+	VFMADD231PD	96(AX), Y11, Y3
+	ADDQ	$128, AX
+	ADDQ	$128, DX
+	DECQ	R12
+	JNZ	one_loop16
+one_tail4:
+	ANDQ	$15, CX
+	MOVQ	CX, R12
+	SHRQ	$2, R12
+	JZ	one_tail1
+one_loop4:
+	VMOVUPD	(DX), Y8
+	VFMADD231PD	(AX), Y8, Y0
+	ADDQ	$32, AX
+	ADDQ	$32, DX
+	DECQ	R12
+	JNZ	one_loop4
+one_tail1:
+	ANDQ	$3, CX
+	VADDPD	Y1, Y0, Y0
+	VADDPD	Y3, Y2, Y2
+	VADDPD	Y2, Y0, Y0
+	VEXTRACTF128	$1, Y0, X1
+	VADDPD	X1, X0, X0
+	VHADDPD	X0, X0, X0
+	JZ	one_store
+one_scalar:
+	VMOVSD	(DX), X8
+	VFMADD231SD	(AX), X8, X0
+	ADDQ	$8, AX
+	ADDQ	$8, DX
+	DECQ	CX
+	JNZ	one_scalar
+one_store:
+	VMOVSD	X0, (DI)
+rows_done:
+	VZEROUPPER
+	RET
+
+// Constants for tanhAsm, each splatted across a 32-byte slot so it can be
+// a ymm memory operand. The bit patterns are math.tanh's (tanhP, tanhQ,
+// 0.5*MAXLOG, 0.625) and math.archExp's (LOG2E, LN2U, LN2L and the Taylor
+// coefficients).
+#define SPLAT(off, bits) \
+	DATA tanhc<>+(off)(SB)/8, bits; \
+	DATA tanhc<>+(off+8)(SB)/8, bits; \
+	DATA tanhc<>+(off+16)(SB)/8, bits; \
+	DATA tanhc<>+(off+24)(SB)/8, bits
+
+SPLAT(0, $0x7fffffffffffffff)   // |x| mask
+SPLAT(32, $0x8000000000000000)  // sign mask
+SPLAT(64, $0x3ff0000000000000)  // 1
+SPLAT(96, $0x4000000000000000)  // 2
+SPLAT(128, $0x404601e678fc457b) // 0.5*MAXLOG
+SPLAT(160, $0x3fe4000000000000) // 0.625
+SPLAT(192, $0xbfeedc5baafd6f4b) // tanhP[0]
+SPLAT(224, $0xc058d26a0e26682d) // tanhP[1]
+SPLAT(256, $0xc0993ac030580563) // tanhP[2]
+SPLAT(288, $0x405c33f28a581b86) // tanhQ[0]
+SPLAT(320, $0x40a176fa0e5535fa) // tanhQ[1]
+SPLAT(352, $0x40b2ec102442040c) // tanhQ[2]
+SPLAT(384, $0x3ff71547652b82fe) // LOG2E
+SPLAT(416, $0x3fe62e42fefa3000) // LN2U
+SPLAT(448, $0x3d53de6af278ece6) // LN2L
+SPLAT(480, $0x3fb0000000000000) // 0.0625
+SPLAT(512, $0x3efa01a01a01a01a) // 1/8!
+SPLAT(544, $0x3f2a01a01a01a01a) // 1/7!
+SPLAT(576, $0x3f56c16c16c16c17) // 1/6!
+SPLAT(608, $0x3f81111111111111) // 1/5!
+SPLAT(640, $0x3fa5555555555555) // 1/4!
+SPLAT(672, $0x3fc5555555555555) // 1/3!
+SPLAT(704, $0x3fe0000000000000) // 1/2
+SPLAT(736, $0x00000000000003ff) // exponent bias (int64 lanes)
+GLOBL tanhc<>(SB), RODATA|NOPTR, $768
+
+#define ABSMASK tanhc<>+0(SB)
+#define SIGNMASK tanhc<>+32(SB)
+#define ONE tanhc<>+64(SB)
+#define TWO tanhc<>+96(SB)
+#define HALFMAXLOG tanhc<>+128(SB)
+#define RATLIMIT tanhc<>+160(SB)
+#define TP0 tanhc<>+192(SB)
+#define TP1 tanhc<>+224(SB)
+#define TP2 tanhc<>+256(SB)
+#define TQ0 tanhc<>+288(SB)
+#define TQ1 tanhc<>+320(SB)
+#define TQ2 tanhc<>+352(SB)
+#define LOG2E tanhc<>+384(SB)
+#define LN2U tanhc<>+416(SB)
+#define LN2L tanhc<>+448(SB)
+#define SIXTEENTH tanhc<>+480(SB)
+#define E8 tanhc<>+512(SB)
+#define E7 tanhc<>+544(SB)
+#define E6 tanhc<>+576(SB)
+#define E5 tanhc<>+608(SB)
+#define E4 tanhc<>+640(SB)
+#define E3 tanhc<>+672(SB)
+#define E2 tanhc<>+704(SB)
+#define EXPBIAS tanhc<>+736(SB)
+
+// func tanhAsm(xs []float64)
+// xs[i] = math.Tanh(xs[i]) for i < len(xs)&^3, four lanes at a time and bit
+// for bit: each lane replays math.tanh — the rational form below 0.625,
+// 1 - 2/(exp(2|x|)+1) up to 0.5*MAXLOG with exp computed exactly as
+// math.archExp's FMA branch, ±1 beyond, x itself at ±0 — as the same IEEE
+// operations in the same order. Both formulas run on every lane and the
+// branch masks pick one per lane.
+TEXT ·tanhAsm(SB), NOSPLIT, $0-24
+	MOVQ	xs_base+0(FP), SI
+	MOVQ	xs_len+8(FP), CX
+	SHRQ	$2, CX
+	JZ	tanh_done
+	VXORPD	Y14, Y14, Y14
+tanh_loop:
+	VMOVUPD	(SI), Y0
+	VANDPD	ABSMASK, Y0, Y1          // z = |x|
+
+	// Rational branch: x + x*s*P(s)/Q(s), s = x*x.
+	VMULPD	Y0, Y0, Y2               // s
+	VMULPD	TP0, Y2, Y3
+	VADDPD	TP1, Y3, Y3
+	VMULPD	Y2, Y3, Y3
+	VADDPD	TP2, Y3, Y3              // P = (P0*s+P1)*s+P2
+	VADDPD	TQ0, Y2, Y4
+	VMULPD	Y2, Y4, Y4
+	VADDPD	TQ1, Y4, Y4
+	VMULPD	Y2, Y4, Y4
+	VADDPD	TQ2, Y4, Y4              // Q = ((s+Q0)*s+Q1)*s+Q2
+	VMULPD	Y2, Y0, Y5               // x*s
+	VMULPD	Y3, Y5, Y5               // x*s*P
+	VDIVPD	Y4, Y5, Y5               // x*s*P/Q
+	VADDPD	Y5, Y0, Y5               // rational result
+
+	// Exp branch: e = exp(a), a = 2z, as archExp's FMA path.
+	VADDPD	Y1, Y1, Y6               // a = 2z (exact)
+	VMULPD	LOG2E, Y6, Y7
+	VCVTPD2DQY	Y7, X8               // n = round(a*LOG2E)
+	VCVTDQ2PD	X8, Y7
+	VFNMADD231PD	LN2U, Y7, Y6     // a -= n*LN2U (fused)
+	VFNMADD231PD	LN2L, Y7, Y6     // a -= n*LN2L (fused)
+	VMULPD	SIXTEENTH, Y6, Y6        // r = a/16
+	VMOVUPD	E8, Y7
+	VFMADD213PD	E7, Y6, Y7
+	VFMADD213PD	E6, Y6, Y7
+	VFMADD213PD	E5, Y6, Y7
+	VFMADD213PD	E4, Y6, Y7
+	VFMADD213PD	E3, Y6, Y7
+	VFMADD213PD	E2, Y6, Y7
+	VFMADD213PD	ONE, Y6, Y7
+	VMULPD	Y7, Y6, Y6               // r*p(r) = exp(r)-1
+	VADDPD	TWO, Y6, Y7              // four squarings of 1+(...)
+	VMULPD	Y7, Y6, Y6
+	VADDPD	TWO, Y6, Y7
+	VMULPD	Y7, Y6, Y6
+	VADDPD	TWO, Y6, Y7
+	VMULPD	Y7, Y6, Y6
+	VADDPD	TWO, Y6, Y7
+	VFMADD213PD	ONE, Y7, Y6
+	VPMOVSXDQ	X8, Y8               // scale by 2**n
+	VPADDQ	EXPBIAS, Y8, Y8
+	VPSLLQ	$52, Y8, Y8
+	VMULPD	Y8, Y6, Y6               // s = exp(2z)
+	VADDPD	ONE, Y6, Y6
+	VMOVUPD	TWO, Y7
+	VDIVPD	Y6, Y7, Y7               // 2/(s+1)
+	VMOVUPD	ONE, Y6
+	VSUBPD	Y7, Y6, Y6               // 1 - 2/(s+1), positive
+	VANDPD	SIGNMASK, Y0, Y9         // sign of x
+	VORPD	Y9, Y6, Y6               // negated when x < 0
+
+	// Pick one branch per lane.
+	VCMPPD	$0x1d, RATLIMIT, Y1, Y10   // z >= 0.625
+	VBLENDVPD	Y10, Y6, Y5, Y5
+	VORPD	ONE, Y9, Y9                // ±1
+	VCMPPD	$0x1e, HALFMAXLOG, Y1, Y10 // z > 0.5*MAXLOG
+	VBLENDVPD	Y10, Y9, Y5, Y5
+	VCMPPD	$0x00, Y14, Y0, Y10        // x == ±0
+	VBLENDVPD	Y10, Y0, Y5, Y5
+	VMOVUPD	Y5, (SI)
+	ADDQ	$32, SI
+	DECQ	CX
+	JNZ	tanh_loop
+tanh_done:
+	VZEROUPPER
+	RET

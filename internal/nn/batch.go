@@ -314,20 +314,23 @@ func (m *MLP) BackwardBatchRows(c *BatchCache, start, end int, gradOut []float64
 // w is the layer's flat (out x in) matrix, dst is [b x out].
 //
 // Every output element is computed as bias[o] + dot(weightRow, inputRow)
-// with the same dot kernel a 1-row batch would use (dotAsm with AVX2+FMA,
-// dotUnroll otherwise), so each row of a batched forward is bit-identical
-// to the corresponding single-row forward — the property the vectorized
-// rollout engine's determinism contract rests on. The scalar fallback
-// iterates output-column-major so each weight row is loaded once and
-// streamed across all batch rows; dotUnroll's four independent accumulators
-// keep the FP pipeline busy.
+// with the same dot kernel a 1-row batch would use (dotAsm's accumulation
+// with AVX2+FMA, dotUnroll otherwise), so each row of a batched forward is
+// bit-identical to the corresponding single-row forward — the property the
+// vectorized rollout engine's determinism contract rests on. The asm path
+// makes one dotRowsAsm call per input row, which pairs weight rows against
+// one load of the input and keeps each row's dotAsm result bit for bit. The
+// scalar fallback iterates output-column-major so each weight row is loaded
+// once and streamed across all batch rows; dotUnroll's four independent
+// accumulators keep the FP pipeline busy.
 func matmulNT(dst, src, w, bias []float64, b, in, out int) {
 	if useASM {
+		w = w[:out*in]
 		for r := 0; r < b; r++ {
-			xr := src[r*in : r*in+in]
 			dr := dst[r*out : r*out+out]
-			for o := 0; o < out; o++ {
-				dr[o] = bias[o] + dotAsm(w[o*in:o*in+in], xr)
+			dotRowsAsm(dr, w, src[r*in:r*in+in], in)
+			for o, v := range dr {
+				dr[o] = bias[o] + v
 			}
 		}
 		return
@@ -444,8 +447,13 @@ func backpropDelta(dst, delta, w []float64, b, in, out int) {
 func applyActivation(a Activation, xs []float64) {
 	switch a {
 	case Tanh:
-		for i, v := range xs {
-			xs[i] = math.Tanh(v)
+		i := 0
+		if useASM {
+			tanhAsm(xs)
+			i = len(xs) &^ 3
+		}
+		for ; i < len(xs); i++ {
+			xs[i] = math.Tanh(xs[i])
 		}
 	case ReLU:
 		for i, v := range xs {

@@ -1,18 +1,27 @@
 package obs
 
-import "testing"
+import (
+	"fmt"
+	"math"
+	"testing"
+)
 
 // FuzzParseTraceID fuzzes the X-Genet-Trace header parser. It must never
 // panic; an accepted ID fits in TraceIDBits and round-trips through its
-// String form; a rejected one comes back as zero.
+// String form; a rejected one comes back as zero. Independently, String of
+// any uint64 — wider than TraceIDBits or not — must be the %013x form.
 func FuzzParseTraceID(f *testing.F) {
-	for _, seed := range []string{
+	for i, seed := range []string{
 		"", "0", "1", "0000000000abc", "fffffffffffff", "FFFFFFFFFFFFF", "10000000000000",
 		"zzz", "-1", "+1", "0x1f", "1_0", "fffffffffffffff1", " 1", "00000000000000000000001",
 	} {
-		f.Add(seed)
+		wide := []uint64{0, 1, traceIDMask, traceIDMask + 1, 1 << 63, math.MaxUint64, 0xabc}
+		f.Add(seed, wide[i%len(wide)])
 	}
-	f.Fuzz(func(t *testing.T, s string) {
+	f.Fuzz(func(t *testing.T, s string, v uint64) {
+		if got, want := TraceID(v).String(), fmt.Sprintf("%013x", v); got != want {
+			t.Fatalf("TraceID(%#x).String() = %q, want %q", v, got, want)
+		}
 		id, err := ParseTraceID(s)
 		if err != nil {
 			if id != 0 {

@@ -4,9 +4,12 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
+	"unicode/utf8"
 
 	"github.com/genet-go/genet/internal/obs"
 )
@@ -52,6 +55,7 @@ type AccessLog struct {
 	maxBytes int64
 	keep     int
 	lines    int64
+	buf      []byte // the line being encoded, reused under mu
 }
 
 const (
@@ -86,19 +90,20 @@ func OpenAccessLog(path string, maxBytes int64, keep int) (*AccessLog, error) {
 }
 
 // Write appends one record as a single JSONL line, rotating first if the line
-// would push the current file past the byte bound.
+// would push the current file past the byte bound. The line is encoded into
+// a buffer the log reuses, so a write allocates nothing.
 func (l *AccessLog) Write(rec AccessRecord) error {
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
 		return fmt.Errorf("serve: access log closed")
 	}
+	data, err := appendAccessRecord(l.buf[:0], &rec)
+	if err != nil {
+		return err
+	}
+	data = append(data, '\n')
+	l.buf = data
 	if l.size > 0 && l.size+int64(len(data)) > l.maxBytes {
 		if err := l.rotateLocked(); err != nil {
 			return err
@@ -110,6 +115,108 @@ func (l *AccessLog) Write(rec AccessRecord) error {
 	l.size += int64(len(data))
 	l.lines++
 	return nil
+}
+
+// appendAccessRecord appends the JSON encoding of rec to dst, byte for byte
+// what json.Marshal(rec) writes (FuzzAccessRecord holds it to that): the
+// same field order and omitempty fields, json's float format and its
+// HTML-safe string escaping. Like json.Marshal it rejects a non-finite
+// time.
+func appendAccessRecord(dst []byte, rec *AccessRecord) ([]byte, error) {
+	if !isFinite(rec.TS) || !isFinite(rec.LatSec) {
+		return dst, fmt.Errorf("serve: access record times must be finite, got ts=%v lat_s=%v", rec.TS, rec.LatSec)
+	}
+	dst = append(dst, `{"ts":`...)
+	dst = appendJSONFloat(dst, rec.TS)
+	dst = append(dst, `,"trace":"`...)
+	dst = rec.Trace.AppendHex(dst)
+	dst = append(dst, `","outcome":`...)
+	dst = appendJSONString(dst, rec.Outcome)
+	dst = append(dst, `,"usecase":`...)
+	dst = appendJSONString(dst, rec.UseCase)
+	dst = append(dst, `,"ver":`...)
+	dst = strconv.AppendUint(dst, rec.Version, 10)
+	dst = append(dst, `,"lat_s":`...)
+	dst = appendJSONFloat(dst, rec.LatSec)
+	if rec.Attempt != 0 {
+		dst = append(dst, `,"attempt":`...)
+		dst = strconv.AppendInt(dst, int64(rec.Attempt), 10)
+	}
+	if rec.Err != "" {
+		dst = append(dst, `,"err":`...)
+		dst = appendJSONString(dst, rec.Err)
+	}
+	return append(dst, '}'), nil
+}
+
+func isFinite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
+
+// appendJSONFloat appends a finite f as encoding/json does: %f-style
+// between 1e-6 and 1e21, exponent form outside, with e-09 shortened to e-9.
+func appendJSONFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
+}
+
+// appendJSONString appends s as a quoted JSON string with encoding/json's
+// HTML-safe escaping: control bytes, quote, backslash, <, > and & escaped,
+// invalid UTF-8 replaced by \ufffd, and U+2028/U+2029 escaped.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '\\', '"':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+		case c == '\u2028' || c == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[c&0xf])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }
 
 // rotateLocked closes the live file and shifts the rotation chain. Caller

@@ -1,8 +1,13 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -145,6 +150,96 @@ func TestReadAccessLogRejectsTornLine(t *testing.T) {
 		t.Fatal("torn line accepted")
 	} else if !strings.Contains(err.Error(), "torn or malformed") {
 		t.Fatalf("unexpected error: %v", err)
+	}
+}
+
+// FuzzAccessRecord holds appendAccessRecord to json.Marshal byte for byte
+// over arbitrary field values (floats at the 'f'/'e' cut-offs and
+// non-finite, traces wider than TraceIDBits, strings with control bytes,
+// HTML metacharacters, U+2028/U+2029 and invalid UTF-8), and checks that a
+// record written through AccessLog reads back as json.Unmarshal decodes
+// the Marshal output.
+func FuzzAccessRecord(f *testing.F) {
+	f.Add(1.5, uint64(12345), OutcomeOK, "abr", uint64(3), 0.002, 0, "")
+	f.Add(0.0, uint64(0), OutcomeError, "cc", uint64(0), -0.0, -2, "serve: <bad> & \"worse\"\n\t\x01\x7f")
+	f.Add(1e-7, uint64(1)<<52, "\u2028\u2029", "\xff\xfe", uint64(math.MaxUint64), 1e21, 7, "caf\xc3")
+	f.Add(9.999999e-7, uint64(0xfffffffffffff), "é✓", "\b\f\r", uint64(1), 1e20, 1, "\x00")
+	f.Add(5e-324, uint64(math.MaxUint64), "", "", uint64(2), math.MaxFloat64, 0, "x")
+	f.Add(math.NaN(), uint64(1), OutcomeOK, "abr", uint64(1), 1.0, 0, "")
+	f.Add(1.0, uint64(1), OutcomeOK, "abr", uint64(1), math.Inf(-1), 0, "")
+	f.Fuzz(func(t *testing.T, ts float64, trace uint64, outcome, usecase string, ver uint64, lat float64, attempt int, errStr string) {
+		rec := AccessRecord{TS: ts, Trace: obs.TraceID(trace), Outcome: outcome, UseCase: usecase,
+			Version: ver, LatSec: lat, Attempt: attempt, Err: errStr}
+		want, werr := json.Marshal(rec)
+		got, gerr := appendAccessRecord([]byte("prefix"), &rec)
+		if (werr != nil) != (gerr != nil) {
+			t.Fatalf("%+v: json.Marshal error %v, appendAccessRecord error %v", rec, werr, gerr)
+		}
+		if werr != nil {
+			return
+		}
+		if !bytes.Equal(got[len("prefix"):], want) || string(got[:len("prefix")]) != "prefix" {
+			t.Fatalf("%+v:\nappendAccessRecord %s\njson.Marshal       prefix%s", rec, got, want)
+		}
+		if trace>>obs.TraceIDBits != 0 {
+			return // a wider ID encodes, but ReadAccessLog rejects it
+		}
+		var back AccessRecord
+		if err := json.Unmarshal(want, &back); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "access.jsonl")
+		log, err := OpenAccessLog(path, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := log.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+		recs, err := ReadAccessLog(path)
+		if err != nil || len(recs) != 1 || !reflect.DeepEqual(recs[0], back) {
+			t.Fatalf("%+v: read back %+v (%v), want %+v", rec, recs, err, back)
+		}
+	})
+}
+
+// TestAppendAccessRecordMatchesMarshal is FuzzAccessRecord's encoding check
+// over many seeded random records, drawn to hit every escaping and float
+// formatting branch.
+func TestAppendAccessRecordMatchesMarshal(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	pieces := []string{"a", "Z", " ", "<", ">", "&", "\"", "\\", "\n", "\t", "\x00", "\x1f", "\x7f",
+		"é", "✓", "\u2028", "\u2029", "\xff", "\xc3", "\xe2\x80", "😀"}
+	str := func() string {
+		var b strings.Builder
+		for n := rng.Intn(6); n > 0; n-- {
+			b.WriteString(pieces[rng.Intn(len(pieces))])
+		}
+		return b.String()
+	}
+	float := func() float64 {
+		switch rng.Intn(3) {
+		case 0:
+			return math.Float64frombits(rng.Uint64())
+		case 1:
+			return math.Pow(10, 40*rng.Float64()-20) * (2*rng.Float64() - 1)
+		default:
+			return rng.ExpFloat64() * 1e-3
+		}
+	}
+	var buf []byte
+	for i := 0; i < 20000; i++ {
+		rec := AccessRecord{TS: float(), Trace: obs.TraceID(rng.Uint64() >> uint(rng.Intn(64))), Outcome: str(),
+			UseCase: str(), Version: rng.Uint64() >> uint(rng.Intn(64)), LatSec: float(), Attempt: rng.Intn(5) - 1, Err: str()}
+		want, werr := json.Marshal(rec)
+		got, gerr := appendAccessRecord(buf[:0], &rec)
+		if (werr != nil) != (gerr != nil) || !bytes.Equal(got, want) && werr == nil {
+			t.Fatalf("%+v:\nappendAccessRecord %s (%v)\njson.Marshal       %s (%v)", rec, got, gerr, want, werr)
+		}
+		buf = got
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"path/filepath"
 	"testing"
 
 	"github.com/genet-go/genet/internal/abr"
@@ -50,17 +51,24 @@ func TestDecideHotPathAllocs(t *testing.T) {
 	}
 }
 
-// TestDecideUnsampledAllocs: with an observer attached but this request not
-// span-sampled, the only extra allocation permitted is the access-log line
-// (JSON encode + write). The span plumbing itself must stay alloc-free on
-// the unsampled path.
+// TestDecideUnsampledAllocs: with an observer attached — recorder, SLO
+// tracker and access log — but this request not span-sampled, the decide
+// path must still allocate nothing. Trace minting, the SLO window and the
+// span plumbing are allocation-free on the unsampled path, and the
+// access-log line is encoded into the log's reused buffer.
 func TestDecideUnsampledAllocs(t *testing.T) {
 	reg := metrics.NewRegistry()
 	s, _ := abrServer(t, reg)
-	// Recorder on, huge sampling stride, no access log: after warmup no
-	// request in the measured window is sampled, so spans must cost nothing.
+	alog, err := OpenAccessLog(filepath.Join(t.TempDir(), "access.jsonl"), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer alog.Close()
+	// Huge sampling stride: after warmup no request in the measured window
+	// is sampled, so spans must cost nothing.
 	s.Instrument(NewObserver(ObserverConfig{
 		Recorder:    obs.NewRecorder(1024),
+		AccessLog:   alog,
 		SLO:         NewSLOTracker(SLOConfig{}),
 		SampleEvery: 1 << 30,
 		Seed:        1,
@@ -74,5 +82,8 @@ func TestDecideUnsampledAllocs(t *testing.T) {
 	n := testing.AllocsPerRun(50, func() { s.Decide(obsVec) })
 	if n > decideAllocBudget {
 		t.Fatalf("unsampled instrumented decide allocates %.0f/op, budget %d", n, decideAllocBudget)
+	}
+	if got := alog.Lines(); got != 30+51 {
+		t.Fatalf("access log has %d lines, want %d", got, 30+51)
 	}
 }

@@ -85,6 +85,11 @@ type Server struct {
 	swapMu sync.Mutex
 
 	reg *metrics.Registry
+	// The decide path's instruments, resolved once in New so a decision
+	// never looks a metric up by name. All nil (no-ops) without a registry.
+	decideSeconds                                         *metrics.Histogram
+	decisions, decideErrors, fallbacks, shed, deadlineExc *metrics.Counter
+	modelFailures, quarantines                            *metrics.Counter
 
 	gate     *Gate
 	deg      *degrader
@@ -132,7 +137,19 @@ func New(useCase string, m *Model, reg *metrics.Registry) (*Server, error) {
 	if m.uc != uc {
 		return nil, fmt.Errorf("serve: model use case %q does not match server %q", m.uc.Name, uc.Name)
 	}
-	s := &Server{uc: uc, reg: reg, started: time.Now()}
+	s := &Server{
+		uc:            uc,
+		reg:           reg,
+		started:       time.Now(),
+		decideSeconds: reg.Histogram(MetricDecideSeconds),
+		decisions:     reg.Counter(MetricDecisions),
+		decideErrors:  reg.Counter(MetricDecideErrors),
+		fallbacks:     reg.Counter(MetricFallbacks),
+		shed:          reg.Counter(MetricShed),
+		deadlineExc:   reg.Counter(MetricDeadlineExceeded),
+		modelFailures: reg.Counter(MetricModelFailures),
+		quarantines:   reg.Counter(MetricQuarantines),
+	}
 	s.deg = newDegrader(DegradeConfig{})
 	s.spike = 50 * time.Millisecond
 	s.swapIn(m)
@@ -242,9 +259,7 @@ func (s *Server) DecideCtx(ctx context.Context, obsVec []float64) (Decision, err
 	// Validate the request before touching the model: a malformed
 	// observation is the client's fault and must not feed quarantine.
 	if len(obsVec) != m.ObsSize() {
-		if s.reg.Enabled() {
-			s.reg.Counter(MetricDecideErrors).Inc()
-		}
+		s.decideErrors.Inc()
 		err := fmt.Errorf("serve: observation has %d dims, %s model wants %d", len(obsVec), s.uc.Name, m.ObsSize())
 		o.endRequest(ctx, start, tid, m.version, Decision{}, err)
 		return Decision{}, err
@@ -279,12 +294,10 @@ func (s *Server) DecideCtx(ctx context.Context, obsVec []float64) (Decision, err
 	if err != nil {
 		// Model failure: count it, maybe quarantine, and keep the client
 		// whole with a fallback decision for this request.
-		if s.reg.Enabled() {
-			s.reg.Counter(MetricModelFailures).Inc()
-		}
+		s.modelFailures.Inc()
 		if s.deg.recordFailure() && s.deg.quarantine() {
+			s.quarantines.Inc()
 			if s.reg.Enabled() {
-				s.reg.Counter(MetricQuarantines).Inc()
 				s.reg.Gauge(MetricDegraded).Set(1)
 			}
 		}
@@ -336,8 +349,8 @@ func (s *Server) modelDecide(m *Model, obsVec []float64) (d Decision, err error)
 // fallbackDecide serves the rule-based degraded-mode decision.
 func (s *Server) fallbackDecide(obsVec []float64) (Decision, error) {
 	d, err := fallbackDecision(s.uc, obsVec)
-	if s.reg.Enabled() && err == nil {
-		s.reg.Counter(MetricFallbacks).Inc()
+	if err == nil {
+		s.fallbacks.Inc()
 	}
 	return d, err
 }
@@ -363,11 +376,11 @@ func (s *Server) countAdmissionFailure(err error) {
 		return
 	}
 	if errors.Is(err, ErrShed) {
-		s.reg.Counter(MetricShed).Inc()
+		s.shed.Inc()
 		return
 	}
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		s.reg.Counter(MetricDeadlineExceeded).Inc()
+		s.deadlineExc.Inc()
 	}
 }
 
@@ -381,14 +394,14 @@ func (s *Server) observeDecide(start time.Time, err error, tid obs.TraceID, samp
 	}
 	lat := time.Since(start).Seconds()
 	if sampled && tid != 0 {
-		s.reg.Histogram(MetricDecideSeconds).ObserveExemplar(lat, uint64(tid))
+		s.decideSeconds.ObserveExemplar(lat, uint64(tid))
 	} else {
-		s.reg.Histogram(MetricDecideSeconds).Observe(lat)
+		s.decideSeconds.Observe(lat)
 	}
 	if err != nil {
-		s.reg.Counter(MetricDecideErrors).Inc()
+		s.decideErrors.Inc()
 	} else {
-		s.reg.Counter(MetricDecisions).Inc()
+		s.decisions.Inc()
 	}
 }
 
@@ -547,10 +560,10 @@ func (s *Server) Info() Info {
 		UptimeSec:    time.Since(s.started).Seconds(),
 	}
 	if s.reg.Enabled() {
-		info.Decisions = s.reg.Counter(MetricDecisions).Value()
+		info.Decisions = s.decisions.Value()
 		info.SwapsOK = s.reg.Counter(MetricSwapsOK).Value()
 		info.SwapsReject = s.reg.Counter(MetricSwapsRejected).Value()
-		info.Shed = s.reg.Counter(MetricShed).Value()
+		info.Shed = s.shed.Value()
 	}
 	return info
 }

@@ -43,7 +43,7 @@ const DefaultResamples = 1000
 // statistics. The same (xs, stat, resamples, level, seed) always yields the
 // same interval, so fleet summaries are byte-reproducible.
 //
-// Contract edges, shared with Percentile/Summarize:
+// Contract edges, shared with Percentile/TrySummarize:
 //   - level outside (0, 1) panics — it is a programming error, not data;
 //   - NaN anywhere in xs panics (via Percentile): a poisoned sample must not
 //     silently produce a plausible-looking interval;

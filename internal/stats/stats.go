@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 )
 
@@ -156,35 +155,6 @@ func Pearson(xs, ys []float64) float64 {
 	return sxy / math.Sqrt(sxx*syy)
 }
 
-// FractionBelow returns the fraction of xs strictly less than threshold.
-func FractionBelow(xs []float64, threshold float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	n := 0
-	for _, x := range xs {
-		if x < threshold {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
-}
-
-// FractionWhere returns the fraction of indices i where pred(i) holds over
-// [0, n). It returns 0 when n <= 0.
-func FractionWhere(n int, pred func(i int) bool) float64 {
-	if n <= 0 {
-		return 0
-	}
-	c := 0
-	for i := 0; i < n; i++ {
-		if pred(i) {
-			c++
-		}
-	}
-	return float64(c) / float64(n)
-}
-
 // CDF returns the empirical CDF of xs evaluated at each of the sorted unique
 // sample points: pairs (x_i, F(x_i)). The result is sorted by x.
 func CDF(xs []float64) (points []float64, cum []float64) {
@@ -219,21 +189,9 @@ type Summary struct {
 	Max    float64
 }
 
-// Summarize computes a Summary of xs. A zero Summary is returned for an
-// empty slice; NaN input panics (see Percentile) instead of flowing into
-// every field as garbage.
-func Summarize(xs []float64) Summary {
-	s, err := TrySummarize(xs)
-	if err != nil {
-		panic("stats: " + err.Error())
-	}
-	return s
-}
-
-// TrySummarize is the non-panicking form of Summarize: NaN input yields
-// an error instead of a panic, so monitoring code can report a poisoned
-// series without dying on it. An empty slice is not an error; it yields
-// the zero Summary, matching Summarize.
+// TrySummarize computes a Summary of xs. NaN input yields an error, so
+// monitoring code can report a poisoned series without dying on it. An
+// empty slice is not an error; it yields the zero Summary.
 func TrySummarize(xs []float64) (Summary, error) {
 	if len(xs) == 0 {
 		return Summary{}, nil
@@ -262,25 +220,6 @@ func (s Summary) String() string {
 		s.N, s.Mean, s.Std, s.Min, s.Median, s.P90, s.Max)
 }
 
-// BootstrapCI returns a two-sided (1-alpha) bootstrap confidence interval for
-// the mean of xs using nResamples resamples drawn with rng. It returns
-// (mean, mean) for slices with fewer than two elements.
-func BootstrapCI(xs []float64, nResamples int, alpha float64, rng *rand.Rand) (lo, hi float64) {
-	if len(xs) < 2 {
-		m := Mean(xs)
-		return m, m
-	}
-	means := make([]float64, nResamples)
-	for r := 0; r < nResamples; r++ {
-		sum := 0.0
-		for i := 0; i < len(xs); i++ {
-			sum += xs[rng.Intn(len(xs))]
-		}
-		means[r] = sum / float64(len(xs))
-	}
-	return Percentile(means, 100*alpha/2), Percentile(means, 100*(1-alpha/2))
-}
-
 // Normalize maps xs linearly to [0,1] using its own min/max. When all values
 // are equal the result is all zeros. The input is not modified.
 func Normalize(xs []float64) []float64 {
@@ -307,50 +246,6 @@ func Clamp(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
-}
-
-// Argmax returns the index of the maximum element; ties resolve to the
-// earliest index. It panics on an empty slice.
-func Argmax(xs []float64) int {
-	if len(xs) == 0 {
-		panic("stats: Argmax of empty slice")
-	}
-	best := 0
-	for i, x := range xs {
-		if x > xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// Argmin returns the index of the minimum element; ties resolve to the
-// earliest index. It panics on an empty slice.
-func Argmin(xs []float64) int {
-	if len(xs) == 0 {
-		panic("stats: Argmin of empty slice")
-	}
-	best := 0
-	for i, x := range xs {
-		if x < xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// EWMA returns the exponentially weighted moving average of xs with
-// smoothing factor alpha in (0,1]: higher alpha weights recent samples more.
-func EWMA(xs []float64, alpha float64) []float64 {
-	out := make([]float64, len(xs))
-	if len(xs) == 0 {
-		return out
-	}
-	out[0] = xs[0]
-	for i := 1; i < len(xs); i++ {
-		out[i] = alpha*xs[i] + (1-alpha)*out[i-1]
-	}
-	return out
 }
 
 // HarmonicMean returns the harmonic mean of xs, ignoring non-positive

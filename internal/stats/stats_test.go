@@ -138,15 +138,6 @@ func TestPercentileNaNPanics(t *testing.T) {
 	Percentile([]float64{3, math.NaN(), 1, 2}, 50)
 }
 
-func TestSummarizeNaNPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Summarize with NaN input did not panic")
-		}
-	}()
-	Summarize([]float64{1, math.NaN()})
-}
-
 func TestPearsonPerfectCorrelation(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	ys := []float64{2, 4, 6, 8}
@@ -197,26 +188,6 @@ func TestPearsonBounds(t *testing.T) {
 	}
 }
 
-func TestFractionBelow(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if got := FractionBelow(xs, 3); got != 0.5 {
-		t.Fatalf("FractionBelow = %v, want 0.5", got)
-	}
-	if got := FractionBelow(nil, 1); got != 0 {
-		t.Fatalf("FractionBelow(nil) = %v, want 0", got)
-	}
-}
-
-func TestFractionWhere(t *testing.T) {
-	got := FractionWhere(10, func(i int) bool { return i%2 == 0 })
-	if got != 0.5 {
-		t.Fatalf("FractionWhere = %v, want 0.5", got)
-	}
-	if FractionWhere(0, func(int) bool { return true }) != 0 {
-		t.Fatal("FractionWhere(0) should be 0")
-	}
-}
-
 func TestCDF(t *testing.T) {
 	points, cum := CDF([]float64{1, 2, 2, 3})
 	wantPoints := []float64{1, 2, 3}
@@ -259,8 +230,8 @@ func TestCDFMonotone(t *testing.T) {
 }
 
 func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Median != 3 || s.Min != 1 || s.Max != 5 {
+	s, err := TrySummarize([]float64{1, 2, 3, 4, 5})
+	if err != nil || s.N != 5 || s.Mean != 3 || s.Median != 3 || s.Min != 1 || s.Max != 5 {
 		t.Fatalf("Summarize = %+v", s)
 	}
 	if s.String() == "" {
@@ -269,8 +240,8 @@ func TestSummarize(t *testing.T) {
 }
 
 func TestSummarizeEmpty(t *testing.T) {
-	if s := Summarize(nil); s.N != 0 {
-		t.Fatalf("Summarize(nil).N = %d", s.N)
+	if s, err := TrySummarize(nil); err != nil || s.N != 0 {
+		t.Fatalf("TrySummarize(nil) = (%+v, %v)", s, err)
 	}
 }
 
@@ -280,20 +251,19 @@ func TestBootstrapCIContainsMean(t *testing.T) {
 	for i := range xs {
 		xs[i] = 10 + rng.NormFloat64()
 	}
-	lo, hi := BootstrapCI(xs, 300, 0.05, rng)
+	ci := BootstrapMean(xs, 300, 0.95, 1)
 	m := Mean(xs)
-	if !(lo <= m && m <= hi) {
-		t.Fatalf("CI [%v, %v] does not contain mean %v", lo, hi, m)
+	if ci.Point != m || !ci.Contains(m) {
+		t.Fatalf("CI %v does not contain mean %v", ci, m)
 	}
-	if hi-lo <= 0 {
-		t.Fatalf("degenerate CI [%v, %v]", lo, hi)
+	if ci.HalfWidth() <= 0 {
+		t.Fatalf("degenerate CI %v", ci)
 	}
 }
 
 func TestBootstrapCISingleton(t *testing.T) {
-	lo, hi := BootstrapCI([]float64{7}, 10, 0.05, rand.New(rand.NewSource(1)))
-	if lo != 7 || hi != 7 {
-		t.Fatalf("singleton CI = [%v, %v]", lo, hi)
+	if ci := BootstrapMean([]float64{7}, 10, 0.95, 1); ci.Lo != 7 || ci.Hi != 7 {
+		t.Fatalf("singleton CI = %v", ci)
 	}
 }
 
@@ -317,29 +287,6 @@ func TestNormalizeConstant(t *testing.T) {
 func TestClamp(t *testing.T) {
 	if Clamp(5, 0, 3) != 3 || Clamp(-1, 0, 3) != 0 || Clamp(2, 0, 3) != 2 {
 		t.Fatal("Clamp misbehaves")
-	}
-}
-
-func TestArgmaxArgmin(t *testing.T) {
-	xs := []float64{1, 5, 3, 5}
-	if Argmax(xs) != 1 { // earliest tie wins
-		t.Fatalf("Argmax = %d", Argmax(xs))
-	}
-	if Argmin(xs) != 0 {
-		t.Fatalf("Argmin = %d", Argmin(xs))
-	}
-}
-
-func TestEWMA(t *testing.T) {
-	out := EWMA([]float64{1, 1, 1}, 0.5)
-	for _, v := range out {
-		if v != 1 {
-			t.Fatalf("EWMA of constants = %v", out)
-		}
-	}
-	out = EWMA([]float64{0, 1}, 0.5)
-	if out[1] != 0.5 {
-		t.Fatalf("EWMA step = %v", out)
 	}
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -12,15 +13,18 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/genet-go/genet/internal/abr"
 	"github.com/genet-go/genet/internal/cc"
 	"github.com/genet-go/genet/internal/ckpt"
 	"github.com/genet-go/genet/internal/core"
 	"github.com/genet-go/genet/internal/env"
+	"github.com/genet-go/genet/internal/metrics"
 	"github.com/genet-go/genet/internal/nn"
 	"github.com/genet-go/genet/internal/obs"
 	"github.com/genet-go/genet/internal/rl"
+	"github.com/genet-go/genet/internal/serve"
 )
 
 // microResult is one row of the BENCH_*.json baseline. NsPerOp and the
@@ -152,6 +156,22 @@ func runMicro(outPath string, reps int) error {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m.ForwardBatch(s, x, batch)
+			}
+		}},
+		// NNForwardInto is one greedy single-row forward through the ABR
+		// policy shape (27→64→32→6): the network half of every served
+		// decision and of every greedy evaluation step.
+		{"NNForwardInto", 0, func(b *testing.B) {
+			m, rng := newPolicy(8)
+			x := make([]float64, abr.ObsSize)
+			for i := range x {
+				x[i] = rng.Float64()
+			}
+			dst := make([]float64, actions)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.ForwardInto(dst, x)
 			}
 		}},
 		{"NNBackwardBatch", 0, func(b *testing.B) {
@@ -393,6 +413,57 @@ func runMicro(outPath string, reps int) error {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				inst.Evaluate(abr.NewRobustMPC())
+			}
+		}},
+		// ServeDecideInstrumented is one in-process ABR decision on a
+		// server set up as genet-serve runs it: metrics registry,
+		// admission gate, and an observer with sampled spans, an SLO
+		// tracker and an access log.
+		{"ServeDecideInstrumented", 0, func(b *testing.B) {
+			agent, err := rl.NewDiscreteAgent(rl.DefaultDiscreteConfig(abr.ObsSize, len(abr.DefaultBitratesKbps)), rand.New(rand.NewSource(14)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := agent.Save(&buf); err != nil {
+				b.Fatal(err)
+			}
+			model, err := serve.ReadModel("abr", &buf)
+			if err != nil {
+				b.Fatal(err)
+			}
+			srv, err := serve.New("abr", model, metrics.NewRegistry())
+			if err != nil {
+				b.Fatal(err)
+			}
+			srv.Configure(serve.RobustnessOptions{MaxInflight: 256, ShedWait: 5 * time.Millisecond})
+			dir, err := os.MkdirTemp("", "genet-micro")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer os.RemoveAll(dir)
+			alog, err := serve.OpenAccessLog(filepath.Join(dir, "access.jsonl"), 16<<20, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer alog.Close()
+			srv.Instrument(serve.NewObserver(serve.ObserverConfig{
+				Recorder:  obs.NewRecorder(0),
+				AccessLog: alog,
+				SLO:       serve.NewSLOTracker(serve.SLOConfig{}),
+				Seed:      14,
+			}))
+			x := make([]float64, abr.ObsSize)
+			for i := range x {
+				x[i] = float64(i%7) / 7
+			}
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := srv.DecideCtx(ctx, x); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}},
 		// EvalABR and EvalCC are one paired evaluation, the call every

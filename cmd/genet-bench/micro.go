@@ -420,43 +420,7 @@ func runMicro(outPath string, reps int) error {
 		// admission gate, and an observer with sampled spans, an SLO
 		// tracker and an access log.
 		{"ServeDecideInstrumented", 0, func(b *testing.B) {
-			agent, err := rl.NewDiscreteAgent(rl.DefaultDiscreteConfig(abr.ObsSize, len(abr.DefaultBitratesKbps)), rand.New(rand.NewSource(14)))
-			if err != nil {
-				b.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if err := agent.Save(&buf); err != nil {
-				b.Fatal(err)
-			}
-			model, err := serve.ReadModel("abr", &buf)
-			if err != nil {
-				b.Fatal(err)
-			}
-			srv, err := serve.New("abr", model, metrics.NewRegistry())
-			if err != nil {
-				b.Fatal(err)
-			}
-			srv.Configure(serve.RobustnessOptions{MaxInflight: 256, ShedWait: 5 * time.Millisecond})
-			dir, err := os.MkdirTemp("", "genet-micro")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer os.RemoveAll(dir)
-			alog, err := serve.OpenAccessLog(filepath.Join(dir, "access.jsonl"), 16<<20, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer alog.Close()
-			srv.Instrument(serve.NewObserver(serve.ObserverConfig{
-				Recorder:  obs.NewRecorder(0),
-				AccessLog: alog,
-				SLO:       serve.NewSLOTracker(serve.SLOConfig{}),
-				Seed:      14,
-			}))
-			x := make([]float64, abr.ObsSize)
-			for i := range x {
-				x[i] = float64(i%7) / 7
-			}
+			srv, x := instrumentedABRServer(b)
 			ctx := context.Background()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -465,6 +429,24 @@ func runMicro(outPath string, reps int) error {
 					b.Fatal(err)
 				}
 			}
+		}},
+		// ServeDecideParallel is the same server driven by b.RunParallel,
+		// so GOMAXPROCS callers share one registry, access log, SLO
+		// tracker and policy network, as perfbench serve-inproc's callers
+		// do.
+		{"ServeDecideParallel", 0, func(b *testing.B) {
+			srv, x := instrumentedABRServer(b)
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					if _, err := srv.DecideCtx(ctx, x); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
 		}},
 		// EvalABR and EvalCC are one paired evaluation, the call every
 		// Genet BO query makes: h.Eval over 10 environments of a pinned
@@ -546,6 +528,51 @@ func evalBench[H core.Harness](newHarness func(*env.Space, *rand.Rand) (H, error
 			h.Eval(cfg, 10, core.NeedBaseline, rng)
 		}
 	}
+}
+
+// instrumentedABRServer builds the ServeDecide rows' server: an ABR policy
+// behind a metrics registry, an admission gate, and an observer with
+// sampled spans, an SLO tracker and an access log in a temporary directory
+// removed when b finishes. It returns the server and an observation.
+func instrumentedABRServer(b *testing.B) (*serve.Server, []float64) {
+	agent, err := rl.NewDiscreteAgent(rl.DefaultDiscreteConfig(abr.ObsSize, len(abr.DefaultBitratesKbps)), rand.New(rand.NewSource(14)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := agent.Save(&buf); err != nil {
+		b.Fatal(err)
+	}
+	model, err := serve.ReadModel("abr", &buf)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := serve.New("abr", model, metrics.NewRegistry())
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv.Configure(serve.RobustnessOptions{MaxInflight: 256, ShedWait: 5 * time.Millisecond})
+	dir, err := os.MkdirTemp("", "genet-micro")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { os.RemoveAll(dir) })
+	alog, err := serve.OpenAccessLog(filepath.Join(dir, "access.jsonl"), 16<<20, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { alog.Close() })
+	srv.Instrument(serve.NewObserver(serve.ObserverConfig{
+		Recorder:  obs.NewRecorder(0),
+		AccessLog: alog,
+		SLO:       serve.NewSLOTracker(serve.SLOConfig{}),
+		Seed:      14,
+	}))
+	x := make([]float64, abr.ObsSize)
+	for i := range x {
+		x[i] = float64(i%7) / 7
+	}
+	return srv, x
 }
 
 // benchmark runs fn through testing.Benchmark: for exactly iters

@@ -221,6 +221,48 @@ func TestBatchedPathsAllocationFree(t *testing.T) {
 	}
 }
 
+// TestForwardIntoStackAndFreeListPaths runs ForwardInto on a network within
+// its stack bounds and on two past them (too wide, too deep), which take the
+// scratch free list instead: each output must equal the same row of a
+// batched forward bit for bit, and neither path may allocate once warm.
+func TestForwardIntoStackAndFreeListPaths(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, tc := range []struct {
+		sizes    []int
+		freeList bool
+	}{
+		{[]int{27, 64, 32, 6}, false},            // the ABR actor: on the stack
+		{[]int{40, 200, 100, 3}, true},           // 343 floats: past stackActs
+		{[]int{4, 4, 4, 4, 4, 4, 4, 4, 4}, true}, // 8 weight layers: past stackLayers
+	} {
+		sizes := tc.sizes
+		m, err := NewMLP(rng, Tanh, sizes...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const batch = 5
+		x := randBatch(rng, batch, m.InSize())
+		want := m.ForwardBatch(m.NewScratch(batch), x, batch)
+		out := make([]float64, m.OutSize())
+		for r := 0; r < batch; r++ {
+			m.ForwardInto(out, x[r*m.InSize():(r+1)*m.InSize()])
+			for o, v := range out {
+				if w := want[r*m.OutSize()+o]; math.Float64bits(v) != math.Float64bits(w) {
+					t.Fatalf("sizes %v row %d out %d: ForwardInto %v, ForwardBatch %v", sizes, r, o, v, w)
+				}
+			}
+		}
+		if n := testing.AllocsPerRun(50, func() {
+			m.ForwardInto(out, x[:m.InSize()])
+		}); n != 0 {
+			t.Fatalf("sizes %v: ForwardInto allocates %v per run", sizes, n)
+		}
+		if got := len(m.free) > 0; got != tc.freeList {
+			t.Fatalf("sizes %v: used the scratch free list = %v, want %v", sizes, got, tc.freeList)
+		}
+	}
+}
+
 // TestScratchArchitectureMismatchPanics pins the guard against reusing a
 // scratch across different network shapes.
 func TestScratchArchitectureMismatchPanics(t *testing.T) {

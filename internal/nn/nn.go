@@ -59,9 +59,10 @@ type MLP struct {
 	weights [][]float64
 	biases  [][]float64
 
-	// free holds width-1 scratches for ForwardInto. A mutex-guarded free
-	// list rather than a sync.Pool: the pool drops a random quarter of its
-	// Puts under the race detector and empties on GC, and either turns a
+	// free holds width-1 scratches for ForwardInto on a network too large
+	// for its stack arrays (see stackActs). A mutex-guarded free list
+	// rather than a sync.Pool: the pool drops a random quarter of its Puts
+	// under the race detector and empties on GC, and either turns a
 	// zero-allocation single-row forward into an occasional scratch
 	// allocation. The list grows to the peak number of concurrent callers.
 	freeMu sync.Mutex
@@ -116,18 +117,38 @@ func (m *MLP) Forward(x []float64) []float64 {
 	return out
 }
 
+// Bounds of ForwardInto's stack arrays: a network with at most stackLayers
+// weight layers whose layer widths sum to at most stackActs runs its
+// width-1 forward on the caller's stack. Every shipped policy fits (the ABR
+// actor is 27+64+32+6 = 129 floats).
+const (
+	stackActs   = 256
+	stackLayers = 6
+)
+
 // ForwardInto writes the network output for input x into dst (len(x) must
-// equal InSize and len(dst) OutSize) without allocating. It runs the
-// width-1 ForwardBatch on a scratch borrowed from the network, so the
-// result is bit-identical to the same row of any batched forward, and
-// concurrent callers may share one network as long as none of them changes
-// its parameters.
+// equal InSize and len(dst) OutSize) without allocating. It runs the same
+// width-1 forwardRows as ForwardBatch, so the result is bit-identical to
+// the same row of any batched forward, and concurrent callers may share one
+// network as long as none of them changes its parameters. A network within
+// the stack bounds keeps its activations on the caller's stack, so callers
+// share no lock; a larger one borrows a scratch from the network.
 func (m *MLP) ForwardInto(dst, x []float64) {
 	if len(x) != m.InSize() {
 		panic(fmt.Sprintf("nn: input size %d, want %d", len(x), m.InSize()))
 	}
 	if len(dst) != m.OutSize() {
 		panic(fmt.Sprintf("nn: output size %d, want %d", len(dst), m.OutSize()))
+	}
+	if len(m.sizes) <= stackLayers+1 && m.actsLen() <= stackActs {
+		var buf [stackActs]float64
+		var acts [stackLayers + 1][]float64
+		rest := buf[:]
+		for l, w := range m.sizes {
+			acts[l], rest = rest[:w], rest[w:]
+		}
+		copy(dst, m.forwardRows(acts[:len(m.sizes)], 0, x, 1))
+		return
 	}
 	m.freeMu.Lock()
 	var s *Scratch
@@ -143,6 +164,16 @@ func (m *MLP) ForwardInto(dst, x []float64) {
 	m.freeMu.Lock()
 	m.free = append(m.free, s)
 	m.freeMu.Unlock()
+}
+
+// actsLen is the number of floats one row's activations take: the sum of
+// the layer widths.
+func (m *MLP) actsLen() int {
+	n := 0
+	for _, w := range m.sizes {
+		n += w
+	}
+	return n
 }
 
 // Grads accumulates parameter gradients with the same shapes as the MLP's

@@ -122,8 +122,11 @@ type attemptCtxKey struct{}
 
 // WithTrace attaches a trace ID to ctx; DecideCtx implementations read it so
 // retries, fallbacks, and server-side logs all attach to the originating
-// request.
+// request. The ID is masked to TraceIDBits, the width every reader of it
+// (ParseTraceID, access logs, span args) accepts; an ID that masks to zero
+// means "no trace" and leaves ctx unchanged.
 func WithTrace(ctx context.Context, id TraceID) context.Context {
+	id &= TraceID(traceIDMask)
 	if id == 0 {
 		return ctx
 	}

@@ -86,4 +86,11 @@ func TestTraceContextPlumbing(t *testing.T) {
 	if WithTrace(base, 0) != base || WithAttempt(base, 0) != base {
 		t.Fatal("zero trace/attempt wrapped the context")
 	}
+	// IDs are masked to TraceIDBits; one that masks to zero is no trace.
+	if got := TraceFrom(WithTrace(base, 1<<60|5)); got != 5 {
+		t.Fatalf("TraceFrom(WithTrace(1<<60|5)) = %v, want 5", got)
+	}
+	if WithTrace(base, 1<<TraceIDBits) != base {
+		t.Fatal("an ID that masks to zero wrapped the context")
+	}
 }

@@ -55,7 +55,6 @@ type AccessLog struct {
 	maxBytes int64
 	keep     int
 	lines    int64
-	buf      []byte // the line being encoded, reused under mu
 }
 
 const (
@@ -91,28 +90,37 @@ func OpenAccessLog(path string, maxBytes int64, keep int) (*AccessLog, error) {
 
 // Write appends one record as a single JSONL line, rotating first if the line
 // would push the current file past the byte bound. The line is encoded into
-// a buffer the log reuses, so a write allocates nothing.
+// a stack array before the lock is taken, so concurrent writers serialize
+// only on the copy into the file buffer, and a write allocates nothing
+// unless its line outgrows that array.
 func (l *AccessLog) Write(rec AccessRecord) error {
+	var arr [256]byte
+	line, err := appendAccessRecord(arr[:0], &rec)
+	if err != nil {
+		return err
+	}
+	line = append(line, '\n')
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
 		return fmt.Errorf("serve: access log closed")
 	}
-	data, err := appendAccessRecord(l.buf[:0], &rec)
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	l.buf = data
-	if l.size > 0 && l.size+int64(len(data)) > l.maxBytes {
+	if l.size > 0 && l.size+int64(len(line)) > l.maxBytes {
 		if err := l.rotateLocked(); err != nil {
 			return err
 		}
 	}
-	if _, err := l.w.Write(data); err != nil {
+	// Copy the line into bufio's own buffer and write that, so line is only
+	// ever read and the stack array never escapes.
+	if len(line) > l.w.Available() {
+		if err := l.w.Flush(); err != nil {
+			return err
+		}
+	}
+	if _, err := l.w.Write(append(l.w.AvailableBuffer(), line...)); err != nil {
 		return err
 	}
-	l.size += int64(len(data))
+	l.size += int64(len(line))
 	l.lines++
 	return nil
 }

@@ -123,6 +123,41 @@ func TestAccessLogRotationBoundary(t *testing.T) {
 	}
 }
 
+// TestAccessLogLongLines writes enough lines to fill the log's 64 KiB file
+// buffer many times over, with some lines past Write's 256-byte stack array
+// and one past the whole buffer, and reads every record back intact.
+func TestAccessLogLongLines(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "access.jsonl")
+	log, err := OpenAccessLog(path, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []AccessRecord
+	for i := 0; i < 3000; i++ {
+		rec := AccessRecord{TS: float64(i), Trace: obs.NewTraceID(1, uint64(i)), Outcome: OutcomeError, UseCase: "abr", LatSec: 0.001}
+		switch {
+		case i == 1500:
+			rec.Err = strings.Repeat("y", 100<<10)
+		case i%7 == 0:
+			rec.Err = strings.Repeat("x", 300)
+		}
+		if err := log.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, rec)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadAccessLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("read back %d records, not the %d written", len(got), len(want))
+	}
+}
+
 func TestAccessLogClosedWriteFails(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "access.jsonl")
 	log, err := OpenAccessLog(path, 0, 0)

@@ -182,7 +182,7 @@ func (s *Server) countBadRequest(ctx context.Context, tid obs.TraceID, err error
 	if s.reg.Enabled() {
 		s.reg.Counter(MetricBadRequests).Inc()
 	}
-	s.obsrv.endRequest(ctx, time.Now(), tid, 0, Decision{}, err)
+	s.obsrv.endRequest(ctx, time.Now(), 0, tid, 0, Decision{}, err)
 }
 
 // writeError sends the structured /decide error body.

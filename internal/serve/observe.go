@@ -155,15 +155,14 @@ func (o *Observer) endSpan(sp obs.Span, tid obs.TraceID) {
 	sp.EndArgs(obs.Arg{K: obs.ArgTrace, V: tid.Float()})
 }
 
-// endRequest closes out one request: SLO accounting and the access-log line.
-// Called exactly once per DecideCtx (and once per HTTP-layer bad request),
-// so access-log line counts reconcile with the metric counters class for
-// class.
-func (o *Observer) endRequest(ctx context.Context, start time.Time, tid obs.TraceID, ver uint64, d Decision, err error) {
+// endRequest closes out one request that started at start and took lat:
+// SLO accounting and the access-log line. Called exactly once per DecideCtx
+// (and once per HTTP-layer bad request), so access-log line counts
+// reconcile with the metric counters class for class.
+func (o *Observer) endRequest(ctx context.Context, start time.Time, lat time.Duration, tid obs.TraceID, ver uint64, d Decision, err error) {
 	if o == nil {
 		return
 	}
-	lat := time.Since(start)
 	outcome := OutcomeOf(d, err)
 	o.slo.Record(outcome, lat)
 	if o.log == nil {

@@ -216,6 +216,47 @@ func TestClientTracePropagation(t *testing.T) {
 	}
 }
 
+// TestDecideMasksWideTraceID: an in-process caller attaching an ID wider
+// than TraceIDBits gets its low 52 bits logged, so the access log stays
+// readable.
+func TestDecideMasksWideTraceID(t *testing.T) {
+	s, _, logPath := instrumentedServer(t)
+	ctx := obs.WithTrace(context.Background(), 1<<60|5)
+	if _, err := s.DecideCtx(ctx, make([]float64, abr.ObsSize)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.obsrv.log.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := ReadAccessLog(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Trace != 0x5 {
+		t.Fatalf("access log = %+v, want one line with trace 0x5", recs)
+	}
+}
+
+// TestDecideLatencyReadOnce: the latency histogram and the access log
+// record one request's latency from the same clock reading.
+func TestDecideLatencyReadOnce(t *testing.T) {
+	s, o, logPath := instrumentedServer(t)
+	if _, err := s.Decide(make([]float64, abr.ObsSize)); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.log.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := ReadAccessLog(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Snapshot().Histograms[MetricDecideSeconds]
+	if len(recs) != 1 || h.Count != 1 || h.Sum != recs[0].LatSec {
+		t.Fatalf("histogram count %d sum %v, access log %+v: want one line with lat_s == sum", h.Count, h.Sum, recs)
+	}
+}
+
 // TestClientMintsTraceWhenAbsent: a context without a trace still produces a
 // consistent trace across retries (minted client-side).
 func TestClientMintsTraceWhenAbsent(t *testing.T) {

@@ -243,7 +243,7 @@ func (s *Server) DecideCtx(ctx context.Context, obsVec []float64) (Decision, err
 	if err := s.gate.Acquire(ctx); err != nil {
 		o.endSpan(sp, tid)
 		s.countAdmissionFailure(err)
-		o.endRequest(ctx, start, tid, 0, Decision{}, err)
+		o.endRequest(ctx, start, elapsed(start), tid, 0, Decision{}, err)
 		return Decision{}, err
 	}
 	defer s.gate.Release()
@@ -251,7 +251,7 @@ func (s *Server) DecideCtx(ctx context.Context, obsVec []float64) (Decision, err
 
 	if err := ctx.Err(); err != nil {
 		s.countAdmissionFailure(err)
-		o.endRequest(ctx, start, tid, 0, Decision{}, err)
+		o.endRequest(ctx, start, elapsed(start), tid, 0, Decision{}, err)
 		return Decision{}, err
 	}
 
@@ -261,7 +261,7 @@ func (s *Server) DecideCtx(ctx context.Context, obsVec []float64) (Decision, err
 	if len(obsVec) != m.ObsSize() {
 		s.decideErrors.Inc()
 		err := fmt.Errorf("serve: observation has %d dims, %s model wants %d", len(obsVec), s.uc.Name, m.ObsSize())
-		o.endRequest(ctx, start, tid, m.version, Decision{}, err)
+		o.endRequest(ctx, start, elapsed(start), tid, m.version, Decision{}, err)
 		return Decision{}, err
 	}
 
@@ -273,7 +273,7 @@ func (s *Server) DecideCtx(ctx context.Context, obsVec []float64) (Decision, err
 		case <-ctx.Done():
 			t.Stop()
 			s.countAdmissionFailure(ctx.Err())
-			o.endRequest(ctx, start, tid, m.version, Decision{}, ctx.Err())
+			o.endRequest(ctx, start, elapsed(start), tid, m.version, Decision{}, ctx.Err())
 			return Decision{}, ctx.Err()
 		}
 	}
@@ -283,8 +283,9 @@ func (s *Server) DecideCtx(ctx context.Context, obsVec []float64) (Decision, err
 		d, err := s.fallbackDecide(obsVec)
 		o.endSpan(fsp, tid)
 		s.maybeProbe(m, obsVec)
-		s.observeDecide(start, err, tid, sampled)
-		o.endRequest(ctx, start, tid, m.version, d, err)
+		lat := elapsed(start)
+		s.observeDecide(lat, err, tid, sampled)
+		o.endRequest(ctx, start, lat, tid, m.version, d, err)
 		return d, err
 	}
 
@@ -304,13 +305,15 @@ func (s *Server) DecideCtx(ctx context.Context, obsVec []float64) (Decision, err
 		fsp := o.span(sampled, SpanFallback)
 		d, err = s.fallbackDecide(obsVec)
 		o.endSpan(fsp, tid)
-		s.observeDecide(start, err, tid, sampled)
-		o.endRequest(ctx, start, tid, m.version, d, err)
+		lat := elapsed(start)
+		s.observeDecide(lat, err, tid, sampled)
+		o.endRequest(ctx, start, lat, tid, m.version, d, err)
 		return d, err
 	}
 	s.deg.recordSuccess()
-	s.observeDecide(start, nil, tid, sampled)
-	o.endRequest(ctx, start, tid, m.version, d, nil)
+	lat := elapsed(start)
+	s.observeDecide(lat, nil, tid, sampled)
+	o.endRequest(ctx, start, lat, tid, m.version, d, nil)
 	return d, nil
 }
 
@@ -384,19 +387,29 @@ func (s *Server) countAdmissionFailure(err error) {
 	}
 }
 
+// elapsed reads the end-of-request clock for a request that started at
+// start: once per request, so the latency histogram and the access log
+// record the same latency. Zero when start was never read (nothing observes
+// the request).
+func elapsed(start time.Time) time.Duration {
+	if start.IsZero() {
+		return 0
+	}
+	return time.Since(start)
+}
+
 // observeDecide records latency and outcome for an admitted request. When
 // the request is span-sampled, its trace ID rides into the histogram bucket
 // as an exemplar — the p99 bucket then names a concrete trace whose spans
 // are guaranteed to be in the recorder.
-func (s *Server) observeDecide(start time.Time, err error, tid obs.TraceID, sampled bool) {
+func (s *Server) observeDecide(lat time.Duration, err error, tid obs.TraceID, sampled bool) {
 	if !s.reg.Enabled() {
 		return
 	}
-	lat := time.Since(start).Seconds()
 	if sampled && tid != 0 {
-		s.decideSeconds.ObserveExemplar(lat, uint64(tid))
+		s.decideSeconds.ObserveExemplar(lat.Seconds(), uint64(tid))
 	} else {
-		s.decideSeconds.Observe(lat)
+		s.decideSeconds.Observe(lat.Seconds())
 	}
 	if err != nil {
 		s.decideErrors.Inc()

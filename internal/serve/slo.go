@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -47,21 +47,52 @@ func (c SLOConfig) withDefaults() SLOConfig {
 	return c
 }
 
-// sloSlot aggregates one second of outcomes.
+// sloSlot aggregates one second of outcomes. Each word packs the low 32
+// bits of the unix second it counts above a 32-bit count, so one CAS both
+// bumps the count and restarts a word left over from an older second.
 type sloSlot struct {
-	sec    int64 // unix second this slot holds; stale slots are zeroed on reuse
-	total  int64 // admitted requests
-	served int64 // ok + fallback
-	slow   int64 // served but over the latency threshold
+	total  atomic.Uint64 // admitted requests
+	served atomic.Uint64 // ok + fallback
+	slow   atomic.Uint64 // served but over the latency threshold
+}
+
+// bumpSLOWord adds one to w's count for second sec, restarting the count
+// when w holds an older second (or nothing yet). It leaves w alone and
+// reports false when w already counts a newer second: the caller read its
+// clock a whole ring ago, and that second's counts are gone.
+func bumpSLOWord(w *atomic.Uint64, sec uint32) bool {
+	for {
+		old := w.Load()
+		next := uint64(sec)<<32 | 1
+		if old != 0 {
+			switch cur := uint32(old >> 32); {
+			case cur == sec:
+				next = old + 1
+			case int32(cur-sec) > 0:
+				return false
+			}
+		}
+		if w.CompareAndSwap(old, next) {
+			return true
+		}
+	}
+}
+
+// sloWordCount returns w's count if w counts second sec, else 0.
+func sloWordCount(w *atomic.Uint64, sec uint32) int64 {
+	v := w.Load()
+	if uint32(v>>32) != sec {
+		return 0
+	}
+	return int64(uint32(v))
 }
 
 // SLOTracker maintains a per-second ring of outcome counts sized to the
-// longest window and computes windowed burn rates on demand. Record is a
-// mutex-protected counter bump — it sits on the response path, not inside
-// the lock-free decide fast path.
+// longest window and computes windowed burn rates on demand. It takes no
+// lock: Record is a CAS per counter word, so concurrent requests share no
+// mutex on the response path.
 type SLOTracker struct {
 	cfg   SLOConfig
-	mu    sync.Mutex
 	slots []sloSlot
 }
 
@@ -84,24 +115,22 @@ func NewSLOTracker(cfg SLOConfig) *SLOTracker {
 func (t *SLOTracker) Config() SLOConfig { return t.cfg }
 
 // Record classifies one finished request into the current second's slot.
-// Nil receivers are the canonical "off" and no-op.
+// Nil receivers are the canonical "off" and no-op. It bumps total, then
+// served, then slow, the reverse of the order window reads them in.
 func (t *SLOTracker) Record(outcome string, lat time.Duration) {
 	if t == nil {
 		return
 	}
-	sec := t.cfg.Clock().Unix()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s := &t.slots[sec%int64(len(t.slots))]
-	if s.sec != sec {
-		*s = sloSlot{sec: sec}
+	now := t.cfg.Clock().Unix()
+	s := &t.slots[now%int64(len(t.slots))]
+	sec := uint32(now)
+	if !bumpSLOWord(&s.total, sec) {
+		return
 	}
-	s.total++
 	switch outcome {
 	case OutcomeOK, OutcomeFallback:
-		s.served++
-		if lat > t.cfg.LatencyThreshold {
-			s.slow++
+		if bumpSLOWord(&s.served, sec) && lat > t.cfg.LatencyThreshold {
+			bumpSLOWord(&s.slow, sec)
 		}
 	}
 }
@@ -138,10 +167,8 @@ func (t *SLOTracker) Report() SLOReport {
 		LatencyThresholdMS: float64(t.cfg.LatencyThreshold) / float64(time.Millisecond),
 	}
 	now := t.cfg.Clock().Unix()
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	for _, w := range t.cfg.Windows {
-		rep.Windows = append(rep.Windows, t.windowLocked(now, w))
+		rep.Windows = append(rep.Windows, t.window(now, w))
 	}
 	return rep
 }
@@ -152,14 +179,15 @@ func (t *SLOTracker) Burn(w time.Duration) (avail, latency float64) {
 	if t == nil {
 		return 0, 0
 	}
-	now := t.cfg.Clock().Unix()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	wb := t.windowLocked(now, w)
+	wb := t.window(t.cfg.Clock().Unix(), w)
 	return wb.AvailabilityBurn, wb.LatencyBurn
 }
 
-func (t *SLOTracker) windowLocked(now int64, w time.Duration) WindowBurn {
+// window sums the slots of the w-long lookback ending at second now. Each
+// slot is read slow, then served, then total — the reverse of Record's
+// order — so the sums keep slow <= served <= total against concurrent
+// writers.
+func (t *SLOTracker) window(now int64, w time.Duration) WindowBurn {
 	wb := WindowBurn{Window: w, Availability: 1, LatencyOK: 1}
 	secs := int64(w / time.Second)
 	if secs > int64(len(t.slots)) {
@@ -168,12 +196,9 @@ func (t *SLOTracker) windowLocked(now int64, w time.Duration) WindowBurn {
 	for i := int64(0); i < secs; i++ {
 		sec := now - i
 		s := &t.slots[sec%int64(len(t.slots))]
-		if s.sec != sec {
-			continue
-		}
-		wb.Total += s.total
-		wb.Served += s.served
-		wb.Slow += s.slow
+		wb.Slow += sloWordCount(&s.slow, uint32(sec))
+		wb.Served += sloWordCount(&s.served, uint32(sec))
+		wb.Total += sloWordCount(&s.total, uint32(sec))
 	}
 	if wb.Total > 0 {
 		wb.Availability = float64(wb.Served) / float64(wb.Total)

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"math"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -115,5 +117,117 @@ func TestSLOConfigDefaults(t *testing.T) {
 	}
 	if cfg.LatencyThreshold != 250*time.Millisecond || len(cfg.Windows) != 3 {
 		t.Fatalf("default threshold/windows: %+v", cfg)
+	}
+}
+
+// TestSLOTrackerConcurrentRecordExact drives Record from several goroutines
+// under a clock that moves one second every sloTicksPerSec readings, so
+// seconds change while writers are mid-Record and every slot starts out
+// holding an older second that the writers must restart. No count may be
+// lost: each second holds exactly sloTicksPerSec requests. Every request is
+// served and slow, so total, served and slow are equal at rest, and a
+// concurrent Report (through a view of the same ring whose clock does not
+// tick) that read them in the wrong order would see slow > served or
+// served > total.
+func TestSLOTrackerConcurrentRecordExact(t *testing.T) {
+	const (
+		writers        = 4
+		perWriter      = 3000
+		sloTicksPerSec = 1000
+		base           = 5_000_000
+	)
+	var ticks atomic.Int64
+	slo := NewSLOTracker(SLOConfig{
+		LatencyThreshold: 100 * time.Millisecond,
+		Windows:          []time.Duration{time.Minute},
+		Clock: func() time.Time {
+			return time.Unix(base+(ticks.Add(1)-1)/sloTicksPerSec, 0)
+		},
+	})
+	// Fill every slot with an older second.
+	for sec := int64(base - len(slo.slots)); sec < base; sec++ {
+		s := &slo.slots[sec%int64(len(slo.slots))]
+		for _, w := range []*atomic.Uint64{&s.total, &s.served, &s.slow} {
+			bumpSLOWord(w, uint32(sec))
+		}
+	}
+	view := &SLOTracker{cfg: slo.cfg, slots: slo.slots}
+	view.cfg.Clock = func() time.Time {
+		return time.Unix(base+ticks.Load()/sloTicksPerSec, 0)
+	}
+
+	done := make(chan struct{})
+	var reporter sync.WaitGroup
+	reporter.Add(1)
+	go func() {
+		defer reporter.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			for _, w := range view.Report().Windows {
+				if w.Slow > w.Served || w.Served > w.Total {
+					t.Errorf("report saw slow %d, served %d, total %d", w.Slow, w.Served, w.Total)
+					return
+				}
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				outcome := OutcomeOK
+				if i%2 == 1 {
+					outcome = OutcomeFallback
+				}
+				slo.Record(outcome, time.Second)
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	reporter.Wait()
+
+	const seconds = writers * perWriter / sloTicksPerSec
+	for sec := int64(base); sec < base+seconds; sec++ {
+		if got := slo.window(sec, time.Second).Total; got != sloTicksPerSec {
+			t.Errorf("second %d holds %d requests, want %d", sec-base, got, sloTicksPerSec)
+		}
+	}
+	all := slo.window(base+seconds-1, seconds*time.Second)
+	if n := int64(writers * perWriter); all.Total != n || all.Served != n || all.Slow != n {
+		t.Fatalf("totals %d/%d/%d (total/served/slow), want %d each", all.Total, all.Served, all.Slow, n)
+	}
+}
+
+// TestBumpSLOWord pins the packed word's transitions: an empty or older
+// word restarts at 1, the same second counts up, and a newer second is left
+// alone (a writer a whole ring late drops its count rather than clobber).
+func TestBumpSLOWord(t *testing.T) {
+	var w atomic.Uint64
+	for _, step := range []struct {
+		sec    uint32
+		ok     bool
+		counts map[uint32]int64
+	}{
+		{10, true, map[uint32]int64{10: 1}},
+		{10, true, map[uint32]int64{10: 2}},
+		{13, true, map[uint32]int64{10: 0, 13: 1}},
+		{10, false, map[uint32]int64{10: 0, 13: 1}},
+		{1 << 31, true, map[uint32]int64{13: 0, 1 << 31: 1}},
+	} {
+		if ok := bumpSLOWord(&w, step.sec); ok != step.ok {
+			t.Fatalf("bump at second %d reported %v, want %v", step.sec, ok, step.ok)
+		}
+		for sec, want := range step.counts {
+			if got := sloWordCount(&w, sec); got != want {
+				t.Fatalf("after bump at second %d: count for second %d = %d, want %d", step.sec, sec, got, want)
+			}
+		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit used throughout the
-// Genet reproduction: summary statistics, percentiles, empirical CDFs,
-// Pearson correlation, and bootstrap confidence intervals.
+// Genet reproduction: summary statistics, percentiles, Pearson correlation,
+// and bootstrap confidence intervals.
 //
 // All functions are pure and operate on float64 slices. Functions that need
 // sorted input copy the input first; callers never see their arguments
@@ -155,26 +155,6 @@ func Pearson(xs, ys []float64) float64 {
 	return sxy / math.Sqrt(sxx*syy)
 }
 
-// CDF returns the empirical CDF of xs evaluated at each of the sorted unique
-// sample points: pairs (x_i, F(x_i)). The result is sorted by x.
-func CDF(xs []float64) (points []float64, cum []float64) {
-	if len(xs) == 0 {
-		return nil, nil
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	n := float64(len(sorted))
-	for i, x := range sorted {
-		if i > 0 && x == sorted[i-1] {
-			cum[len(cum)-1] = float64(i+1) / n
-			continue
-		}
-		points = append(points, x)
-		cum = append(cum, float64(i+1)/n)
-	}
-	return points, cum
-}
-
 // Summary bundles the descriptive statistics reported throughout the
 // experiment harness.
 type Summary struct {
@@ -218,34 +198,6 @@ func TrySummarize(xs []float64) (Summary, error) {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.3f std=%.3f min=%.3f p50=%.3f p90=%.3f max=%.3f",
 		s.N, s.Mean, s.Std, s.Min, s.Median, s.P90, s.Max)
-}
-
-// Normalize maps xs linearly to [0,1] using its own min/max. When all values
-// are equal the result is all zeros. The input is not modified.
-func Normalize(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	if len(xs) == 0 {
-		return out
-	}
-	lo, hi := Min(xs), Max(xs)
-	if hi == lo {
-		return out
-	}
-	for i, x := range xs {
-		out[i] = (x - lo) / (hi - lo)
-	}
-	return out
-}
-
-// Clamp restricts x to [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }
 
 // HarmonicMean returns the harmonic mean of xs, ignoring non-positive

@@ -188,47 +188,6 @@ func TestPearsonBounds(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	points, cum := CDF([]float64{1, 2, 2, 3})
-	wantPoints := []float64{1, 2, 3}
-	wantCum := []float64{0.25, 0.75, 1}
-	if len(points) != 3 {
-		t.Fatalf("CDF points = %v", points)
-	}
-	for i := range wantPoints {
-		if points[i] != wantPoints[i] || !almostEqual(cum[i], wantCum[i], 1e-12) {
-			t.Fatalf("CDF = (%v, %v), want (%v, %v)", points, cum, wantPoints, wantCum)
-		}
-	}
-}
-
-func TestCDFEmpty(t *testing.T) {
-	p, c := CDF(nil)
-	if p != nil || c != nil {
-		t.Fatal("CDF(nil) should be nil, nil")
-	}
-}
-
-func TestCDFMonotone(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		xs := make([]float64, 1+rng.Intn(40))
-		for i := range xs {
-			xs[i] = rng.NormFloat64()
-		}
-		points, cum := CDF(xs)
-		for i := 1; i < len(points); i++ {
-			if points[i] <= points[i-1] || cum[i] < cum[i-1] {
-				return false
-			}
-		}
-		return len(cum) == 0 || almostEqual(cum[len(cum)-1], 1, 1e-12)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s, err := TrySummarize([]float64{1, 2, 3, 4, 5})
 	if err != nil || s.N != 5 || s.Mean != 3 || s.Median != 3 || s.Min != 1 || s.Max != 5 {
@@ -264,29 +223,6 @@ func TestBootstrapCIContainsMean(t *testing.T) {
 func TestBootstrapCISingleton(t *testing.T) {
 	if ci := BootstrapMean([]float64{7}, 10, 0.95, 1); ci.Lo != 7 || ci.Hi != 7 {
 		t.Fatalf("singleton CI = %v", ci)
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	out := Normalize([]float64{10, 20, 30})
-	want := []float64{0, 0.5, 1}
-	for i := range want {
-		if !almostEqual(out[i], want[i], 1e-12) {
-			t.Fatalf("Normalize = %v", out)
-		}
-	}
-}
-
-func TestNormalizeConstant(t *testing.T) {
-	out := Normalize([]float64{4, 4})
-	if out[0] != 0 || out[1] != 0 {
-		t.Fatalf("Normalize constant = %v", out)
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 3) != 3 || Clamp(-1, 0, 3) != 0 || Clamp(2, 0, 3) != 2 {
-		t.Fatal("Clamp misbehaves")
 	}
 }
 

@@ -299,17 +299,15 @@ func runLoadGen(a loadGenArgs) error {
 			srv.Instrument(st.observer)
 		}
 		if cli != nil {
-			cli.Recorder = st.rec
+			cli.Recorder = st.run.Recorder
 		}
 	}
 	runErr := driveLoad(dec, srv, a, lvl)
-	if st != nil {
-		outcome := obs.OutcomeCompleted
-		if runErr != nil {
-			outcome = obs.OutcomeFailed
-		}
-		st.finalize(outcome)
+	outcome := obs.OutcomeCompleted
+	if runErr != nil {
+		outcome = obs.OutcomeFailed
 	}
+	st.finalize(outcome)
 	return runErr
 }
 

@@ -212,6 +212,15 @@ func (o *Options) defaults() {
 	}
 }
 
+// TraditionalIters is the equal-budget rule behind every Genet-vs-RL1–3
+// comparison (§5): a traditional run matched to a curriculum run with these
+// options trains for the resolved warm-up plus Rounds × ItersPerRound
+// iterations, the curriculum's whole training budget.
+func (o Options) TraditionalIters() int {
+	o.defaults()
+	return o.WarmupIters + o.Rounds*o.ItersPerRound
+}
+
 // RecoveryEvent records one guard intervention during training. Events
 // accumulate while a round is in flight (including rounds whose state a
 // rollback discarded) and land in the next completed RoundReport, so the

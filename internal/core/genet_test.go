@@ -342,3 +342,23 @@ func TestCCHarnessReportsNormalizedRewards(t *testing.T) {
 		t.Fatalf("normalized values out of scale: %+v", ev)
 	}
 }
+
+// TestTraditionalIters pins the equal-budget rule: a traditional run
+// matched to a curriculum trains for its resolved warm-up plus every
+// round's iterations.
+func TestTraditionalIters(t *testing.T) {
+	for _, tc := range []struct {
+		warmup, want int
+	}{
+		{0, 10 + 2*3}, // default warm-up
+		{-1, 2 * 3},   // none
+		{4, 4 + 2*3},  // explicit
+	} {
+		if got := (Options{Rounds: 2, ItersPerRound: 3, WarmupIters: tc.warmup}).TraditionalIters(); got != tc.want {
+			t.Errorf("WarmupIters %d: TraditionalIters = %d, want %d", tc.warmup, got, tc.want)
+		}
+	}
+	if got := (Options{}).TraditionalIters(); got != 10+9*10 {
+		t.Errorf("defaults: TraditionalIters = %d, want %d", got, 10+9*10)
+	}
+}

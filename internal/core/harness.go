@@ -139,8 +139,8 @@ type RecorderSetter interface {
 // MetricsSetter, GuardSetter, FaultSetter and RecorderSetter it implements:
 // the metrics registry, the watchdog (which then counts into m), the fault
 // injector and the flight recorder. Nil hooks are left unattached. Every
-// training path calls it: NewTrainer for the curriculum strategies, the
-// CLIs and the fleet for traditional training.
+// training path calls it: NewTrainer for the curriculum strategies,
+// fleet.TrainSpec.Train for traditional training.
 func AttachHooks(h Harness, m *metrics.Registry, g *guard.Guard, in *faults.Injector, rec *obs.Recorder) {
 	if s, ok := h.(MetricsSetter); ok && m.Enabled() {
 		s.SetMetrics(m)

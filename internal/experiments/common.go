@@ -45,7 +45,7 @@ func budgetFor(scale Scale) budget {
 
 // totalIters is the iteration budget a traditional-RL run gets so that
 // Genet-vs-traditional comparisons are equal-budget.
-func (b budget) totalIters() int { return b.warmup + b.rounds*b.itersPerRound }
+func (b budget) totalIters() int { return b.genetOptions().TraditionalIters() }
 
 // genetOptions maps the budget onto Algorithm 2 options.
 func (b budget) genetOptions() core.Options {

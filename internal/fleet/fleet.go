@@ -25,9 +25,9 @@ import (
 // Budget bundles the per-cell training knobs every cell of a sweep shares,
 // mirroring the genet-train flags of the same names.
 type Budget struct {
-	// Rounds is the number of curriculum rounds (and, times ItersPerRound,
-	// the total-iteration budget of traditional modes, keeping Genet-vs-RL
-	// comparisons equal-budget).
+	// Rounds is the number of curriculum rounds. With ItersPerRound and
+	// Warmup it also sets traditional modes' equal budget
+	// (core.Options.TraditionalIters), keeping Genet-vs-RL comparisons fair.
 	Rounds        int `json:"rounds"`
 	ItersPerRound int `json:"iters"`
 	BOSteps       int `json:"bo_steps"`
@@ -121,18 +121,14 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("fleet: unknown mode %q (want genet|rl1|rl2|rl3|cl2|cl3)", m)
 		}
 	}
-	if err := noDupStrings("env", c.Envs); err != nil {
+	if err := noDup("env", c.Envs); err != nil {
 		return err
 	}
-	if err := noDupStrings("mode", c.Modes); err != nil {
+	if err := noDup("mode", c.Modes); err != nil {
 		return err
 	}
-	seen := map[int64]bool{}
-	for _, s := range c.Seeds {
-		if seen[s] {
-			return fmt.Errorf("fleet: duplicate seed %d", s)
-		}
-		seen[s] = true
+	if err := noDup("seed", c.Seeds); err != nil {
+		return err
 	}
 	if len(c.Faults) == 0 {
 		c.Faults = []string{""}
@@ -167,11 +163,11 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-func noDupStrings(what string, xs []string) error {
-	seen := map[string]bool{}
+func noDup[T comparable](what string, xs []T) error {
+	seen := map[T]bool{}
 	for _, x := range xs {
 		if seen[x] {
-			return fmt.Errorf("fleet: duplicate %s %q", what, x)
+			return fmt.Errorf("fleet: duplicate %s %#v", what, x)
 		}
 		seen[x] = true
 	}

@@ -292,3 +292,25 @@ func TestTraditionalFaultedCellCountsGuard(t *testing.T) {
 		t.Fatalf("faulted rl3 cell emitted no guard/skipped_updates:\n%s", events)
 	}
 }
+
+// TestCellsEvaluateOnFullSpace: every mode is tested on the full (RL3)
+// space, whatever range it trained on, so the cells of one seed pair up
+// config for config. The rule-based baseline's reward depends only on the
+// evaluation environments, never on the model, so an rl1 cell and a genet
+// cell at one seed report the same EvalBaseline exactly when they evaluated
+// on the same configurations.
+func TestCellsEvaluateOnFullSpace(t *testing.T) {
+	cfg := testConfig([]string{"abr"}, []string{"genet", "rl1"}, []int64{3})
+	res, err := Run(cfg, Options{OutDir: t.TempDir(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Cells) != 2 {
+		t.Fatalf("got %d cells, want 2", len(res.Cells))
+	}
+	genet, rl1 := res.Cells[0], res.Cells[1]
+	if genet.EvalBaseline != rl1.EvalBaseline {
+		t.Fatalf("baseline reward differs between modes of seed 3 (genet %v, rl1 %v): the cells were evaluated on different configs",
+			genet.EvalBaseline, rl1.EvalBaseline)
+	}
+}

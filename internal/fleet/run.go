@@ -12,12 +12,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/genet-go/genet/internal/ckpt"
 	"github.com/genet-go/genet/internal/core"
 	"github.com/genet-go/genet/internal/env"
 	"github.com/genet-go/genet/internal/faults"
 	"github.com/genet-go/genet/internal/guard"
-	"github.com/genet-go/genet/internal/metrics"
 	"github.com/genet-go/genet/internal/nn"
 	"github.com/genet-go/genet/internal/obs"
 	"github.com/genet-go/genet/internal/par"
@@ -132,6 +130,13 @@ func Run(cfg *Config, opts Options) (*SweepResult, error) {
 		stopped  atomic.Bool
 		mu       sync.Mutex // guards verbose writer interleaving
 	)
+	logf := func(format string, args ...any) {
+		if opts.Verbose != nil {
+			mu.Lock()
+			fmt.Fprintf(opts.Verbose, format, args...)
+			mu.Unlock()
+		}
+	}
 	stopNow := func() bool {
 		if stopped.Load() {
 			return true
@@ -142,10 +147,6 @@ func Run(cfg *Config, opts Options) (*SweepResult, error) {
 		}
 		return false
 	}
-	// cellStop is polled at curriculum safe points inside running cells, so
-	// a sweep-level stop interrupts in-flight curriculum cells into a
-	// resumable checkpoint instead of letting them run to completion.
-	cellStop := func() bool { return stopNow() }
 
 	type outcome struct {
 		res   CellResult
@@ -162,37 +163,28 @@ func Run(cfg *Config, opts Options) (*SweepResult, error) {
 		dir := filepath.Join(opts.OutDir, CellsDir, c.ID)
 		if res, ok := loadCompletedCell(dir, c); ok {
 			outcomes[i] = outcome{res: res, state: "skipped"}
-			if opts.Verbose != nil {
-				mu.Lock()
-				fmt.Fprintf(opts.Verbose, "fleet: cell %s complete, skipping\n", c.ID)
-				mu.Unlock()
-			}
+			logf("fleet: cell %s complete, skipping\n", c.ID)
 			return
 		}
 		start := time.Now()
-		res, interrupted, err := runCell(c, dir, cfg, cellStop)
+		// stopNow is also polled at curriculum safe points inside running
+		// cells, so a sweep-level stop checkpoints in-flight curriculum
+		// cells instead of letting them run to completion.
+		res, interrupted, err := runCell(c, dir, cfg, stopNow)
 		switch {
 		case err != nil:
 			outcomes[i] = outcome{err: fmt.Errorf("fleet: cell %s: %w", c.ID, err)}
 		case interrupted:
 			outcomes[i] = outcome{state: "remaining"}
-			if opts.Verbose != nil {
-				mu.Lock()
-				fmt.Fprintf(opts.Verbose, "fleet: cell %s interrupted at a safe point (resumable)\n", c.ID)
-				mu.Unlock()
-			}
+			logf("fleet: cell %s interrupted at a safe point (resumable)\n", c.ID)
 		default:
 			outcomes[i] = outcome{res: res, state: "executed"}
 			n := executed.Add(1)
 			if opts.StopAfterCells > 0 && n >= int64(opts.StopAfterCells) {
 				stopped.Store(true)
 			}
-			if opts.Verbose != nil {
-				mu.Lock()
-				fmt.Fprintf(opts.Verbose, "fleet: cell %s done in %v (reward=%.4f gap=%.4f)\n",
-					c.ID, time.Since(start).Round(time.Millisecond), res.EvalReward, res.Gap)
-				mu.Unlock()
-			}
+			logf("fleet: cell %s done in %v (reward=%.4f gap=%.4f)\n",
+				c.ID, time.Since(start).Round(time.Millisecond), res.EvalReward, res.Gap)
 		}
 	})
 
@@ -249,163 +241,72 @@ func runCell(c Cell, dir string, cfg *Config, stop func() bool) (res CellResult,
 	resume := resumableCheckpoint(c, dir)
 	if !resume {
 		// Any stale partial state (a killed traditional cell, a torn
-		// directory) restarts from scratch: wipe and recreate.
-		if _, statErr := os.Stat(dir); statErr == nil {
-			if err := os.RemoveAll(dir); err != nil {
-				return res, false, err
-			}
-		}
-		if err := obs.CreateRunDir(dir); err != nil {
+		// directory) restarts from scratch.
+		if err := os.RemoveAll(dir); err != nil {
 			return res, false, err
 		}
 	}
-
-	// Sweep temp files stranded by a previous aborted checkpoint write
-	// before writing anything next to the checkpoint (best effort).
-	ckPath := filepath.Join(dir, obs.CheckpointFile)
-	ckpt.RemoveStaleTemps(ckPath)
-
-	// Per-cell observability: the standard -rundir artifact set.
-	sink, err := metrics.FileSink(filepath.Join(dir, obs.EventsFile))
-	if err != nil {
-		return res, false, err
-	}
-	reg := metrics.NewRegistry()
-	reg.SetSink(sink)
-	rec := obs.NewRecorder(0)
-	spansPath := filepath.Join(dir, obs.SpansFile)
-	closeObs := func() {
-		reg.EmitSnapshot()
-		reg.Close()
-		rec.WriteTraceFile(spansPath)
-	}
-
-	manifest := obs.Manifest{
-		Tool:      "genet-fleet",
-		Cell:      c.ID,
-		UseCase:   c.Env,
-		Strategy:  c.Mode,
-		Seed:      c.Seed,
-		Rounds:    cfg.Budget.Rounds,
-		Flags:     cellFlags(c, cfg),
-		Kernel:    nn.KernelName(),
-		GoVersion: runtime.Version(),
-		StartedAt: time.Now().UTC().Format(time.RFC3339),
-		Outcome:   obs.OutcomeRunning,
+	man := obs.Manifest{
+		Tool:     "genet-fleet",
+		Cell:     c.ID,
+		UseCase:  c.Env,
+		Strategy: c.Mode,
+		Seed:     c.Seed,
+		Rounds:   cfg.Budget.Rounds,
+		Flags:    cellFlags(c, cfg),
+		Kernel:   nn.KernelName(),
 	}
 	if curriculumMode(c.Mode) {
-		manifest.CheckpointVersion = core.TrainerStateVersion
+		man.CheckpointVersion = core.TrainerStateVersion
 	}
-	if err := obs.WriteManifest(dir, manifest); err != nil {
-		closeObs()
-		return res, false, err
-	}
-	finishManifest := func(outcome string) {
-		manifest.FinishedAt = time.Now().UTC().Format(time.RFC3339)
-		manifest.Outcome = outcome
-		obs.WriteManifest(dir, manifest)
-	}
-
-	reg.EmitTagged("run/start",
-		map[string]string{"tool": "genet-fleet", "cell": c.ID, "usecase": c.Env, "strategy": c.Mode},
-		metrics.F{K: "seed", V: float64(c.Seed)})
-
-	// The cell's single training random stream: position-serializable so
-	// checkpoints capture it exactly. Evaluation draws from a separate
-	// derived stream so the final numbers do not depend on where training's
-	// stream happened to end (they would match anyway — resume is bit-exact
-	// — but a distinct stream keeps traditional restarts trivially aligned).
-	crng := ckpt.NewRand(c.Seed)
-	h, objective, err := newCellHarness(c, cfg.Budget, crng.Rand)
+	run, err := obs.OpenRun(obs.RunConfig{Dir: dir, Reopen: resume, Manifest: man})
 	if err != nil {
-		closeObs()
-		finishManifest(obs.OutcomeFailed)
 		return res, false, err
 	}
+	outcome := obs.OutcomeFailed
+	defer func() { run.Finish(outcome) }()
 
-	var injector *faults.Injector
-	var g *guard.Guard
+	spec := TrainSpec{
+		Env: c.Env, Mode: c.Mode, Seed: c.Seed, Budget: cfg.Budget,
+		Model: filepath.Join(dir, obs.ModelFile), Dir: dir, Stop: stop,
+		Metrics: run.Metrics, Recorder: run.Recorder,
+	}
+	if resume {
+		spec.ResumeFrom = filepath.Join(dir, obs.CheckpointFile)
+	}
 	if c.Fault != "" {
-		injector, err = faults.ParseSpec(c.Seed, c.Fault)
-		if err != nil {
-			closeObs()
-			finishManifest(obs.OutcomeFailed)
+		if spec.Faults, err = faults.ParseSpec(c.Seed, c.Fault); err != nil {
 			return res, false, err
 		}
 		// A faulted cell arms the watchdog with the genet-train defaults so
 		// injected faults are survived, not fatal.
-		g = guard.New(guard.Config{RollbackAfter: 8, QuarantineAfter: 3})
+		spec.Guard = guard.New(guard.Config{RollbackAfter: 8, QuarantineAfter: 3})
+	}
+	tr, err := spec.Train()
+	if err != nil {
+		return res, false, err
+	}
+	if tr.Report != nil && tr.Report.Interrupted {
+		outcome = obs.OutcomeInterrupted
+		return res, true, nil
 	}
 
 	res = CellResult{ID: c.ID, Env: c.Env, Mode: c.Mode, Seed: c.Seed, Fault: c.Fault, Resumed: resume}
-	if curriculumMode(c.Mode) {
-		opts := core.Options{
-			Rounds:        cfg.Budget.Rounds,
-			ItersPerRound: cfg.Budget.ItersPerRound,
-			BOSteps:       cfg.Budget.BOSteps,
-			EnvsPerEval:   cfg.Budget.EnvsPerEval,
-			WarmupIters:   warmupOpt(cfg.Budget.Warmup),
-			Metrics:       reg,
-			Guard:         g,
-			Faults:        injector,
-			Recorder:      rec,
-		}
-		opts.Objective = objective
-		co := core.CheckpointOptions{Path: ckPath, Every: 1, Stop: stop}
-		var rep *core.Report
-		if resume {
-			rep, err = core.ResumeTrainer(h, opts, ckPath, co)
-		} else {
-			rep, err = core.NewTrainer(h, opts).RunCheckpointed(crng, co)
-		}
-		if err != nil {
-			closeObs()
-			finishManifest(obs.OutcomeFailed)
-			return res, false, err
-		}
-		if rep.Interrupted {
-			closeObs()
-			finishManifest(obs.OutcomeInterrupted)
-			return res, true, nil
-		}
+	if rep := tr.Report; rep != nil {
 		res.Rounds = len(rep.Rounds)
 		res.Quarantined = rep.Distribution.NumQuarantined()
 		for _, r := range rep.Rounds {
 			res.Recoveries += len(r.Recoveries)
 		}
-		if curve := rep.TrainingCurve(); len(curve) > 0 {
-			res.FinalTrainReward = curve[len(curve)-1]
-		}
-	} else {
-		// Traditional modes get the equal-budget iteration count: resolved
-		// warm-up plus rounds x iters, matching the experiment harness.
-		core.AttachHooks(h, reg, g, injector, rec)
-		total := resolvedWarmup(cfg.Budget.Warmup) + cfg.Budget.Rounds*cfg.Budget.ItersPerRound
-		curve := core.TrainTraditional(h, total, crng.Rand)
-		if len(curve) > 0 {
-			res.FinalTrainReward = curve[len(curve)-1]
-		}
 	}
-
-	evalCell(h, c, cfg.EvalEnvs, &res)
-
-	// Atomic (temp+fsync+rename) like every other cell artifact: a policy
-	// server hot-swapping from this cell directory must never read a torn
-	// model.
-	if err := ckpt.AtomicWriteFile(filepath.Join(dir, obs.ModelFile), func(w io.Writer) error {
-		return core.SaveModel(h, w)
-	}); err != nil {
-		closeObs()
-		finishManifest(obs.OutcomeFailed)
-		return res, false, err
+	if n := len(tr.Curve); n > 0 {
+		res.FinalTrainReward = tr.Curve[n-1]
 	}
+	evalCell(tr, c, cfg.EvalEnvs, &res)
 	if err := writeResult(dir, res); err != nil {
-		closeObs()
-		finishManifest(obs.OutcomeFailed)
 		return res, false, err
 	}
-	closeObs()
-	finishManifest(obs.OutcomeCompleted)
+	outcome = obs.OutcomeCompleted
 	return res, false, nil
 }
 
@@ -413,30 +314,25 @@ func runCell(c Cell, dir string, cfg *Config, stop func() bool) (res CellResult,
 // curriculum cell can resume from: a manifest (so the directory is ours) and
 // a checkpoint file. Traditional modes never resume mid-cell.
 func resumableCheckpoint(c Cell, dir string) bool {
-	if !curriculumMode(c.Mode) {
-		return false
-	}
-	if _, err := obs.ReadManifest(dir); err != nil {
-		return false
-	}
-	if _, err := os.Stat(filepath.Join(dir, obs.CheckpointFile)); err != nil {
-		return false
-	}
-	return true
+	_, manErr := obs.ReadManifest(dir)
+	_, ckErr := os.Stat(filepath.Join(dir, obs.CheckpointFile))
+	return curriculumMode(c.Mode) && manErr == nil && ckErr == nil
 }
 
 // evalCell tests the cell's final model against the rule-based baseline on
-// EvalEnvs paired environments drawn uniformly from the full space. The
-// evaluation stream is derived from the cell seed alone, so the numbers are
-// a pure function of cell identity.
-func evalCell(h core.Harness, c Cell, evalEnvs int, res *CellResult) {
+// EvalEnvs paired environments drawn uniformly from the full (RL3) space,
+// whatever range the cell trained on, so every mode of a seed is tested on
+// the same configurations. The evaluation stream is derived from the cell
+// seed alone (not from where training's stream ended), so the numbers are a
+// pure function of cell identity.
+func evalCell(tr *Trained, c Cell, evalEnvs int, res *CellResult) {
 	evalRng := rand.New(rand.NewSource(c.Seed ^ evalSeedSalt))
-	dist := env.NewDistribution(h.Space())
+	dist := env.NewDistribution(tr.UseCase.Space(env.RL3))
 	var rlSum, baseSum float64
 	for i := 0; i < evalEnvs; i++ {
 		cfg := dist.Sample(evalRng)
 		instSeed := evalRng.Int63()
-		ev := h.Eval(cfg, 1, core.NeedBaseline, rand.New(rand.NewSource(instSeed)))
+		ev := tr.Harness.Eval(cfg, 1, core.NeedBaseline, rand.New(rand.NewSource(instSeed)))
 		rlSum += ev.RL
 		baseSum += ev.Baseline
 	}
@@ -477,41 +373,4 @@ func cellFlags(c Cell, cfg *Config) map[string]string {
 		m["inject"] = c.Fault
 	}
 	return m
-}
-
-// warmupOpt maps the Budget.Warmup convention (0 default, negative none)
-// onto core.Options.WarmupIters (0 default, negative none).
-func warmupOpt(w int) int {
-	if w < 0 {
-		return -1
-	}
-	return w
-}
-
-// resolvedWarmup is the concrete iteration count warmupOpt implies, for the
-// traditional modes' equal-budget total.
-func resolvedWarmup(w int) int {
-	switch {
-	case w < 0:
-		return 0
-	case w == 0:
-		return 10 // core's default
-	default:
-		return w
-	}
-}
-
-// newCellHarness builds the cell's harness, sized by the budget, and the
-// promotion objective of its mode.
-func newCellHarness(c Cell, b Budget, rng *rand.Rand) (core.Harness, core.Objective, error) {
-	uc, err := core.LookupUseCase(c.Env)
-	if err != nil {
-		return nil, core.Objective{}, err
-	}
-	level, objective, err := uc.Strategy(c.Mode)
-	if err != nil {
-		return nil, core.Objective{}, err
-	}
-	h, err := uc.NewHarness(level, "", b.EnvsPerIter, b.StepsPerIter, rng)
-	return h, objective, err
 }

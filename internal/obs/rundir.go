@@ -2,10 +2,14 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"time"
 
 	"github.com/genet-go/genet/internal/ckpt"
 	"github.com/genet-go/genet/internal/metrics"
@@ -73,6 +77,117 @@ func CreateRunDir(path string) error {
 		return fmt.Errorf("run dir %s already contains %s; refusing to overwrite a finished run", path, ManifestFile)
 	}
 	return nil
+}
+
+// Run is one run directory's lifecycle, shared by genet-train -rundir,
+// fleet cells and genet-serve -rundir. OpenRun creates the directory,
+// starts the event stream (with a run/start event) and the flight recorder,
+// and writes the manifest as running; Flush makes the files valid mid-run;
+// Finish closes the stream, writes the span trace and stamps the outcome,
+// manifest last. A manifest thus leaves running once, for completed,
+// interrupted or failed, and one still running was left by a process that
+// died: the states fleet's resume scan reads. The zero Run is off.
+type Run struct {
+	// Metrics streams into the event file and Recorder fills the span
+	// trace; each is nil when off.
+	Metrics  *metrics.Registry
+	Recorder *Recorder
+	dir      string
+	manifest Manifest
+}
+
+// RunConfig says where a run's artifacts go and what the run is. Without
+// Dir only the event stream at Events (default Dir/events.jsonl) is
+// written; without either the run is off. Reopen continues in a directory
+// an earlier attempt of the run left (a resuming fleet cell) instead of
+// refusing its manifest. Metrics is the registry to stream (nil = a new
+// one), and Start holds run/start event fields beyond the manifest's seed.
+type RunConfig struct {
+	Dir, Events string
+	Reopen      bool
+	Metrics     *metrics.Registry
+	Manifest    Manifest
+	Start       []metrics.F
+}
+
+// OpenRun starts a run's artifacts as cfg describes.
+func OpenRun(cfg RunConfig) (*Run, error) {
+	r := &Run{dir: cfg.Dir, manifest: cfg.Manifest}
+	if cfg.Dir != "" {
+		var err error
+		if cfg.Reopen {
+			err = os.MkdirAll(cfg.Dir, 0o755)
+		} else {
+			err = CreateRunDir(cfg.Dir)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if cfg.Events == "" {
+			cfg.Events = filepath.Join(cfg.Dir, EventsFile)
+		}
+	}
+	if cfg.Events == "" {
+		return r, nil
+	}
+	sink, err := metrics.FileSink(cfg.Events)
+	if err != nil {
+		return nil, err
+	}
+	if r.Metrics = cfg.Metrics; r.Metrics == nil {
+		r.Metrics = metrics.NewRegistry()
+	}
+	r.Metrics.SetSink(sink)
+	m := &r.manifest
+	tags := map[string]string{"tool": m.Tool, "usecase": m.UseCase, "strategy": m.Strategy}
+	if m.Cell != "" {
+		tags["cell"] = m.Cell
+	}
+	r.Metrics.EmitTagged("run/start", tags, append([]metrics.F{{K: "seed", V: float64(m.Seed)}}, cfg.Start...)...)
+	if r.dir == "" {
+		return r, nil
+	}
+	r.Recorder = NewRecorder(0)
+	m.GoVersion = runtime.Version()
+	m.StartedAt = time.Now().UTC().Format(time.RFC3339)
+	m.Outcome = OutcomeRunning
+	if err := WriteManifest(r.dir, *m); err != nil {
+		r.Metrics.Close()
+		return nil, err
+	}
+	return r, nil
+}
+
+// Flush makes the files on disk valid now: buffered events reach the
+// stream and the span ring is rewritten, atomically, to the trace file.
+func (r *Run) Flush() error { return errors.Join(r.Metrics.Flush(), r.writeTrace()) }
+
+// Finish closes the event stream with a summary snapshot, writes the span
+// trace and stamps the manifest with outcome, one of the Outcome* constants.
+func (r *Run) Finish(outcome string) error {
+	r.Metrics.EmitSnapshot()
+	err := errors.Join(r.Metrics.Close(), r.writeTrace())
+	if r.dir == "" {
+		return err
+	}
+	r.manifest.FinishedAt = time.Now().UTC().Format(time.RFC3339)
+	r.manifest.Outcome = outcome
+	return errors.Join(err, WriteManifest(r.dir, r.manifest))
+}
+
+func (r *Run) writeTrace() error {
+	if r.dir == "" {
+		return nil
+	}
+	return r.Recorder.WriteTraceFile(filepath.Join(r.dir, SpansFile))
+}
+
+// CommandLineFlags returns the flags explicitly set on the command line, the
+// Flags a CLI records in its manifest.
+func CommandLineFlags() map[string]string {
+	m := make(map[string]string)
+	flag.Visit(func(f *flag.Flag) { m[f.Name] = f.Value.String() })
+	return m
 }
 
 // WriteManifest atomically writes the manifest into dir (temp file + fsync +

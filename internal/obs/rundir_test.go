@@ -136,3 +136,69 @@ func TestCheckComplete(t *testing.T) {
 		}
 	}
 }
+
+// TestRunLifecycle walks one run directory through the shared lifecycle:
+// OpenRun leaves a running manifest and a run/start event, Finish leaves a
+// CheckComplete-valid directory stamped with the outcome, a second OpenRun
+// refuses the directory unless it reopens it, and a run with no
+// destination is off.
+func TestRunLifecycle(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "run")
+	cfg := RunConfig{Dir: dir, Manifest: Manifest{Tool: "genet-fleet", Cell: "lb.genet.s1", UseCase: "lb", Strategy: "genet", Seed: 1}}
+	r, err := OpenRun(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := ReadManifest(dir); err != nil || m.Outcome != OutcomeRunning || m.StartedAt == "" || m.GoVersion == "" {
+		t.Fatalf("opened manifest = %+v, %v", m, err)
+	}
+	r.Recorder.Start("train/round").End()
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckComplete(dir); err != nil {
+		t.Fatalf("flushed mid-run dir invalid: %v", err)
+	}
+	if err := r.Finish(OutcomeInterrupted); err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckComplete(dir); err != nil {
+		t.Fatalf("finished dir invalid: %v", err)
+	}
+	m, err := ReadManifest(dir)
+	if err != nil || m.Outcome != OutcomeInterrupted || m.FinishedAt == "" || m.Cell != "lb.genet.s1" {
+		t.Fatalf("finished manifest = %+v, %v", m, err)
+	}
+	f, err := os.Open(filepath.Join(dir, EventsFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, err := metrics.ReadEvents(f)
+	f.Close()
+	if err != nil || len(evs) < 2 || evs[0].Name != "run/start" || evs[0].Tags["cell"] != "lb.genet.s1" || evs[len(evs)-1].Name != "snapshot" {
+		t.Fatalf("event stream = %+v, %v", evs, err)
+	}
+
+	if _, err := OpenRun(cfg); err == nil {
+		t.Fatal("OpenRun reused a directory holding a manifest")
+	}
+	cfg.Reopen = true
+	r, err = OpenRun(cfg)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if err := r.Finish(OutcomeCompleted); err != nil {
+		t.Fatal(err)
+	}
+	if m, _ := ReadManifest(dir); m.Outcome != OutcomeCompleted {
+		t.Fatalf("reopened run outcome = %q", m.Outcome)
+	}
+
+	off, err := OpenRun(RunConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off.Metrics != nil || off.Recorder != nil || off.Flush() != nil || off.Finish(OutcomeCompleted) != nil {
+		t.Fatal("a run with no destination is not off")
+	}
+}

@@ -164,7 +164,7 @@ func (o *Observer) endRequest(ctx context.Context, start time.Time, lat time.Dur
 		return
 	}
 	outcome := OutcomeOf(d, err)
-	o.slo.Record(outcome, lat)
+	o.slo.Record(outcome, lat, start.Add(lat))
 	if o.log == nil {
 		return
 	}

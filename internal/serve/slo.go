@@ -24,7 +24,8 @@ type SLOConfig struct {
 	// burn is the standard fast-burn/slow-burn alerting shape: the short
 	// window catches a cliff, the long window catches a slow leak.
 	Windows []time.Duration
-	// Clock overrides time.Now for tests.
+	// Clock overrides time.Now for Report and Burn in tests. Record reads
+	// no clock: its caller passes the request's end time.
 	Clock func() time.Time
 }
 
@@ -114,14 +115,16 @@ func NewSLOTracker(cfg SLOConfig) *SLOTracker {
 // Config returns the tracker's resolved configuration.
 func (t *SLOTracker) Config() SLOConfig { return t.cfg }
 
-// Record classifies one finished request into the current second's slot.
-// Nil receivers are the canonical "off" and no-op. It bumps total, then
-// served, then slow, the reverse of the order window reads them in.
-func (t *SLOTracker) Record(outcome string, lat time.Duration) {
+// Record classifies one request that finished at end, after lat, into
+// end's second. The caller already holds both (the decide path's start
+// plus its latency), so recording costs no clock read. Nil receivers are
+// the canonical "off" and no-op. It bumps total, then served, then slow,
+// the reverse of the order window reads them in.
+func (t *SLOTracker) Record(outcome string, lat time.Duration, end time.Time) {
 	if t == nil {
 		return
 	}
-	now := t.cfg.Clock().Unix()
+	now := end.Unix()
 	s := &t.slots[now%int64(len(t.slots))]
 	sec := uint32(now)
 	if !bumpSLOWord(&s.total, sec) {

@@ -31,13 +31,13 @@ func TestSLOTrackerBurnMath(t *testing.T) {
 
 	// 90 ok, 5 fallback (still served), 5 shed: availability 95/100.
 	for i := 0; i < 90; i++ {
-		slo.Record(OutcomeOK, 10*time.Millisecond)
+		slo.Record(OutcomeOK, 10*time.Millisecond, clk.Now())
 	}
 	for i := 0; i < 5; i++ {
-		slo.Record(OutcomeFallback, 10*time.Millisecond)
+		slo.Record(OutcomeFallback, 10*time.Millisecond, clk.Now())
 	}
 	for i := 0; i < 5; i++ {
-		slo.Record(OutcomeShed, 0)
+		slo.Record(OutcomeShed, 0, clk.Now())
 	}
 	rep := slo.Report()
 	w := rep.Windows[0]
@@ -57,8 +57,8 @@ func TestSLOTrackerBurnMath(t *testing.T) {
 
 	// 19 more fast served + 19 slow: slow fraction 19/133 over a 0.1 budget.
 	for i := 0; i < 19; i++ {
-		slo.Record(OutcomeOK, time.Millisecond)
-		slo.Record(OutcomeOK, 200*time.Millisecond)
+		slo.Record(OutcomeOK, time.Millisecond, clk.Now())
+		slo.Record(OutcomeOK, 200*time.Millisecond, clk.Now())
 	}
 	w = slo.Report().Windows[0]
 	wantSlowFrac := 19.0 / 133.0
@@ -74,7 +74,7 @@ func TestSLOTrackerWindowing(t *testing.T) {
 	// A burst of sheds, then two minutes of quiet: the 1m window must forget
 	// it while the 5m window still burns.
 	for i := 0; i < 10; i++ {
-		slo.Record(OutcomeShed, 0)
+		slo.Record(OutcomeShed, 0, clk.Now())
 	}
 	clk.Advance(2 * time.Minute)
 	rep := slo.Report()
@@ -87,7 +87,7 @@ func TestSLOTrackerWindowing(t *testing.T) {
 
 	// After the long window passes, the ring reuses slots cleanly.
 	clk.Advance(10 * time.Minute)
-	slo.Record(OutcomeOK, time.Millisecond)
+	slo.Record(OutcomeOK, time.Millisecond, clk.Now())
 	rep = slo.Report()
 	if rep.Windows[1].Total != 1 || rep.Windows[1].AvailabilityBurn != 0 {
 		t.Fatalf("stale slots leaked into window: %+v", rep.Windows[1])
@@ -104,7 +104,7 @@ func TestSLOTrackerIdleAndNil(t *testing.T) {
 		}
 	}
 	var nilTracker *SLOTracker
-	nilTracker.Record(OutcomeOK, time.Second) // must not panic
+	nilTracker.Record(OutcomeOK, time.Second, time.Now()) // must not panic
 	if a, l := nilTracker.Burn(time.Minute); a != 0 || l != 0 {
 		t.Fatalf("nil tracker burned %v/%v", a, l)
 	}
@@ -185,7 +185,7 @@ func TestSLOTrackerConcurrentRecordExact(t *testing.T) {
 				if i%2 == 1 {
 					outcome = OutcomeFallback
 				}
-				slo.Record(outcome, time.Second)
+				slo.Record(outcome, time.Second, slo.cfg.Clock())
 			}
 		}()
 	}

@@ -90,10 +90,10 @@ func TestTrainIterationVecSteadyStateAllocs(t *testing.T) {
 
 // TestRobustMPCEpisodeAllocs pins the allocations of one RobustMPC episode,
 // the ABR baseline every Genet BO query replays: the same operation as
-// BenchmarkABREpisodeMPC, a fresh policy streaming a whole RL3 video. The
-// budget is the measured count — the policy, its planner scratch, the
-// session, and the observation and metrics buffers of RunEpisode — so any
-// per-chunk garbage fails it.
+// BenchmarkMicro/ABREpisodeRobustMPC, a fresh policy streaming a whole RL3
+// video. The budget is the measured count — the policy, its planner
+// scratch, the session, and the observation and metrics buffers of
+// RunEpisode — so any per-chunk garbage fails it.
 func TestRobustMPCEpisodeAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation pinning is not meaningful under -short")

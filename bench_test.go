@@ -1,20 +1,17 @@
 package genet
 
 import (
-	"bytes"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"github.com/genet-go/genet/internal/abr"
 	"github.com/genet-go/genet/internal/bo"
 	"github.com/genet-go/genet/internal/cc"
-	"github.com/genet-go/genet/internal/ckpt"
 	"github.com/genet-go/genet/internal/env"
 	"github.com/genet-go/genet/internal/experiments"
 	"github.com/genet-go/genet/internal/lb"
+	"github.com/genet-go/genet/internal/microbench"
 	"github.com/genet-go/genet/internal/nn"
-	"github.com/genet-go/genet/internal/rl"
 )
 
 // benchExperiment runs one registered paper experiment end to end at smoke
@@ -65,6 +62,16 @@ func BenchmarkTable6(b *testing.B) { benchExperiment(b, "table6") }
 // BenchmarkTable7 regenerates the CC reward breakdown of Table 7.
 func BenchmarkTable7(b *testing.B) { benchExperiment(b, "table7") }
 
+// BenchmarkMicro runs the gated micro suite that genet-bench -micro records
+// into BENCH_*.json, one sub-benchmark per row, so a row can be profiled:
+// go test -run '^$' -bench 'BenchmarkMicro/EvalABR$' -cpuprofile cpu.out .
+// The train-iteration rows are recorded at -benchtime 1500x.
+func BenchmarkMicro(b *testing.B) {
+	for _, row := range microbench.Rows {
+		b.Run(row.Name, row.Bench)
+	}
+}
+
 // --- substrate micro-benchmarks ---
 
 func BenchmarkABRChunkDownload(b *testing.B) {
@@ -80,18 +87,6 @@ func BenchmarkABRChunkDownload(b *testing.B) {
 			sim = inst.NewSim()
 		}
 		sim.Next(i % 6)
-	}
-}
-
-func BenchmarkABREpisodeMPC(b *testing.B) {
-	cfg := env.ABRSpace(env.RL3).Default(env.ABRDefaults())
-	inst, err := abr.NewInstance(cfg, nil, rand.New(rand.NewSource(2)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		inst.Evaluate(abr.NewRobustMPC())
 	}
 }
 
@@ -160,88 +155,6 @@ func BenchmarkNNForward(b *testing.B) {
 	}
 }
 
-// BenchmarkNNForwardBatch times the batched forward over a rollout-sized
-// [100 x obs] matrix with a warm scratch; steady state is allocation-free.
-func BenchmarkNNForwardBatch(b *testing.B) {
-	rng := rand.New(rand.NewSource(8))
-	m := nn.MustMLP(rng, nn.Tanh, abr.ObsSize, 64, 32, 6)
-	const batch = 100
-	x := make([]float64, batch*abr.ObsSize)
-	for i := range x {
-		x[i] = rng.Float64()
-	}
-	s := m.NewScratch(batch)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.ForwardBatch(s, x, batch)
-	}
-}
-
-// BenchmarkNNBackwardBatch times forward+backward over a rollout-sized batch
-// with warm scratch and grads; steady state is allocation-free.
-func BenchmarkNNBackwardBatch(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	m := nn.MustMLP(rng, nn.Tanh, abr.ObsSize, 64, 32, 6)
-	const batch = 100
-	x := make([]float64, batch*abr.ObsSize)
-	for i := range x {
-		x[i] = rng.Float64()
-	}
-	gradOut := make([]float64, batch*6)
-	for i := range gradOut {
-		gradOut[i] = rng.NormFloat64() / batch
-	}
-	grads := m.NewGrads()
-	s := m.NewScratch(batch)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.ForwardBatchCache(s, x, batch)
-		m.BackwardBatch(s, gradOut, grads)
-	}
-}
-
-func BenchmarkRLTrainIterationABR(b *testing.B) {
-	rng := rand.New(rand.NewSource(10))
-	agent, err := rl.NewDiscreteAgent(rl.DefaultDiscreteConfig(abr.ObsSize, 6), rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	agent.RolloutWorkers, agent.UpdateWorkers = 1, 1 // see cmd/genet-bench's micro suite
-	cfg := env.ABRSpace(env.RL1).Default(nil)
-	venv := abr.NewVecEnv(abr.GenFromConfig(cfg), 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		agent.TrainIterationVec(venv, 100, rng)
-	}
-}
-
-// BenchmarkRLUpdate isolates the sharded minibatch update (GAE + gradients +
-// optimizer step) on a 200-transition ABR batch, recollected outside the
-// timer whenever the previous update invalidates the rollout cache.
-func BenchmarkRLUpdate(b *testing.B) {
-	rng := rand.New(rand.NewSource(10))
-	agent, err := rl.NewDiscreteAgent(rl.DefaultDiscreteConfig(abr.ObsSize, 6), rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	agent.UpdateWorkers = 1
-	cfg := env.ABRSpace(env.RL1).Default(nil)
-	gen := abr.GenFromConfig(cfg)
-	e := abr.NewRLEnv(gen)
-	batch := agent.Collect(e, 200, rng)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		agent.Update(batch)
-		b.StopTimer()
-		batch = agent.Collect(e, 200, rng)
-		b.StartTimer()
-	}
-}
-
 func BenchmarkGPFitPredict(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	const n, d = 15, 6
@@ -276,81 +189,6 @@ func BenchmarkBOSearch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := bo.Maximize(f, bo.Options{Dims: 6, Steps: 15}, rand.New(rand.NewSource(int64(i)))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCheckpointWrite times one atomic checkpoint write (agent state
-// capture + container encode + temp/sync/rename) for an ABR-sized agent —
-// the per-round persistence cost a checkpointed training run pays.
-func BenchmarkCheckpointWrite(b *testing.B) {
-	rng := rand.New(rand.NewSource(13))
-	agent, err := rl.NewDiscreteAgent(rl.DefaultDiscreteConfig(abr.ObsSize, 6), rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	path := filepath.Join(b.TempDir(), "bench.ckpt")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var state bytes.Buffer
-		if err := agent.SaveState(&state); err != nil {
-			b.Fatal(err)
-		}
-		w := ckpt.NewWriter()
-		if err := w.Add("agent", state.Bytes()); err != nil {
-			b.Fatal(err)
-		}
-		if err := w.AddGob("rng", ckpt.RandState{Seed: 13, Count: uint64(i)}); err != nil {
-			b.Fatal(err)
-		}
-		if err := w.WriteFile(path); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCheckpointRead times parsing a checkpoint (CRC verification
-// included) and restoring the agent from its state section — the fixed cost
-// of a resume.
-func BenchmarkCheckpointRead(b *testing.B) {
-	rng := rand.New(rand.NewSource(13))
-	agent, err := rl.NewDiscreteAgent(rl.DefaultDiscreteConfig(abr.ObsSize, 6), rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var state bytes.Buffer
-	if err := agent.SaveState(&state); err != nil {
-		b.Fatal(err)
-	}
-	path := filepath.Join(b.TempDir(), "bench.ckpt")
-	w := ckpt.NewWriter()
-	if err := w.Add("agent", state.Bytes()); err != nil {
-		b.Fatal(err)
-	}
-	if err := w.AddGob("rng", ckpt.RandState{Seed: 13}); err != nil {
-		b.Fatal(err)
-	}
-	if err := w.WriteFile(path); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f, err := ckpt.ReadFile(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sec, err := f.Section("agent")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := rl.LoadDiscreteAgentState(bytes.NewReader(sec)); err != nil {
-			b.Fatal(err)
-		}
-		var rst ckpt.RandState
-		if err := f.Gob("rng", &rst); err != nil {
 			b.Fatal(err)
 		}
 	}

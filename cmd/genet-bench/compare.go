@@ -33,13 +33,19 @@ const minRepSpread = 0.15
 // regression is one gate failure found by compareBaselines.
 type regression struct {
 	Name   string
-	Metric string // "allocs/op", "bytes/op", "ns/op", "speedup"
+	Metric string // "allocs/op", "bytes/op", "ns/op", "speedup", or missing
 	Old    float64
 	New    float64
 	Limit  float64
 }
 
+// missing is the Metric of a gated benchmark absent from the new run.
+const missing = "missing"
+
 func (r regression) String() string {
+	if r.Metric == missing {
+		return r.Name + ": in the baseline but missing from the new run (retiring it takes a new committed baseline)"
+	}
 	return fmt.Sprintf("%s: %s regressed %.2f -> %.2f (limit %.2f)", r.Name, r.Metric, r.Old, r.New, r.Limit)
 }
 
@@ -75,23 +81,20 @@ func relSpread(reps []float64) float64 {
 // of the two baselines), so a benchmark that legitimately jitters 30%
 // between reps does not hard-fail a 25% gate on a coin flip.
 //
-// Benchmarks present on only one side never gate: a new one has nothing to
-// compare against, and a retired one (in the baseline only) is noted on
-// verbose so its disappearance shows in the log.
+// A benchmark only in new has nothing to compare against and does not
+// gate. One only in old regresses: a renamed or dropped row would otherwise
+// escape the gate, so retiring one takes a newly committed baseline.
 func compareBaselines(oldB, newB *microBaseline, tol float64, verbose io.Writer) []regression {
+	var regs []regression
+	inNew := make(map[string]bool, len(newB.Results))
+	for _, r := range newB.Results {
+		inNew[r.Name] = true
+	}
 	oldByName := make(map[string]microResult, len(oldB.Results))
 	for _, r := range oldB.Results {
 		oldByName[r.Name] = r
-	}
-	if verbose != nil {
-		inNew := make(map[string]bool, len(newB.Results))
-		for _, r := range newB.Results {
-			inNew[r.Name] = true
-		}
-		for _, r := range oldB.Results {
-			if !inNew[r.Name] {
-				fmt.Fprintf(verbose, "note: %s: retired, present only in baseline\n", r.Name)
-			}
+		if !inNew[r.Name] {
+			regs = append(regs, regression{Name: r.Name, Metric: missing})
 		}
 	}
 	sameCPU := oldB.CPUModel != "" && oldB.CPUModel == newB.CPUModel && oldB.NumCPU == newB.NumCPU
@@ -99,7 +102,6 @@ func compareBaselines(oldB, newB *microBaseline, tol float64, verbose io.Writer)
 		fmt.Fprintf(verbose, "note: baselines from different CPUs (%q/%d vs %q/%d): gating allocations only\n",
 			oldB.CPUModel, oldB.NumCPU, newB.CPUModel, newB.NumCPU)
 	}
-	var regs []regression
 	for _, n := range newB.Results {
 		o, ok := oldByName[n.Name]
 		if !ok {
@@ -144,23 +146,28 @@ func compareBaselines(oldB, newB *microBaseline, tol float64, verbose io.Writer)
 // with at least as many procs as the point has workers, so the speedup
 // measures parallelism both hosts actually had; it regresses when it falls
 // below the baseline's by more than tol. A speedup is a ratio of two
-// timings on one host, so unlike ns/op it gates across CPU models.
+// timings on one host, so unlike ns/op it gates across CPU models. A gated
+// point of the baseline absent from the new run regresses.
 func compareScaling(oldB, newB *microBaseline, tol float64, verbose io.Writer) []regression {
-	type key struct {
-		name    string
-		workers int
-	}
-	oldPts := make(map[key]scalingPoint, len(oldB.Scaling))
-	for _, p := range oldB.Scaling {
-		oldPts[key{p.Name, p.Workers}] = p
+	key := func(p scalingPoint) string { return fmt.Sprintf("%s/workers=%d", p.Name, p.Workers) }
+	newPts := make(map[string]bool, len(newB.Scaling))
+	for _, p := range newB.Scaling {
+		newPts[key(p)] = true
 	}
 	var regs []regression
+	oldPts := make(map[string]scalingPoint, len(oldB.Scaling))
+	for _, p := range oldB.Scaling {
+		oldPts[key(p)] = p
+		if p.Gate && !newPts[key(p)] {
+			regs = append(regs, regression{Name: key(p), Metric: missing})
+		}
+	}
 	for _, n := range newB.Scaling {
-		o, ok := oldPts[key{n.Name, n.Workers}]
+		name := key(n)
+		o, ok := oldPts[name]
 		if !n.Gate || !ok || n.Workers > oldB.GOMAXPROCS || n.Workers > newB.GOMAXPROCS {
 			continue
 		}
-		name := fmt.Sprintf("%s/workers=%d", n.Name, n.Workers)
 		limit := o.Speedup * (1 - tol)
 		if n.Speedup < limit {
 			regs = append(regs, regression{name, "speedup", o.Speedup, n.Speedup, limit})

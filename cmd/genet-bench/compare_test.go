@@ -110,20 +110,17 @@ func TestCompareNewBenchmarkSkipped(t *testing.T) {
 	}
 }
 
-func TestCompareRetiredBenchmarkNoted(t *testing.T) {
+func TestCompareRetiredBenchmarkRegresses(t *testing.T) {
 	oldB := baseWith(
 		microResult{Name: "A", NsPerOp: 1000},
 		microResult{Name: "Gone", NsPerOp: 1000})
 	newB := baseWith(microResult{Name: "A", NsPerOp: 1000})
-	var log strings.Builder
-	if regs := compareBaselines(oldB, newB, 0.25, &log); len(regs) != 0 {
-		t.Fatalf("retired benchmark must not gate: %v", regs)
+	regs := compareBaselines(oldB, newB, 0.25, nil)
+	if len(regs) != 1 || regs[0].Name != "Gone" || regs[0].Metric != missing {
+		t.Fatalf("want one missing-row regression for Gone, got %v", regs)
 	}
-	if want := "note: Gone: retired, present only in baseline\n"; !strings.Contains(log.String(), want) {
-		t.Fatalf("log %q lacks %q", log.String(), want)
-	}
-	if strings.Contains(log.String(), "A: retired") {
-		t.Fatalf("benchmark present on both sides noted as retired: %q", log.String())
+	if s := regs[0].String(); !strings.Contains(s, "missing from the new run") {
+		t.Fatalf("missing-row regression reads %q", s)
 	}
 }
 
@@ -162,5 +159,15 @@ func TestCompareScalingSpeedupGates(t *testing.T) {
 	}
 	if regs := compareBaselines(curve(2, 1.6, true), curve(1, 1.0, true), 0.25, nil); len(regs) != 0 {
 		t.Fatalf("1-proc run gated on a 2-worker speedup: %v", regs)
+	}
+	// A gated point dropped from the new run regresses; an ungated one does not.
+	dropped := curve(2, 1.6, true)
+	dropped.Scaling = dropped.Scaling[:1]
+	if regs := compareBaselines(curve(2, 1.6, true), dropped, 0.25, nil); len(regs) != 1 || regs[0].Name != "C/workers=2" || regs[0].Metric != missing {
+		t.Fatalf("want one missing-point regression at 2 workers, got %v", regs)
+	}
+	dropped.Scaling = nil
+	if regs := compareBaselines(curve(2, 1.6, false), dropped, 0.25, nil); len(regs) != 0 {
+		t.Fatalf("dropped ungated curve gated: %v", regs)
 	}
 }

@@ -19,6 +19,7 @@ import (
 
 	"github.com/genet-go/genet/internal/experiments"
 	"github.com/genet-go/genet/internal/metrics"
+	"github.com/genet-go/genet/internal/microbench"
 )
 
 func main() {
@@ -51,7 +52,7 @@ func main() {
 		return
 	}
 	if *microFlag != "" {
-		if err := runMicro(*microFlag, *repsFlag); err != nil {
+		if err := runMicro(*microFlag, *repsFlag, microbench.Rows, microbench.Curves); err != nil {
 			fatal(err)
 		}
 		return

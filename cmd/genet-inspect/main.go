@@ -300,19 +300,7 @@ func diff(w io.Writer, dirA, dirB string) error {
 
 	fmt.Fprintln(w, "\nphase wall-clock (total ms, a vs b):")
 	aggA, aggB := aggMap(a.spanAggregates()), aggMap(b.spanAggregates())
-	names := map[string]bool{}
-	for n := range aggA {
-		names[n] = true
-	}
-	for n := range aggB {
-		names[n] = true
-	}
-	sorted := make([]string, 0, len(names))
-	for n := range names {
-		sorted = append(sorted, n)
-	}
-	sort.Strings(sorted)
-	for _, n := range sorted {
+	for _, n := range unionKeys(aggA, aggB) {
 		fmt.Fprintf(w, "  %-16s %10.1f  %10.1f\n", n, aggA[n].total/1e3, aggB[n].total/1e3)
 	}
 
@@ -328,7 +316,7 @@ func diff(w io.Writer, dirA, dirB string) error {
 	if b.final != nil {
 		cb = b.final.Counters
 	}
-	for _, n := range unionKeysI(ca, cb) {
+	for _, n := range unionKeys(ca, cb) {
 		fmt.Fprintf(w, "  %-28s %10d %10d %+d\n", n, ca[n], cb[n], cb[n]-ca[n])
 	}
 	return nil
@@ -350,23 +338,8 @@ func diffLine(w io.Writer, key, va, vb string) {
 	fmt.Fprintf(w, "  %s %-12s %q vs %q\n", marker, key, va, vb)
 }
 
-func unionKeys(a, b map[string]string) []string {
-	set := map[string]bool{}
-	for k := range a {
-		set[k] = true
-	}
-	for k := range b {
-		set[k] = true
-	}
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func unionKeysI(a, b map[string]int64) []string {
+// unionKeys returns the keys of a and b, sorted.
+func unionKeys[V any](a, b map[string]V) []string {
 	set := map[string]bool{}
 	for k := range a {
 		set[k] = true

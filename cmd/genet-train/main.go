@@ -42,7 +42,7 @@ func main() {
 		seed       = flag.Int64("seed", 42, "random seed")
 		outPath    = flag.String("o", "", "output model file (required)")
 		baseName   = flag.String("baseline", "", "rule-based baseline override (abr: mpc|bba; cc: bbr|cubic; lb: llf)")
-		metPath    = flag.String("metrics", "", "stream JSON-lines training telemetry to this file (closing line is a summary snapshot)")
+		metPath    = flag.String("metrics", "", "stream JSON-lines training telemetry to this file (closing line is a summary snapshot); not with -rundir, which streams it to DIR/events.jsonl")
 		ckPath     = flag.String("checkpoint", "", "write a resumable training checkpoint to this file (atomic; curriculum strategies only)")
 		ckEvery    = flag.Int("checkpoint-every", 1, "rounds between checkpoint writes")
 		resume     = flag.String("resume", "", "resume a curriculum run from this checkpoint file (keeps checkpointing to it unless -checkpoint overrides)")
@@ -59,6 +59,10 @@ func main() {
 	flag.Parse()
 	if *outPath == "" && *runDir == "" {
 		fmt.Fprintln(os.Stderr, "genet-train: -o is required (or use -rundir)")
+		os.Exit(2)
+	}
+	if *runDir != "" && *metPath != "" {
+		fmt.Fprintf(os.Stderr, "genet-train: -metrics cannot be combined with -rundir: the run's telemetry goes to %s\n", filepath.Join(*runDir, obs.EventsFile))
 		os.Exit(2)
 	}
 	uc, err := core.LookupUseCase(*useCase)

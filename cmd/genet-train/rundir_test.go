@@ -110,6 +110,31 @@ func TestRunDirArtifactsComplete(t *testing.T) {
 	}
 }
 
+// TestRunDirRefusesMetrics: -metrics beside -rundir would send the events
+// away from the run directory, which then fails CheckComplete, so the pair
+// is a usage error (exit 2) naming where -rundir streams them, and no
+// directory is created.
+func TestRunDirRefusesMetrics(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real binary")
+	}
+	bin := buildTrainBinary(t)
+	rd := filepath.Join(t.TempDir(), "run")
+	cmd := exec.Command(bin, append(tinyRunDirArgs(rd, "1"), "-metrics", filepath.Join(t.TempDir(), "ev.jsonl"))...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	if code := cmd.ProcessState.ExitCode(); code != 2 {
+		t.Fatalf("exit code %d (err %v), want 2\nstderr:\n%s", code, err, stderr.String())
+	}
+	if want := filepath.Join(rd, obs.EventsFile); !strings.Contains(stderr.String(), want) {
+		t.Errorf("stderr does not name %s:\n%s", want, stderr.String())
+	}
+	if _, err := os.Stat(rd); !os.IsNotExist(err) {
+		t.Errorf("refused run created %s (stat err %v)", rd, err)
+	}
+}
+
 // TestInterruptLeavesValidArtifacts is satellite 2: a graceful ^C mid-run
 // must still yield a complete, parseable run directory — valid events.jsonl
 // and spans.trace.json, a loadable checkpoint, and a manifest recording the

@@ -265,8 +265,8 @@ func GradCheck(m *MLP, x []float64, loss func(out []float64) float64, lossGrad f
 }
 
 // BenchmarkNNBackward times one per-sample forward+backward through the
-// oracle on an ABR-policy-shaped network (BenchmarkNNBackwardBatch in the
-// repository root times the batched kernels the trainers run).
+// oracle on an ABR-policy-shaped network (BenchmarkMicro/NNBackwardBatch
+// in the repository root times the batched kernels the trainers run).
 func BenchmarkNNBackward(b *testing.B) {
 	const obsSize = 27 // abr.ObsSize
 	rng := rand.New(rand.NewSource(9))

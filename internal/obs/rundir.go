@@ -96,11 +96,12 @@ type Run struct {
 	manifest Manifest
 }
 
-// RunConfig says where a run's artifacts go and what the run is. Without
-// Dir only the event stream at Events (default Dir/events.jsonl) is
-// written; without either the run is off. Reopen continues in a directory
-// an earlier attempt of the run left (a resuming fleet cell) instead of
-// refusing its manifest. Metrics is the registry to stream (nil = a new
+// RunConfig says where a run's artifacts go and what the run is. With Dir
+// the event stream goes to Dir/events.jsonl, and setting Events too is an
+// error: the directory would lack its stream. Without Dir only the event
+// stream at Events is written; without either the run is off. Reopen
+// continues in a directory an earlier attempt of the run left (a resuming
+// fleet cell) instead of refusing its manifest. Metrics is the registry to stream (nil = a new
 // one), and Start holds run/start event fields beyond the manifest's seed.
 type RunConfig struct {
 	Dir, Events string
@@ -114,6 +115,9 @@ type RunConfig struct {
 func OpenRun(cfg RunConfig) (*Run, error) {
 	r := &Run{dir: cfg.Dir, manifest: cfg.Manifest}
 	if cfg.Dir != "" {
+		if cfg.Events != "" {
+			return nil, fmt.Errorf("obs: run dir %s streams its events to %s, not %s", cfg.Dir, filepath.Join(cfg.Dir, EventsFile), cfg.Events)
+		}
 		var err error
 		if cfg.Reopen {
 			err = os.MkdirAll(cfg.Dir, 0o755)
@@ -123,9 +127,7 @@ func OpenRun(cfg RunConfig) (*Run, error) {
 		if err != nil {
 			return nil, err
 		}
-		if cfg.Events == "" {
-			cfg.Events = filepath.Join(cfg.Dir, EventsFile)
-		}
+		cfg.Events = filepath.Join(cfg.Dir, EventsFile)
 	}
 	if cfg.Events == "" {
 		return r, nil

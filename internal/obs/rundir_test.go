@@ -202,3 +202,19 @@ func TestRunLifecycle(t *testing.T) {
 		t.Fatal("a run with no destination is not off")
 	}
 }
+
+// TestOpenRunRejectsEventsWithDir: a run directory's events go to
+// Dir/events.jsonl, so an Events path beside Dir, which would leave the
+// directory without its stream, is refused before anything is created.
+func TestOpenRunRejectsEventsWithDir(t *testing.T) {
+	dir, events := filepath.Join(t.TempDir(), "run"), filepath.Join(t.TempDir(), "events.jsonl")
+	_, err := OpenRun(RunConfig{Dir: dir, Events: events})
+	if err == nil || !strings.Contains(err.Error(), filepath.Join(dir, EventsFile)) {
+		t.Fatalf("OpenRun(Dir, Events) err = %v, want one naming %s", err, filepath.Join(dir, EventsFile))
+	}
+	for _, p := range []string{dir, events} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("refused run created %s (stat err %v)", p, err)
+		}
+	}
+}

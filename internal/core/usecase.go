@@ -377,24 +377,37 @@ func (u *UseCase) NewHarness(level env.RangeLevel, baseline string, envs, steps 
 	return u.sim.newHarness(u, u.Space(level), baseline, envs, steps, rng)
 }
 
+// ParseStrategy resolves a training strategy name (genet|rl1|rl2|rl3|cl2|cl3,
+// any case): the range level its harness trains over and whether it is a
+// curriculum strategy (Algorithm 2, with checkpoint safe points) rather
+// than a traditional one (Algorithm 1).
+func ParseStrategy(name string) (level env.RangeLevel, curriculum bool, err error) {
+	switch strings.ToLower(name) {
+	case "genet", "cl2", "cl3":
+		return env.RL3, true, nil
+	}
+	if level, err = env.ParseRangeLevel(name); err != nil {
+		return 0, false, fmt.Errorf("unknown strategy %q (want genet|rl1|rl2|rl3|cl2|cl3)", name)
+	}
+	return level, false, nil
+}
+
 // Strategy resolves a training strategy for the use case: the range level
 // its harness trains over and, for the curriculum strategies (genet, cl2,
 // cl3), the promotion objective. Traditional strategies (rl1-rl3) get the
 // zero Objective.
 func (u *UseCase) Strategy(name string) (env.RangeLevel, Objective, error) {
+	level, curriculum, err := ParseStrategy(name)
+	if err != nil || !curriculum {
+		return level, Objective{}, err
+	}
 	switch strings.ToLower(name) {
-	case "genet":
-		return env.RL3, u.Genet, nil
 	case "cl2":
-		return env.RL3, BaselinePerfObjective(), nil
+		return level, BaselinePerfObjective(), nil
 	case "cl3":
-		return env.RL3, u.CL3, nil
+		return level, u.CL3, nil
 	}
-	level, err := env.ParseRangeLevel(name)
-	if err != nil {
-		return 0, Objective{}, fmt.Errorf("unknown strategy %q (want genet|rl1|rl2|rl3|cl2|cl3)", name)
-	}
-	return level, Objective{}, nil
+	return level, u.Genet, nil
 }
 
 // LoadAgent reads a model.bin written by SaveModel, checking its

@@ -14,8 +14,8 @@ func init() {
 	register("ablation-warmup", "effect of skipping the uniform warm-up phase", runAblationWarmup)
 }
 
-// variant is one row of an ablation: a label and the edit trainGenetWith
-// applies to the fresh harness and options.
+// variant is one row of an ablation: a label and the edit applied to the
+// fresh Genet harness and options.
 type variant struct {
 	label string
 	edit  func(core.Harness, *core.Options)
@@ -27,7 +27,7 @@ func ablate(res *Result, uc *core.UseCase, scale Scale, seed int64, variants []v
 	b := budgetFor(scale)
 	res.Columns = []string{"test_reward"}
 	for _, v := range variants {
-		h, err := trainGenetWith(uc, b, seed, v.edit)
+		h, err := b.train(uc, "genet", seed, v.edit)
 		if err != nil {
 			return nil, err
 		}
@@ -83,7 +83,7 @@ func runAblationEnsemble(scale Scale, seed int64) (*Result, error) {
 func runAblationWarmup(scale Scale, seed int64) (*Result, error) {
 	res := &Result{ID: "ablation-warmup", Title: "Genet (ABR) with and without uniform warm-up"}
 	res.Note("§4.2: Genet 'does begin the training over the whole space of environments in the first iteration'; skipping it makes the first BO search target an untrained model")
-	warmup := budgetFor(scale).warmup
+	warmup := budgetFor(scale).Warmup
 	return ablate(res, core.ABR, scale, seed, []variant{
 		{"warmup=off", func(_ core.Harness, o *core.Options) { o.WarmupIters = -1 }}, // -1 encodes "disabled"
 		{fmt.Sprintf("warmup=%d", warmup), func(_ core.Harness, o *core.Options) { o.WarmupIters = warmup }},

@@ -3,9 +3,13 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
 
 	"github.com/genet-go/genet/internal/core"
 	"github.com/genet-go/genet/internal/env"
+	"github.com/genet-go/genet/internal/fleet"
 	"github.com/genet-go/genet/internal/trace"
 )
 
@@ -17,57 +21,64 @@ func init() {
 }
 
 // trainLevelSuite trains the RL1/RL2/RL3 traditional policies plus Genet for
-// one use case.
+// one use case, each from its own offset of seed.
 func trainLevelSuite(uc *core.UseCase, b budget, seed int64) (map[string]core.Harness, error) {
 	hs := make(map[string]core.Harness, 4)
-	for _, level := range []env.RangeLevel{env.RL1, env.RL2, env.RL3} {
-		h, err := trainTraditional(uc, level, b.totalIters(), b, seed+int64(level), nil)
+	for name, off := range map[string]int64{"RL1": int64(env.RL1), "RL2": int64(env.RL2), "RL3": int64(env.RL3), "Genet": 7} {
+		h, err := b.train(uc, name, seed+off, nil)
 		if err != nil {
 			return nil, err
 		}
-		hs[level.String()] = h
+		hs[name] = h
 	}
-	g, err := trainGenetWith(uc, b, seed+7, nil)
-	if err != nil {
-		return nil, err
-	}
-	hs["Genet"] = g
 	return hs, nil
 }
 
 // runFig9 reproduces Fig 9: with the target distribution set to the full
 // RL3 ranges, Genet-trained policies beat all three traditionally trained
-// policies across CC, ABR, and LB. Results average over multiple training
-// seeds (the paper trains three seeds per policy) at the larger scales.
+// policies across CC, ABR, and LB. Each use case is one fleet sweep over the
+// four strategies and the training seeds (the paper trains three per
+// policy), its cells run in parallel; a row is the mean over seeds of the
+// cells' test rewards with its bootstrap CI.
 func runFig9(scale Scale, seed int64) (*Result, error) {
 	b := budgetFor(scale)
 	nSeeds := map[Scale]int{Smoke: 1, CI: 2, Full: 3}[scale]
+	var seeds []int64
+	for s := 0; s < nSeeds; s++ {
+		seeds = append(seeds, seed+int64(1000*s))
+	}
+	dir, err := os.MkdirTemp("", "genet-fig9-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
 	res := &Result{
 		ID:      "fig9",
 		Title:   "asymptotic performance on the full synthetic range",
-		Columns: []string{"test_reward"},
+		Columns: []string{"test_reward", "ci_lo", "ci_hi"},
 	}
+	labels := []string{"RL1", "RL2", "RL3", "Genet"}
 	for _, uc := range []*core.UseCase{core.CC, core.ABR, core.LB} {
-		acc := map[string][]float64{}
-		var blAcc []float64
-		for s := 0; s < nSeeds; s++ {
-			hs, err := trainLevelSuite(uc, b, seed+int64(1000*s))
-			if err != nil {
-				return nil, err
-			}
-			dist := env.NewDistribution(uc.Space(env.RL3))
-			rewards, baseline := evalSuite(hs, dist, b.testEnvs, seed+100)
-			for name, rs := range rewards {
-				acc[name] = append(acc[name], meanOf(rs))
-			}
-			blAcc = append(blAcc, meanOf(baseline))
+		cfg := &fleet.Config{
+			Envs: []string{uc.Name}, Modes: slices.Clone(labels), Seeds: seeds,
+			Budget: b.fleetBudget(uc), EvalEnvs: b.testEnvs,
 		}
-		for _, name := range []string{"RL1", "RL2", "RL3", "Genet"} {
-			res.AddRow(fmt.Sprintf("%s-%s", uc, name), meanOf(acc[name]))
+		sweep, err := fleet.Run(cfg, fleet.Options{OutDir: filepath.Join(dir, uc.Name)})
+		if err != nil {
+			return nil, err
 		}
-		res.AddRow(fmt.Sprintf("%s-baseline", uc), meanOf(blAcc))
+		// Groups come in the declared mode order.
+		for i, g := range sweep.Summary.Groups {
+			res.AddRow(fmt.Sprintf("%s-%s", uc, labels[i]), g.Reward.Point, g.Reward.Lo, g.Reward.Hi)
+		}
+		var bl []float64
+		for _, c := range sweep.Cells {
+			bl = append(bl, c.EvalBaseline)
+		}
+		res.AddRow(fmt.Sprintf("%s-baseline", uc), meanOf(bl))
 	}
-	res.Note("averaged over %d training seed(s)", nSeeds)
+	res.Note("averaged over %d training seed(s); ci_lo/ci_hi bound the mean with a 95%% bootstrap CI over seeds", nSeeds)
+	res.Note("every strategy of a seed trains from that seed and is tested on the same %d environments drawn from RL3", b.testEnvs)
 	res.Note("expected shape: within each use case, Genet > max(RL1,RL2,RL3); paper reports 8-25%% (ABR), 14-24%% (CC), 15%% (LB)")
 	return res, nil
 }
@@ -159,16 +170,13 @@ func runFig12(scale Scale, seed int64) (*Result, error) {
 			return meanOf(rewardsOf(r["rl"]))
 		}
 		for _, ratio := range ratios {
-			h, err := trainTraditional(half.uc, env.RL3, b.totalIters(), b, seed+half.seed+int64(ratio*100),
-				func(h core.Harness) { mixTraces(h, half.train, ratio) })
+			h, err := b.train(half.uc, "rl3", seed+half.seed+int64(ratio*100), mixTraces(half.train, ratio))
 			if err != nil {
 				return nil, err
 			}
 			res.AddRow(fmt.Sprintf("%s-rl-real%.0f%%", half.uc, ratio*100), test(h))
 		}
-		h, err := trainGenetWith(half.uc, b, seed+half.seed+77, func(h core.Harness, _ *core.Options) {
-			mixTraces(h, half.train, 0.3)
-		})
+		h, err := b.train(half.uc, "genet", seed+half.seed+77, mixTraces(half.train, 0.3))
 		if err != nil {
 			return nil, err
 		}

@@ -8,20 +8,19 @@ import (
 	"github.com/genet-go/genet/internal/cc"
 	"github.com/genet-go/genet/internal/core"
 	"github.com/genet-go/genet/internal/env"
+	"github.com/genet-go/genet/internal/fleet"
 	"github.com/genet-go/genet/internal/stats"
 	"github.com/genet-go/genet/internal/trace"
 )
 
-// budget bundles the per-scale knobs every experiment shares.
+// budget bundles the per-scale knobs every experiment shares: the training
+// budget every strategy gets (Genet's, and by core.Options.TraditionalIters
+// the equal budget of rl1-rl3) and the test-time sizes.
 type budget struct {
-	warmup        int // uniform-distribution iterations before promotions
-	rounds        int // curriculum rounds
-	itersPerRound int
-	boSteps       int
-	envsPerEval   int     // k environments per gap estimate
-	testEnvs      int     // environments per test-time comparison
-	stepMult      float64 // multiplier on harness default steps/iteration
-	traceScale    float64 // fraction of Table 2 trace counts to synthesize
+	fleet.Budget
+	testEnvs   int     // environments per test-time comparison
+	stepMult   float64 // multiplier on harness default steps/iteration
+	traceScale float64 // fraction of Table 2 trace counts to synthesize
 }
 
 func budgetFor(scale Scale) budget {
@@ -32,91 +31,60 @@ func budgetFor(scale Scale) budget {
 	// early promotions chase the weaknesses of a random policy.
 	switch scale {
 	case CI:
-		return budget{warmup: 20, rounds: 5, itersPerRound: 8, boSteps: 10,
-			envsPerEval: 4, testEnvs: 50, stepMult: 1, traceScale: 0.2}
+		return budget{Budget: fleet.Budget{Warmup: 20, Rounds: 5, ItersPerRound: 8, BOSteps: 10, EnvsPerEval: 4},
+			testEnvs: 50, stepMult: 1, traceScale: 0.2}
 	case Full:
-		return budget{warmup: 20, rounds: 9, itersPerRound: 10, boSteps: 15,
-			envsPerEval: 10, testEnvs: 200, stepMult: 2, traceScale: 1}
+		return budget{Budget: fleet.Budget{Warmup: 20, Rounds: 9, ItersPerRound: 10, BOSteps: 15, EnvsPerEval: 10},
+			testEnvs: 200, stepMult: 2, traceScale: 1}
 	default:
-		return budget{warmup: 8, rounds: 2, itersPerRound: 4, boSteps: 4,
-			envsPerEval: 2, testEnvs: 10, stepMult: 0.5, traceScale: 0.04}
+		return budget{Budget: fleet.Budget{Warmup: 8, Rounds: 2, ItersPerRound: 4, BOSteps: 4, EnvsPerEval: 2},
+			testEnvs: 10, stepMult: 0.5, traceScale: 0.04}
 	}
 }
 
-// totalIters is the iteration budget a traditional-RL run gets so that
-// Genet-vs-traditional comparisons are equal-budget.
-func (b budget) totalIters() int { return b.genetOptions().TraditionalIters() }
-
-// genetOptions maps the budget onto Algorithm 2 options.
-func (b budget) genetOptions() core.Options {
-	return core.Options{
-		Rounds:        b.rounds,
-		ItersPerRound: b.itersPerRound,
-		BOSteps:       b.boSteps,
-		EnvsPerEval:   b.envsPerEval,
-		WarmupIters:   b.warmup,
-	}
+// fleetBudget is the training budget for uc, its steps per iteration
+// scaled by stepMult.
+func (b budget) fleetBudget(uc *core.UseCase) fleet.Budget {
+	fb := b.Budget
+	fb.StepsPerIter = max(int(float64(uc.StepsPerIter)*b.stepMult), 50)
+	return fb
 }
 
-// harness constructs a fresh harness for a use case over its space at
-// level, with the steps per iteration scaled by the budget.
-func (b budget) harness(uc *core.UseCase, level env.RangeLevel, rng *rand.Rand) (core.Harness, error) {
-	return uc.NewHarness(level, "", 0, scaleSteps(uc.StepsPerIter, b.stepMult), rng)
+// harness constructs a fresh, untrained harness for uc over its full
+// (RL3) space, sized like the ones train builds.
+func (b budget) harness(uc *core.UseCase, rng *rand.Rand) (core.Harness, error) {
+	return uc.NewHarness(env.RL3, "", 0, b.fleetBudget(uc).StepsPerIter, rng)
 }
 
-func scaleSteps(base int, mult float64) int {
-	n := int(float64(base) * mult)
-	if n < 50 {
-		n = 50
-	}
-	return n
-}
-
-// trainTraditional trains a traditional (Algorithm 1) policy over the given
-// range level for iters iterations from seed and returns its harness. edit,
-// when non-nil, adjusts the fresh harness first.
-func trainTraditional(uc *core.UseCase, level env.RangeLevel, iters int, b budget, seed int64, edit func(core.Harness)) (core.Harness, error) {
-	rng := rand.New(rand.NewSource(seed))
-	h, err := b.harness(uc, level, rng)
+// train trains uc under strategy mode (genet|rl1|rl2|rl3|cl2|cl3) from seed
+// with fleet.TrainSpec, the one training driver, and returns its harness.
+// edit, when non-nil, is the spec's Edit.
+func (b budget) train(uc *core.UseCase, mode string, seed int64, edit func(core.Harness, *core.Options)) (core.Harness, error) {
+	tr, err := (&fleet.TrainSpec{Env: uc.Name, Mode: mode, Seed: seed, Budget: b.fleetBudget(uc), Edit: edit}).Train()
 	if err != nil {
 		return nil, err
 	}
-	if edit != nil {
-		edit(h)
-	}
-	core.TrainTraditional(h, iters, rng)
-	return h, nil
+	return tr.Harness, nil
 }
 
-// trainGenetWith trains a Genet policy over the full (RL3) space from seed
-// and returns its harness. The options start from the budget's and the use
-// case's Genet objective; edit, when non-nil, may adjust the fresh harness
-// (baseline, ensemble, trace set) and the options first.
-func trainGenetWith(uc *core.UseCase, b budget, seed int64, edit func(core.Harness, *core.Options)) (core.Harness, error) {
-	rng := rand.New(rand.NewSource(seed))
-	h, err := b.harness(uc, env.RL3, rng)
-	if err != nil {
-		return nil, err
-	}
-	opts := b.genetOptions()
-	opts.Objective = uc.Genet
-	if edit != nil {
-		edit(h, &opts)
-	}
-	if _, err := core.NewTrainer(h, opts).Run(rng); err != nil {
-		return nil, err
-	}
-	return h, nil
+// pretrain trains uc over the full range for the warm-up alone: the
+// mid-training model Figs 4, 6 and 20 start from.
+func (b budget) pretrain(uc *core.UseCase, seed int64) (core.Harness, error) {
+	w := b
+	w.Budget = fleet.Budget{Rounds: 1, ItersPerRound: b.Warmup, Warmup: -1}
+	return w.train(uc, "rl3", seed, nil)
 }
 
-// mixTraces makes an abr or cc harness mix trace-driven environments from
-// ts into training with probability p (§4.2).
-func mixTraces(h core.Harness, ts *trace.Set, p float64) {
-	switch h := h.(type) {
-	case *core.ABRHarness:
-		h.TraceSet, h.TraceProb = ts, p
-	case *core.CCHarness:
-		h.TraceSet, h.TraceProb = ts, p
+// mixTraces is the edit that makes an abr or cc harness mix trace-driven
+// environments from ts into training with probability p (§4.2).
+func mixTraces(ts *trace.Set, p float64) func(core.Harness, *core.Options) {
+	return func(h core.Harness, _ *core.Options) {
+		switch h := h.(type) {
+		case *core.ABRHarness:
+			h.TraceSet, h.TraceProb = ts, p
+		case *core.CCHarness:
+			h.TraceSet, h.TraceProb = ts, p
+		}
 	}
 }
 
@@ -137,32 +105,6 @@ func testRewards(h core.Harness, n int, need core.EvalNeed, seed int64) (rl, bl 
 func testReward(h core.Harness, n int, seed int64) float64 {
 	rl, _ := testRewards(h, n, 0, seed)
 	return meanOf(rl)
-}
-
-// evalSuite evaluates several harnesses' models on the same sequence of
-// (config, instance) draws from dist and returns per-name reward samples
-// plus the baseline samples of the first harness by name. Instances are
-// paired across harnesses via per-index seeds.
-func evalSuite(hs map[string]core.Harness, dist *env.Distribution, n int, seed int64) (rewards map[string][]float64, baseline []float64) {
-	cfgRng := rand.New(rand.NewSource(seed))
-	rewards = make(map[string][]float64, len(hs))
-	names := sortedKeys(hs)
-	for i := 0; i < n; i++ {
-		cfg := dist.Sample(cfgRng)
-		instSeed := cfgRng.Int63()
-		for j, name := range names {
-			need := core.EvalNeed(0)
-			if j == 0 {
-				need = core.NeedBaseline
-			}
-			ev := hs[name].Eval(cfg, 1, need, rand.New(rand.NewSource(instSeed)))
-			rewards[name] = append(rewards[name], ev.RL)
-			if j == 0 {
-				baseline = append(baseline, ev.Baseline)
-			}
-		}
-	}
-	return rewards, baseline
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -263,16 +205,16 @@ func ccPolicy(mk func() cc.Sender, noiseFromSeed bool) tracePolicy {
 type ruleBased struct {
 	label string
 	uc    *core.UseCase
-	set   func(core.Harness)
+	set   func(core.Harness, *core.Options)
 	test  tracePolicy
 }
 
 func abrRuleBased(label string, mk func() abr.Policy) ruleBased {
-	return ruleBased{label, core.ABR, func(h core.Harness) { h.(*core.ABRHarness).NewBaseline = mk }, abrPolicy(mk())}
+	return ruleBased{label, core.ABR, func(h core.Harness, _ *core.Options) { h.(*core.ABRHarness).NewBaseline = mk }, abrPolicy(mk())}
 }
 
 func ccRuleBased(label string, mk func() cc.Sender) ruleBased {
-	return ruleBased{label, core.CC, func(h core.Harness) { h.(*core.CCHarness).NewBaseline = mk }, ccPolicy(mk, false)}
+	return ruleBased{label, core.CC, func(h core.Harness, _ *core.Options) { h.(*core.CCHarness).NewBaseline = mk }, ccPolicy(mk, false)}
 }
 
 // modelPolicy is the trace test of an abr or cc harness's model;

@@ -25,7 +25,7 @@ func init() {
 func runFig6(scale Scale, seed int64) (*Result, error) {
 	b := budgetFor(scale)
 	nConfigs := map[Scale]int{Smoke: 6, CI: 20, Full: 60}[scale]
-	trainIters := b.itersPerRound
+	trainIters := b.ItersPerRound
 
 	res := &Result{
 		ID:      "fig6",
@@ -35,7 +35,7 @@ func runFig6(scale Scale, seed int64) (*Result, error) {
 	for _, uc := range []*core.UseCase{core.ABR, core.CC} {
 		// Intermediate model: a few warm-up iterations, as in the paper
 		// (both example policies are mid-training snapshots).
-		inter, err := trainTraditional(uc, env.RL3, b.warmup, b, seed, nil)
+		inter, err := b.pretrain(uc, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -44,7 +44,7 @@ func runFig6(scale Scale, seed int64) (*Result, error) {
 		cfgRng := rand.New(rand.NewSource(seed + 5))
 		for i := 0; i < nConfigs; i++ {
 			cfg := inter.Space().Sample(cfgRng)
-			ev := inter.Eval(cfg, b.envsPerEval, core.NeedBaseline|core.NeedOptimal, rand.New(rand.NewSource(seed+int64(i))))
+			ev := inter.Eval(cfg, b.EnvsPerEval, core.NeedBaseline|core.NeedOptimal, rand.New(rand.NewSource(seed+int64(i))))
 			// Train a clone on this configuration alone and measure the
 			// reward improvement on it.
 			clone := inter.Snapshot()
@@ -53,7 +53,7 @@ func runFig6(scale Scale, seed int64) (*Result, error) {
 				return nil, err
 			}
 			clone.Train(dist, trainIters, rand.New(rand.NewSource(seed+1000+int64(i))))
-			after := clone.Eval(cfg, b.envsPerEval, 0, rand.New(rand.NewSource(seed+int64(i))))
+			after := clone.Eval(cfg, b.EnvsPerEval, 0, rand.New(rand.NewSource(seed+int64(i))))
 			gapsBase = append(gapsBase, ev.GapToBaseline())
 			gapsOpt = append(gapsOpt, ev.GapToOptimal())
 			improvements = append(improvements, after.RL-ev.RL)
@@ -86,35 +86,41 @@ func runCurves(uc *core.UseCase, b budget, seed int64, extraIterMult int) (map[s
 	nTest := max(b.testEnvs/2, 3)
 	curves := make(map[string][]float64)
 	for _, name := range []string{"Genet", "RL3", "CL1", "CL2", "CL3"} {
+		edit := func(h core.Harness, o *core.Options) {
+			if name != "Genet" {
+				o.Rounds *= extraIterMult
+			}
+			o.AfterRound = func(int) { curves[name] = append(curves[name], testReward(h, nTest, seed+777)) }
+		}
+		if name != "RL3" && name != "CL1" {
+			// Genet, CL2 and CL3: Algorithm 2 under the strategy's objective.
+			if _, err := b.train(uc, name, seed, edit); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		// RL3 and CL1 are not Algorithm 2, so they are driven here round by
+		// round.
 		rng := rand.New(rand.NewSource(seed))
-		h, err := b.harness(uc, env.RL3, rng)
+		h, err := b.harness(uc, rng)
 		if err != nil {
 			return nil, err
 		}
-		opts := b.genetOptions()
-		if name != "Genet" {
-			opts.Rounds *= extraIterMult
-		}
-		opts.AfterRound = func(int) { curves[name] = append(curves[name], testReward(h, nTest, seed+777)) }
-		switch name {
-		case "RL3":
-			// Same checkpoint cadence, uniform distribution throughout.
-			dist := env.NewDistribution(h.Space())
-			h.Train(dist, opts.WarmupIters, rng)
-			opts.AfterRound(-1)
-			for r := 0; r < opts.Rounds; r++ {
-				h.Train(dist, opts.ItersPerRound, rng)
-				opts.AfterRound(r)
+		opts := b.Options()
+		edit(h, &opts)
+		if name == "CL1" {
+			if _, err := core.RunHeuristicCurriculum(h, opts, fluctuationSchedule(uc), rng); err != nil {
+				return nil, err
 			}
-		case "CL1":
-			_, err = core.RunHeuristicCurriculum(h, opts, fluctuationSchedule(uc), rng)
-		default: // Genet, CL2 and CL3: Algorithm 2 under the strategy's objective
-			if _, opts.Objective, err = uc.Strategy(name); err == nil {
-				_, err = core.NewTrainer(h, opts).Run(rng)
-			}
+			continue
 		}
-		if err != nil {
-			return nil, err
+		// RL3: the same checkpoint cadence, uniform distribution throughout.
+		dist := env.NewDistribution(h.Space())
+		h.Train(dist, opts.WarmupIters, rng)
+		opts.AfterRound(-1)
+		for r := 0; r < opts.Rounds; r++ {
+			h.Train(dist, opts.ItersPerRound, rng)
+			opts.AfterRound(r)
 		}
 	}
 	return curves, nil
@@ -175,8 +181,7 @@ func runFig19(scale Scale, seed int64) (*Result, error) {
 	}
 	// MPC reference row.
 	{
-		rng := rand.New(rand.NewSource(seed))
-		h, err := b.harness(core.ABR, env.RL3, rng)
+		h, err := b.harness(core.ABR, rand.New(rand.NewSource(seed)))
 		if err != nil {
 			return nil, err
 		}
@@ -185,7 +190,7 @@ func runFig19(scale Scale, seed int64) (*Result, error) {
 	}
 
 	for _, rho := range []float64{0.1, 0.5, 1.0} {
-		h, err := trainGenetWith(core.ABR, b, seed+int64(rho*10), func(_ core.Harness, o *core.Options) {
+		h, err := b.train(core.ABR, "genet", seed+int64(rho*10), func(_ core.Harness, o *core.Options) {
 			o.Objective = core.RobustifyObjective(rho, abrNonSmoothness)
 		})
 		if err != nil {
@@ -193,7 +198,7 @@ func runFig19(scale Scale, seed int64) (*Result, error) {
 		}
 		res.AddRow(fmt.Sprintf("robustify-rho%.1f", rho), testReward(h, b.testEnvs, seed+70))
 	}
-	genet, err := trainGenetWith(core.ABR, b, seed+99, nil)
+	genet, err := b.train(core.ABR, "genet", seed+99, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +225,7 @@ func runFig20(scale Scale, seed int64) (*Result, error) {
 	}
 
 	for _, uc := range []*core.UseCase{core.ABR, core.CC} {
-		h, err := trainTraditional(uc, env.RL3, b.warmup, b, seed, nil)
+		h, err := b.pretrain(uc, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -231,7 +236,7 @@ func runFig20(scale Scale, seed int64) (*Result, error) {
 			if err != nil {
 				return 0
 			}
-			return h.Eval(cfg, b.envsPerEval, core.NeedBaseline, evalRng).GapToBaseline()
+			return h.Eval(cfg, b.EnvsPerEval, core.NeedBaseline, evalRng).GapToBaseline()
 		}
 		dims := h.Space().NumDims()
 

@@ -66,14 +66,14 @@ func TestScaleString(t *testing.T) {
 
 func TestBudgetsMonotone(t *testing.T) {
 	s, c, f := budgetFor(Smoke), budgetFor(CI), budgetFor(Full)
-	if !(s.totalIters() < c.totalIters() && c.totalIters() < f.totalIters()) {
-		t.Fatalf("iteration budgets not increasing: %d, %d, %d",
-			s.totalIters(), c.totalIters(), f.totalIters())
+	si, ci, fi := s.Options().TraditionalIters(), c.Options().TraditionalIters(), f.Options().TraditionalIters()
+	if !(si < ci && ci < fi) {
+		t.Fatalf("iteration budgets not increasing: %d, %d, %d", si, ci, fi)
 	}
 	if !(s.testEnvs < c.testEnvs && c.testEnvs < f.testEnvs) {
 		t.Fatal("test env budgets not increasing")
 	}
-	if f.boSteps != 15 || f.rounds != 9 || f.envsPerEval != 10 {
+	if f.BOSteps != 15 || f.Rounds != 9 || f.EnvsPerEval != 10 {
 		t.Fatalf("full budget does not match Algorithm 2 defaults: %+v", f)
 	}
 }

@@ -75,7 +75,7 @@ func runFig14(scale Scale, seed int64) (*Result, error) {
 		{ccRuleBased("cc-BBR", func() cc.Sender { return cc.NewBBR() }), 100, 60},
 		{ccRuleBased("cc-Cubic", func() cc.Sender { return cc.NewCubic() }), 101, 60},
 	} {
-		h, err := trainGenetWith(tc.base.uc, b, seed+tc.seed, func(h core.Harness, _ *core.Options) { tc.base.set(h) })
+		h, err := b.train(tc.base.uc, "genet", seed+tc.seed, tc.base.set)
 		if err != nil {
 			return nil, err
 		}
@@ -120,7 +120,7 @@ func runFig15(scale Scale, seed int64) (*Result, error) {
 		}
 		for _, base := range half.bases {
 			// The suite's Genet is replaced by one trained against base.
-			genet, err := trainGenetWith(half.uc, b, seed+half.genetSeed, func(h core.Harness, _ *core.Options) { base.set(h) })
+			genet, err := b.train(half.uc, "genet", seed+half.genetSeed, base.set)
 			if err != nil {
 				return nil, err
 			}

@@ -28,7 +28,7 @@ func runFig2(scale Scale, seed int64) (*Result, error) {
 	}
 	for _, uc := range []*core.UseCase{core.CC, core.ABR, core.LB} {
 		for _, level := range []env.RangeLevel{env.RL1, env.RL2, env.RL3} {
-			h, err := trainTraditional(uc, level, b.totalIters(), b, seed+int64(level), nil)
+			h, err := b.train(uc, level.String(), seed+int64(level), nil)
 			if err != nil {
 				return nil, err
 			}
@@ -55,7 +55,7 @@ func runFig3(scale Scale, seed int64) (*Result, error) {
 	}
 
 	// (a) Synthetic-trained policy.
-	synth, err := trainTraditional(core.CC, env.RL2, b.totalIters(), b, seed, nil)
+	synth, err := b.train(core.CC, "rl2", seed, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -72,7 +72,7 @@ func runFig3(scale Scale, seed int64) (*Result, error) {
 
 	// (b) Cross-trace-set training.
 	trainOn := func(set *trace.Set, s int64) (core.Harness, error) {
-		return trainTraditional(core.CC, env.RL2, b.totalIters(), b, s, func(h core.Harness) { mixTraces(h, set, 1.0) })
+		return b.train(core.CC, "rl2", s, mixTraces(set, 1.0))
 	}
 	cellTrained, err := trainOn(ts.cellularTrain, seed+11)
 	if err != nil {
@@ -107,7 +107,7 @@ func runFig4(scale Scale, seed int64) (*Result, error) {
 		With(env.ABRMaxBW, 10).With(env.ABRBWMinRatio, 0.1).With(env.ABRBWChangeInterval, 10)
 
 	// Pretrain briefly on the full range: poor on both X and Y.
-	pre, err := trainTraditional(core.ABR, env.RL3, b.warmup, b, seed, nil)
+	pre, err := b.pretrain(core.ABR, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +129,7 @@ func runFig4(scale Scale, seed int64) (*Result, error) {
 		if err := dist.Promote(cfg, 0.5); err != nil {
 			return nil, err
 		}
-		h.Train(dist, b.rounds*b.itersPerRound, rand.New(rand.NewSource(s)))
+		h.Train(dist, b.Rounds*b.ItersPerRound, rand.New(rand.NewSource(s)))
 		return h, nil
 	}
 	withX, err := addAndTrain(cfgX, seed+1)

@@ -74,7 +74,7 @@ func runFig16(scale Scale, seed int64) (*Result, error) {
 	runs := 3 + 2*int(b.stepMult) // repetitions per path ("at least five times" at full scale)
 
 	// ABR: Genet(MPC) vs MPC vs BBA.
-	genetABR, err := trainGenetWith(core.ABR, b, seed, nil)
+	genetABR, err := b.train(core.ABR, "genet", seed, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +108,7 @@ func runFig16(scale Scale, seed int64) (*Result, error) {
 	}
 
 	// CC: Genet(BBR) vs BBR vs Cubic.
-	genetCC, err := trainGenetWith(core.CC, b, seed+1, nil)
+	genetCC, err := b.train(core.CC, "genet", seed+1, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -42,6 +42,14 @@ type Budget struct {
 	Warmup int `json:"warmup,omitempty"`
 }
 
+// Options maps the budget onto Algorithm 2's options.
+func (b Budget) Options() core.Options {
+	return core.Options{
+		Rounds: b.Rounds, ItersPerRound: b.ItersPerRound, WarmupIters: b.Warmup,
+		BOSteps: b.BOSteps, EnvsPerEval: b.EnvsPerEval,
+	}
+}
+
 func (b *Budget) defaults() {
 	if b.Rounds <= 0 {
 		b.Rounds = 3
@@ -82,19 +90,13 @@ type Config struct {
 	Confidence float64 `json:"confidence,omitempty"`
 }
 
-// knownModes gates Validate; it mirrors genet-train.
-var knownModes = map[string]bool{"genet": true, "rl1": true, "rl2": true, "rl3": true, "cl2": true, "cl3": true}
-
 // curriculumMode reports whether a mode has checkpoint safe points (and so
 // can resume mid-training). Traditional modes restart their cell from
 // scratch when interrupted — the cell, not the iteration, is their resume
 // granularity.
 func curriculumMode(mode string) bool {
-	switch mode {
-	case "genet", "cl2", "cl3":
-		return true
-	}
-	return false
+	_, curriculum, _ := core.ParseStrategy(mode)
+	return curriculum
 }
 
 // Validate normalizes (lower-cases, defaults) and checks the declaration.
@@ -117,8 +119,8 @@ func (c *Config) Validate() error {
 	}
 	for i, m := range c.Modes {
 		c.Modes[i] = strings.ToLower(strings.TrimSpace(m))
-		if !knownModes[c.Modes[i]] {
-			return fmt.Errorf("fleet: unknown mode %q (want genet|rl1|rl2|rl3|cl2|cl3)", m)
+		if _, _, err := core.ParseStrategy(c.Modes[i]); err != nil {
+			return fmt.Errorf("fleet: unknown mode: %w", err)
 		}
 	}
 	if err := noDup("env", c.Envs); err != nil {

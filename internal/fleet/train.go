@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
-	"strings"
 
 	"github.com/genet-go/genet/internal/ckpt"
 	"github.com/genet-go/genet/internal/core"
@@ -25,7 +24,7 @@ type TrainSpec struct {
 	Budget    Budget
 	// Baseline overrides the use case's default rule-based baseline.
 	Baseline string
-	// Model is the path the trained model is written to.
+	// Model is the path the trained model is written to; empty writes none.
 	Model string
 	// Dir is the run directory, if any: a curriculum run checkpoints into
 	// its standard slot unless Checkpoint or ResumeFrom is set.
@@ -48,6 +47,11 @@ type TrainSpec struct {
 	AfterRecovery func(core.RecoveryEvent)
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
+	// Edit, when non-nil, adjusts the fresh harness (baseline, ensemble,
+	// trace set) and the options (objective, budget, AfterRound) before
+	// training starts and before a traditional mode's iteration budget is
+	// resolved from them.
+	Edit func(core.Harness, *core.Options)
 }
 
 // CheckpointPath is the file the run checkpoints to: Checkpoint, else
@@ -59,7 +63,7 @@ func (s *TrainSpec) CheckpointPath() string {
 		return s.Checkpoint
 	case s.ResumeFrom != "":
 		return s.ResumeFrom
-	case s.Dir != "" && curriculumMode(strings.ToLower(s.Mode)):
+	case s.Dir != "" && curriculumMode(s.Mode):
 		return filepath.Join(s.Dir, obs.CheckpointFile)
 	}
 	return ""
@@ -75,8 +79,8 @@ type Trained struct {
 	Curve []float64
 }
 
-// Train builds the spec's harness, trains it and writes the model
-// atomically, even when a curriculum run is interrupted. Curriculum modes
+// Train builds the spec's harness, trains it and writes the model (if
+// Model is set) atomically, even when a curriculum run is interrupted. Curriculum modes
 // run Algorithm 2, checkpointed when CheckpointPath is set and resumed from
 // ResumeFrom; rl1-rl3 run Algorithm 1 for the equal budget
 // core.Options.TraditionalIters.
@@ -89,7 +93,7 @@ func (s *TrainSpec) Train() (*Trained, error) {
 	if err != nil {
 		return nil, err
 	}
-	curriculum := curriculumMode(strings.ToLower(s.Mode))
+	curriculum := curriculumMode(s.Mode)
 	ckPath := s.CheckpointPath()
 	if !curriculum && ckPath != "" {
 		return nil, fmt.Errorf("checkpointing requires a curriculum strategy (genet|cl2|cl3); %s has no safe points", s.Mode)
@@ -117,11 +121,11 @@ func (s *TrainSpec) Train() (*Trained, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := core.Options{
-		Rounds: b.Rounds, ItersPerRound: b.ItersPerRound, WarmupIters: b.Warmup,
-		BOSteps: b.BOSteps, EnvsPerEval: b.EnvsPerEval, Objective: objective,
-		Metrics: s.Metrics, Guard: s.Guard, Faults: s.Faults, Recorder: s.Recorder,
-		Status: s.Status, AfterRecovery: s.AfterRecovery,
+	opts := b.Options()
+	opts.Objective, opts.AfterRecovery = objective, s.AfterRecovery
+	opts.Metrics, opts.Guard, opts.Faults, opts.Recorder, opts.Status = s.Metrics, s.Guard, s.Faults, s.Recorder, s.Status
+	if s.Edit != nil {
+		s.Edit(h, &opts)
 	}
 	out := &Trained{UseCase: uc, Harness: h}
 	if !curriculum {
@@ -149,6 +153,9 @@ func (s *TrainSpec) Train() (*Trained, error) {
 		out.Curve = out.Report.TrainingCurve()
 	}
 
+	if s.Model == "" {
+		return out, nil
+	}
 	// Atomic (temp+fsync+rename) like the checkpoint writes: a policy
 	// server watching this path must never observe a torn model.
 	if err := ckpt.AtomicWriteFile(s.Model, func(w io.Writer) error {

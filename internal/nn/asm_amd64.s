@@ -95,62 +95,187 @@ dot_done:
 	VZEROUPPER
 	RET
 
-// func axpyAsm(dst, x []float64, alpha float64)
-// dst[i] += alpha * x[i] over len(dst) elements (caller guarantees
-// len(x) >= len(dst)).
-TEXT ·axpyAsm(SB), NOSPLIT, $0-56
+// func axpyRowsAsm(dst, x, d []float64, in, dstride, n int)
+// For k = 0..n-1 in order: dst[i] = fma(d[k*dstride], x[k*in+i], dst[i])
+// for every i < len(dst), skipping each k whose d is ±0 (a NaN d is not
+// skipped, as with Go's d != 0). Caller guarantees len(x) >= (n-1)*in +
+// len(dst) and len(d) > (n-1)*dstride. Each element sees the same FMAs in
+// the same order as n calls of a one-row axpy, so the result is bit for bit
+// theirs; the difference is that a 32-wide dst tile stays in eight
+// registers across all n rows, and is loaded and stored once per pass.
+// A width that is not a multiple of 32 ends with one pass over the last
+// 1-31 lanes: plain loads for a first full 16 lanes, masked loads and
+// stores for the rest, so nothing past len(dst) lanes of dst or of an x row
+// is read or written.
+TEXT ·axpyRowsAsm(SB), NOSPLIT, $0-96
 	MOVQ	dst_base+0(FP), DI
+	MOVQ	dst_len+8(FP), BX
 	MOVQ	x_base+24(FP), SI
-	MOVQ	dst_len+8(FP), CX
-	VBROADCASTSD	alpha+48(FP), Y8
-	MOVQ	CX, DX
-	SHRQ	$4, DX
-	JZ	axpy_tail4
-axpy_loop16:
+	MOVQ	d_base+48(FP), DX
+	MOVQ	in+72(FP), R8
+	SHLQ	$3, R8
+	MOVQ	dstride+80(FP), R9
+	SHLQ	$3, R9
+	MOVQ	n+88(FP), R10
+	TESTQ	R10, R10
+	JZ	axr_done
+axr_tile32:
+	CMPQ	BX, $32
+	JLT	axr_tail
 	VMOVUPD	(DI), Y0
 	VMOVUPD	32(DI), Y1
 	VMOVUPD	64(DI), Y2
 	VMOVUPD	96(DI), Y3
-	VFMADD231PD	(SI), Y8, Y0
-	VFMADD231PD	32(SI), Y8, Y1
-	VFMADD231PD	64(SI), Y8, Y2
-	VFMADD231PD	96(SI), Y8, Y3
+	VMOVUPD	128(DI), Y4
+	VMOVUPD	160(DI), Y5
+	VMOVUPD	192(DI), Y6
+	VMOVUPD	224(DI), Y7
+	MOVQ	SI, AX
+	MOVQ	DX, R11
+	MOVQ	R10, CX
+axr_loop32:
+	// Doubling the bits of d shifts its sign out: zero exactly at ±0.
+	VBROADCASTSD	(R11), Y8
+	VMOVQ	X8, R12
+	ADDQ	R12, R12
+	JZ	axr_skip32
+	VFMADD231PD	(AX), Y8, Y0
+	VFMADD231PD	32(AX), Y8, Y1
+	VFMADD231PD	64(AX), Y8, Y2
+	VFMADD231PD	96(AX), Y8, Y3
+	VFMADD231PD	128(AX), Y8, Y4
+	VFMADD231PD	160(AX), Y8, Y5
+	VFMADD231PD	192(AX), Y8, Y6
+	VFMADD231PD	224(AX), Y8, Y7
+axr_skip32:
+	ADDQ	R8, AX
+	ADDQ	R9, R11
+	DECQ	CX
+	JNZ	axr_loop32
 	VMOVUPD	Y0, (DI)
 	VMOVUPD	Y1, 32(DI)
 	VMOVUPD	Y2, 64(DI)
 	VMOVUPD	Y3, 96(DI)
-	ADDQ	$128, SI
-	ADDQ	$128, DI
-	DECQ	DX
-	JNZ	axpy_loop16
-axpy_tail4:
-	ANDQ	$15, CX
-	MOVQ	CX, DX
-	SHRQ	$2, DX
-	JZ	axpy_tail1
-axpy_loop4:
+	VMOVUPD	Y4, 128(DI)
+	VMOVUPD	Y5, 160(DI)
+	VMOVUPD	Y6, 192(DI)
+	VMOVUPD	Y7, 224(DI)
+	ADDQ	$256, DI
+	ADDQ	$256, SI
+	SUBQ	$32, BX
+	JMP	axr_tile32
+axr_tail:
+	TESTQ	BX, BX
+	JZ	axr_done
+	CMPQ	BX, $16
+	JLE	axr_tail16
+	// 17-31 lanes: 16 plain, then masks for the remaining BX-16. The
+	// masks for lanes 16..31 are axrmask<>[32-BX:48-BX].
+	MOVQ	$32, R12
+	SUBQ	BX, R12
+	LEAQ	axrmask<>(SB), R13
+	LEAQ	(R13)(R12*8), R13
+	VMOVUPD	(R13), Y12
+	VMOVUPD	32(R13), Y13
+	VMOVUPD	64(R13), Y14
+	VMOVUPD	96(R13), Y15
 	VMOVUPD	(DI), Y0
-	VFMADD231PD	(SI), Y8, Y0
-	VMOVUPD	Y0, (DI)
-	ADDQ	$32, SI
-	ADDQ	$32, DI
-	DECQ	DX
-	JNZ	axpy_loop4
-axpy_tail1:
-	ANDQ	$3, CX
-	JZ	axpy_done
-axpy_scalar:
-	VMOVSD	(DI), X0
-	VMOVSD	(SI), X1
-	VFMADD231SD	X1, X8, X0
-	VMOVSD	X0, (DI)
-	ADDQ	$8, SI
-	ADDQ	$8, DI
+	VMOVUPD	32(DI), Y1
+	VMOVUPD	64(DI), Y2
+	VMOVUPD	96(DI), Y3
+	VMASKMOVPD	128(DI), Y12, Y4
+	VMASKMOVPD	160(DI), Y13, Y5
+	VMASKMOVPD	192(DI), Y14, Y6
+	VMASKMOVPD	224(DI), Y15, Y7
+	MOVQ	SI, AX
+	MOVQ	DX, R11
+	MOVQ	R10, CX
+axr_loop31:
+	VBROADCASTSD	(R11), Y8
+	VMOVQ	X8, R12
+	ADDQ	R12, R12
+	JZ	axr_skip31
+	VFMADD231PD	(AX), Y8, Y0
+	VFMADD231PD	32(AX), Y8, Y1
+	VFMADD231PD	64(AX), Y8, Y2
+	VFMADD231PD	96(AX), Y8, Y3
+	VMASKMOVPD	128(AX), Y12, Y9
+	VMASKMOVPD	160(AX), Y13, Y10
+	VMASKMOVPD	192(AX), Y14, Y11
+	VFMADD231PD	Y9, Y8, Y4
+	VFMADD231PD	Y10, Y8, Y5
+	VFMADD231PD	Y11, Y8, Y6
+	VMASKMOVPD	224(AX), Y15, Y9
+	VFMADD231PD	Y9, Y8, Y7
+axr_skip31:
+	ADDQ	R8, AX
+	ADDQ	R9, R11
 	DECQ	CX
-	JNZ	axpy_scalar
-axpy_done:
+	JNZ	axr_loop31
+	VMOVUPD	Y0, (DI)
+	VMOVUPD	Y1, 32(DI)
+	VMOVUPD	Y2, 64(DI)
+	VMOVUPD	Y3, 96(DI)
+	VMASKMOVPD	Y4, Y12, 128(DI)
+	VMASKMOVPD	Y5, Y13, 160(DI)
+	VMASKMOVPD	Y6, Y14, 192(DI)
+	VMASKMOVPD	Y7, Y15, 224(DI)
+	JMP	axr_done
+axr_tail16:
+	// 1-16 lanes, all masked: axrmask<>[16-BX:32-BX].
+	MOVQ	$16, R12
+	SUBQ	BX, R12
+	LEAQ	axrmask<>(SB), R13
+	LEAQ	(R13)(R12*8), R13
+	VMOVUPD	(R13), Y12
+	VMOVUPD	32(R13), Y13
+	VMOVUPD	64(R13), Y14
+	VMOVUPD	96(R13), Y15
+	VMASKMOVPD	(DI), Y12, Y0
+	VMASKMOVPD	32(DI), Y13, Y1
+	VMASKMOVPD	64(DI), Y14, Y2
+	VMASKMOVPD	96(DI), Y15, Y3
+	MOVQ	SI, AX
+	MOVQ	DX, R11
+	MOVQ	R10, CX
+axr_loop16:
+	VBROADCASTSD	(R11), Y8
+	VMOVQ	X8, R12
+	ADDQ	R12, R12
+	JZ	axr_skip16
+	VMASKMOVPD	(AX), Y12, Y4
+	VMASKMOVPD	32(AX), Y13, Y5
+	VMASKMOVPD	64(AX), Y14, Y6
+	VMASKMOVPD	96(AX), Y15, Y7
+	VFMADD231PD	Y4, Y8, Y0
+	VFMADD231PD	Y5, Y8, Y1
+	VFMADD231PD	Y6, Y8, Y2
+	VFMADD231PD	Y7, Y8, Y3
+axr_skip16:
+	ADDQ	R8, AX
+	ADDQ	R9, R11
+	DECQ	CX
+	JNZ	axr_loop16
+	VMASKMOVPD	Y0, Y12, (DI)
+	VMASKMOVPD	Y1, Y13, 32(DI)
+	VMASKMOVPD	Y2, Y14, 64(DI)
+	VMASKMOVPD	Y3, Y15, 96(DI)
+axr_done:
 	VZEROUPPER
 	RET
+
+// Lane masks for axpyRowsAsm's tail: 16 all-ones qwords, then 16 zeros.
+// The 16 qwords from index 16-r on enable exactly the first r lanes.
+#define ONES4(off) \
+	DATA axrmask<>+(off)(SB)/8, $-1; \
+	DATA axrmask<>+(off+8)(SB)/8, $-1; \
+	DATA axrmask<>+(off+16)(SB)/8, $-1; \
+	DATA axrmask<>+(off+24)(SB)/8, $-1
+ONES4(0)
+ONES4(32)
+ONES4(64)
+ONES4(96)
+GLOBL axrmask<>(SB), RODATA|NOPTR, $256
 
 // func dotRowsAsm(dst, w, x []float64, in int)
 // dst[o] = dot(w[o*in : o*in+in], x[:in]) for every o < len(dst) (caller

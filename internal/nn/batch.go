@@ -128,15 +128,28 @@ func (m *MLP) forwardRows(acts [][]float64, rowOff int, x []float64, batch int) 
 // batch whose activations s retains from the preceding ForwardBatchCache.
 // gradOut is the [batch x OutSize] loss gradient. It returns the
 // [batch x InSize] gradient with respect to the inputs (owned by s, valid
-// until the next backward pass). Gradient accumulation order is fixed for a
-// given batch, so results are deterministic; they match the per-sample
-// oracle in the package tests to floating-point reassociation error.
+// until the next backward pass); only tests and cross-checks read it, and
+// trainers call BackwardBatchParams instead. Gradient accumulation order is
+// fixed for a given batch, so results are deterministic; they match the
+// per-sample oracle in the package tests to floating-point reassociation
+// error.
 func (m *MLP) BackwardBatch(s *Scratch, gradOut []float64, grads *Grads) []float64 {
-	b := s.batch
-	if b == 0 {
+	return m.backwardRows(s.acts, 0, s.pending(), gradOut, s, grads, true)
+}
+
+// BackwardBatchParams is BackwardBatch without the input gradient: it
+// accumulates bit-identical parameter gradients into grads and skips the
+// layer-0 input-gradient GEMM, which training never reads.
+func (m *MLP) BackwardBatchParams(s *Scratch, gradOut []float64, grads *Grads) {
+	m.backwardRows(s.acts, 0, s.pending(), gradOut, s, grads, false)
+}
+
+// pending returns the rows of the last forward pass retained in s.
+func (s *Scratch) pending() int {
+	if s.batch == 0 {
 		panic("nn: BackwardBatch without a preceding ForwardBatchCache")
 	}
-	return m.backwardRows(s.acts, 0, b, gradOut, s, grads, true)
+	return s.batch
 }
 
 // backwardRows runs the batched backward over rows [rowOff, rowOff+b) of the
@@ -344,21 +357,29 @@ func matmulNT(dst, src, w, bias []float64, b, in, out int) {
 	}
 }
 
+// one is axpyRowsAsm's d for a plain column sum: with dstride 0 every row
+// reads d[0] = 1, and fma(1, v, s) is exactly the add s + v.
+var one = []float64{1}
+
 // accumGrads folds one layer's batch into the weight and bias gradients:
-// gw[o][i] += Σ_r delta[r][o]·x[r][i] and gb[o] += Σ_r delta[r][o].
+// gw[o][i] += Σ_r delta[r][o]·x[r][i] and gb[o] += Σ_r delta[r][o]. The asm
+// path makes one axpyRowsAsm call per output, which walks delta's column o
+// down the batch rows and skips a row whose delta is zero. The bias sums
+// run 32 columns at a time, each still added from 0 in row order.
 func accumGrads(gw, gb, delta, x []float64, b, in, out int) {
 	if useASM {
-		for o := 0; o < out; o++ {
-			grow := gw[o*in : o*in+in]
-			sum := 0.0
-			for r := 0; r < b; r++ {
-				d := delta[r*out+o]
-				sum += d
-				if d != 0 {
-					axpyAsm(grow, x[r*in:r*in+in], d)
-				}
+		var sums [32]float64
+		for o0 := 0; o0 < out; o0 += len(sums) {
+			s := sums[:min(len(sums), out-o0)]
+			clear(s)
+			axpyRowsAsm(s, delta[o0:], one, out, 0, b)
+			for j, v := range s {
+				gb[o0+j] += v
 			}
-			gb[o] += sum
+		}
+		x = x[:b*in]
+		for o := 0; o < out; o++ {
+			axpyRowsAsm(gw[o*in:o*in+in], x, delta[o:], in, out, b)
 		}
 		return
 	}
@@ -393,18 +414,14 @@ func accumGrads(gw, gb, delta, x []float64, b, in, out int) {
 }
 
 // backpropDelta computes dst = delta * w over batch rows: the gradient with
-// respect to the layer input, dst[r][i] = Σ_o delta[r][o]·w[o][i].
+// respect to the layer input, dst[r][i] = Σ_o delta[r][o]·w[o][i]. The asm
+// path makes one axpyRowsAsm call per batch row, over the weight rows.
 func backpropDelta(dst, delta, w []float64, b, in, out int) {
 	clear(dst[:b*in])
 	if useASM {
+		w = w[:out*in]
 		for r := 0; r < b; r++ {
-			pr := dst[r*in : r*in+in]
-			for o := 0; o < out; o++ {
-				d := delta[r*out+o]
-				if d != 0 {
-					axpyAsm(pr, w[o*in:o*in+in], d)
-				}
-			}
+			axpyRowsAsm(dst[r*in:r*in+in], w, delta[r*out:r*out+out], in, 1, out)
 		}
 		return
 	}

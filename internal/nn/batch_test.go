@@ -145,6 +145,53 @@ func TestBackwardBatchRowsMatchesBackwardBatch(t *testing.T) {
 	}
 }
 
+// TestBackwardBatchParamsMatchesBackwardBatch pins the parameter-only pass
+// the trainers run: over CC- and ABR-shaped nets (31- and 27-wide inputs
+// take the kernel's masked tails), with zeroed gradOut rows as PPO's
+// clipped-out samples leave them, and accumulating onto gradients that are
+// already non-zero, its Grads must equal BackwardBatch's bit for bit.
+func TestBackwardBatchParamsMatchesBackwardBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, tc := range []struct {
+		act   Activation
+		sizes []int
+	}{
+		{Tanh, []int{31, 64, 32, 2}},
+		{Tanh, []int{27, 64, 32, 6}},
+		{ReLU, []int{5, 40, 1}},
+	} {
+		m := MustMLP(rng, tc.act, tc.sizes...)
+		for _, batch := range []int{1, 5, 64} {
+			x := randBatch(rng, batch, m.InSize())
+			gradOut := randBatch(rng, batch, m.OutSize())
+			for r := 0; r < batch; r += 3 {
+				clear(gradOut[r*m.OutSize() : (r+1)*m.OutSize()])
+			}
+			s := m.NewScratch(batch)
+			gFull, gParams := m.NewGrads(), m.NewGrads()
+			for pass := 0; pass < 2; pass++ {
+				m.ForwardBatchCache(s, x, batch)
+				m.BackwardBatch(s, gradOut, gFull)
+				m.ForwardBatchCache(s, x, batch)
+				m.BackwardBatchParams(s, gradOut, gParams)
+			}
+			if gFull.count != gParams.count {
+				t.Fatalf("%v batch=%d: count %d vs %d", tc.sizes, batch, gFull.count, gParams.count)
+			}
+			for l := range gFull.weights {
+				if i := firstDiff(gParams.weights[l], gFull.weights[l]); i >= 0 {
+					t.Fatalf("%v batch=%d layer %d weight grad %d: BackwardBatch %v, BackwardBatchParams %v",
+						tc.sizes, batch, l, i, gFull.weights[l][i], gParams.weights[l][i])
+				}
+				if i := firstDiff(gParams.biases[l], gFull.biases[l]); i >= 0 {
+					t.Fatalf("%v batch=%d layer %d bias grad %d: BackwardBatch %v, BackwardBatchParams %v",
+						tc.sizes, batch, l, i, gFull.biases[l][i], gParams.biases[l][i])
+				}
+			}
+		}
+	}
+}
+
 // TestBatchCacheAppendAndMerge checks incremental recording (AppendScratch,
 // AppendCache) reproduces a one-shot batched forward exactly.
 func TestBatchCacheAppendAndMerge(t *testing.T) {
@@ -207,6 +254,12 @@ func TestBatchedPathsAllocationFree(t *testing.T) {
 		m.BackwardBatch(s, gradOut, g)
 	}); n != 0 {
 		t.Fatalf("ForwardBatchCache+BackwardBatch allocate %v per run", n)
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		m.ForwardBatchCache(s, x, batch)
+		m.BackwardBatchParams(s, gradOut, g)
+	}); n != 0 {
+		t.Fatalf("ForwardBatchCache+BackwardBatchParams allocate %v per run", n)
 	}
 	if n := testing.AllocsPerRun(50, func() {
 		m.BackwardBatchRows(c, 0, batch, gradOut, s, g)

@@ -40,6 +40,47 @@ func dot(a, b []float64) float64 {
 	return dotUnroll(a, b)
 }
 
+// axpyRows is axpyRowsAsm's reference: n one-row axpys in order, each
+// element one math.FMA (exactly what VFMADD231PD/SD compute), skipping a row
+// whose d == 0 as the Go loops it replaced did. ±0 is skipped, NaN is not.
+func axpyRows(dst, x, d []float64, in, dstride, n int) {
+	for k := 0; k < n; k++ {
+		dk := d[k*dstride]
+		if dk == 0 {
+			continue
+		}
+		xr := x[k*in : k*in+len(dst)]
+		for i, v := range xr {
+			dst[i] = math.FMA(dk, v, dst[i])
+		}
+	}
+}
+
+// accumGradsFMA and backpropDeltaFMA are the asm paths of accumGrads and
+// backpropDelta as one-row axpys over math.FMA, in the loop order the
+// kernels had before axpyRowsAsm blocked them: per output, the rows in
+// order (bias sum included), and per row, the outputs in order.
+func accumGradsFMA(gw, gb, delta, x []float64, b, in, out int) {
+	for o := 0; o < out; o++ {
+		sum := 0.0
+		for r := 0; r < b; r++ {
+			d := delta[r*out+o]
+			sum += d
+			axpyRows(gw[o*in:o*in+in], x[r*in:], []float64{d}, in, 0, 1)
+		}
+		gb[o] += sum
+	}
+}
+
+func backpropDeltaFMA(dst, delta, w []float64, b, in, out int) {
+	clear(dst[:b*in])
+	for r := 0; r < b; r++ {
+		for o := 0; o < out; o++ {
+			axpyRows(dst[r*in:r*in+in], w[o*in:], delta[r*out+o:], in, 0, 1)
+		}
+	}
+}
+
 // derivFromOutput returns dActivation/dx given the activation *output* y
 // (both tanh and ReLU admit this form, which avoids caching pre-activations).
 func (a Activation) derivFromOutput(y float64) float64 {

@@ -20,11 +20,13 @@ func dotAsm(a, b []float64) float64
 //go:noescape
 func dotRowsAsm(dst, w, x []float64, in int)
 
-// axpyAsm adds alpha*x into dst elementwise over len(dst) elements; the
-// caller must guarantee len(x) >= len(dst).
+// axpyRowsAsm sets dst[i] = fma(d[k*dstride], x[k*in+i], dst[i]) for every
+// i < len(dst) and k = 0..n-1 in order, skipping each k whose d is ±0 (but
+// not NaN), with the dst tile held in registers across all k; the caller
+// must guarantee len(x) >= (n-1)*in+len(dst) and len(d) > (n-1)*dstride.
 //
 //go:noescape
-func axpyAsm(dst, x []float64, alpha float64)
+func axpyRowsAsm(dst, x, d []float64, in, dstride, n int)
 
 // tanhAsm replaces xs[i] with math.Tanh(xs[i]), bit for bit, for
 // i < len(xs)&^3; the remainder is the caller's.

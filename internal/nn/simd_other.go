@@ -6,7 +6,9 @@ package nn
 
 var useASM = false
 
-func dotAsm(a, b []float64) float64           { panic("nn: no asm kernels on this platform") }
-func dotRowsAsm(dst, w, x []float64, in int)  { panic("nn: no asm kernels on this platform") }
-func axpyAsm(dst, x []float64, alpha float64) { panic("nn: no asm kernels on this platform") }
-func tanhAsm(xs []float64)                    { panic("nn: no asm kernels on this platform") }
+const noASM = "nn: no asm kernels on this platform"
+
+func dotAsm(a, b []float64) float64                       { panic(noASM) }
+func dotRowsAsm(dst, w, x []float64, in int)              { panic(noASM) }
+func axpyRowsAsm(dst, x, d []float64, in, dstride, n int) { panic(noASM) }
+func tanhAsm(xs []float64)                                { panic(noASM) }

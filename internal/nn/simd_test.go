@@ -146,3 +146,173 @@ func TestDotRowsMatchesDot(t *testing.T) {
 		}
 	}
 }
+
+// axpySpecials are the d values on which axpyRowsAsm must decide as Go's
+// d != 0 does: ±0 skipped; NaN, ±Inf and subnormals not.
+func axpySpecials() []float64 {
+	return []float64{
+		0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -0x1p-1070, 0x1p-1022 - 0x1p-1074, 1, -0.5,
+	}
+}
+
+// firstDiff returns the first index at which got and want differ in bits,
+// or -1.
+func firstDiff(got, want []float64) int {
+	for i, v := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(v) {
+			return i
+		}
+	}
+	return -1
+}
+
+// checkAxpyRows runs axpyRowsAsm and its math.FMA oracle from the same dst
+// and fails on the first lane whose bits differ (any NaN matches any NaN:
+// the payload is the hardware's choice) or on a write past len(dst).
+func checkAxpyRows(t *testing.T, dst, x, d []float64, in, dstride, n int) {
+	t.Helper()
+	w := len(dst)
+	got := append(append([]float64(nil), dst...), 42)
+	want := append([]float64(nil), dst...)
+	axpyRowsAsm(got[:w], x, d, in, dstride, n)
+	axpyRows(want, x, d, in, dstride, n)
+	if got[w] != 42 {
+		t.Fatalf("width=%d n=%d: axpyRowsAsm wrote past len(dst)", w, n)
+	}
+	for i, v := range want {
+		if math.IsNaN(v) && math.IsNaN(got[i]) {
+			continue
+		}
+		if math.Float64bits(got[i]) != math.Float64bits(v) {
+			t.Fatalf("width=%d in=%d dstride=%d n=%d lane %d: axpyRowsAsm %v [%#016x], math.FMA loop %v [%#016x]",
+				w, in, dstride, n, i, got[i], math.Float64bits(got[i]), v, math.Float64bits(v))
+		}
+	}
+}
+
+// TestAxpyRowsMatchesOracle covers every tail shape (widths 1-70 span the
+// 32-wide tiles, the 17-31 and 1-16 lane tails), strided d (accumGrads'
+// column walk; stride 0 is its bias sum) and padded x rows. dst is seeded
+// with -0 on every other lane, which a zero d that was not skipped would
+// turn into +0.
+func TestAxpyRowsMatchesOracle(t *testing.T) {
+	if !useASM {
+		t.Skip("no AVX2+FMA kernels on this CPU")
+	}
+	rng := rand.New(rand.NewSource(4))
+	sp := axpySpecials()
+	for width := 1; width <= 70; width++ {
+		for _, n := range []int{0, 1, 2, 3, 7, 64} {
+			for _, dstride := range []int{0, 1, 5} {
+				for _, in := range []int{width, width + 3} {
+					var x, d []float64
+					if n > 0 {
+						x = make([]float64, (n-1)*in+width)
+						d = make([]float64, (n-1)*dstride+1)
+					}
+					for i := range x {
+						x[i] = rng.NormFloat64()
+						if rng.Intn(64) == 0 {
+							x[i] = sp[rng.Intn(len(sp))]
+						}
+					}
+					for i := range d {
+						d[i] = rng.NormFloat64()
+						if rng.Intn(3) == 0 {
+							d[i] = sp[rng.Intn(len(sp))]
+						}
+					}
+					dst := make([]float64, width)
+					for i := range dst {
+						dst[i] = math.Copysign(0, -1)
+						if i%2 == 1 {
+							dst[i] = rng.NormFloat64()
+						}
+					}
+					checkAxpyRows(t, dst, x, d, in, dstride, n)
+				}
+			}
+		}
+	}
+}
+
+// TestGradKernelsMatchOracle holds accumGrads and backpropDelta to their
+// one-row-axpy loops bit for bit, at the CC and ABR layer shapes and with
+// zero deltas in the batch.
+func TestGradKernelsMatchOracle(t *testing.T) {
+	if !useASM {
+		t.Skip("no AVX2+FMA kernels on this CPU")
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, sh := range [][2]int{{31, 32}, {32, 16}, {16, 1}, {27, 64}, {64, 32}, {32, 6}, {70, 40}} {
+		in, out := sh[0], sh[1]
+		for _, b := range []int{1, 7, 64} {
+			x := make([]float64, b*in)
+			w := make([]float64, out*in)
+			delta := make([]float64, b*out)
+			for _, v := range [][]float64{x, w, delta} {
+				for i := range v {
+					v[i] = rng.NormFloat64()
+				}
+			}
+			for i := range delta {
+				if rng.Intn(4) == 0 {
+					delta[i] = math.Copysign(0, float64(rng.Intn(2)-1))
+				}
+			}
+			gw, gb := make([]float64, out*in), make([]float64, out)
+			for i := range gw {
+				gw[i] = rng.NormFloat64()
+			}
+			wantW, wantB := append([]float64(nil), gw...), append([]float64(nil), gb...)
+			accumGrads(gw, gb, delta, x, b, in, out)
+			accumGradsFMA(wantW, wantB, delta, x, b, in, out)
+			if i := firstDiff(gw, wantW); i >= 0 {
+				t.Fatalf("in=%d out=%d b=%d: accumGrads gw[%d] = %v, oracle %v", in, out, b, i, gw[i], wantW[i])
+			}
+			if i := firstDiff(gb, wantB); i >= 0 {
+				t.Fatalf("in=%d out=%d b=%d: accumGrads gb[%d] = %v, oracle %v", in, out, b, i, gb[i], wantB[i])
+			}
+			got, want := make([]float64, b*in), make([]float64, b*in)
+			backpropDelta(got, delta, w, b, in, out)
+			backpropDeltaFMA(want, delta, w, b, in, out)
+			if i := firstDiff(got, want); i >= 0 {
+				t.Fatalf("in=%d out=%d b=%d: backpropDelta[%d] = %v, oracle %v", in, out, b, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+func FuzzAxpyRows(f *testing.F) {
+	if !useASM {
+		f.Skip("no AVX2+FMA kernels on this CPU")
+	}
+	sp := axpySpecials()
+	widths := []uint8{1, 3, 4, 15, 16, 17, 27, 31, 32, 33, 48, 64, 70}
+	for i, v := range sp {
+		f.Add(math.Float64bits(v), math.Float64bits(sp[(i+3)%len(sp)]), widths[i%len(widths)], uint8(i))
+	}
+	f.Fuzz(func(t *testing.T, a, b uint64, width, rows uint8) {
+		w, n := int(width)%70+1, int(rows)%9
+		p, q := math.Float64frombits(a), math.Float64frombits(b)
+		vals := []float64{p, q, -p, q / 2, p * 0.25, -q, 1, 0, math.Copysign(0, -1)}
+		in, dstride := w+1, 2
+		x := make([]float64, n*in)
+		d := make([]float64, n*dstride)
+		dst := make([]float64, w)
+		for i := range x {
+			x[i] = vals[(3*i+1)%len(vals)]
+		}
+		for i := range d {
+			d[i] = vals[(5*i)%len(vals)]
+		}
+		for i := range dst {
+			dst[i] = math.Copysign(0, -1)
+			if i%3 == 2 {
+				dst[i] = vals[i%len(vals)]
+			}
+		}
+		checkAxpyRows(t, dst, x, d, in, dstride, n)
+	})
+}

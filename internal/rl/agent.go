@@ -709,7 +709,7 @@ func (c *agent[A]) valueShardGrads(p *shardPass, si int) {
 	if p.vc != nil {
 		c.value.BackwardBatchRows(p.vc, start, end, sh.vOut[:b], sh.s, sh.grads)
 	} else {
-		c.value.BackwardBatch(sh.s, sh.vOut[:b], sh.grads)
+		c.value.BackwardBatchParams(sh.s, sh.vOut[:b], sh.grads)
 	}
 }
 

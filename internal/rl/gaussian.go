@@ -257,7 +257,7 @@ func (a *GaussianAgent) shardGrads(sh *policyShard, p *shardPass, start, end int
 			clear(gm)
 		}
 	}
-	a.policy.BackwardBatch(sh.s, sh.gOut[:b*k], sh.grads)
+	a.policy.BackwardBatchParams(sh.s, sh.gOut[:b*k], sh.grads)
 }
 
 // Clone returns an independent copy of the agent with fresh optimizer state.

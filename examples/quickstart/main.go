@@ -52,9 +52,8 @@ func main() {
 		log.Fatal(err)
 	}
 	traditional.StepsPerIter = 800
-	total := opts.WarmupIters + opts.Rounds*opts.ItersPerRound
-	fmt.Printf("training traditional RL for the same %d iterations...\n", total)
-	core.TrainTraditional(traditional, total, rng2)
+	fmt.Printf("training traditional RL for the same %d iterations...\n", opts.TraditionalIters())
+	core.TrainTraditional(traditional, opts, rng2)
 
 	// Test both on fresh environments drawn from the full range, paired
 	// with the MPC baseline. The median is reported: over a small sample

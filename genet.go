@@ -50,8 +50,9 @@ type (
 	CCHarness = core.CCHarness
 	// LBHarness adapts the load-balancing use case.
 	LBHarness = core.LBHarness
-	// SearchKind selects the environment-space searcher.
-	SearchKind = core.SearchKind
+	// HeuristicSchedule is a CL1 hand-picked curriculum; set it on
+	// Options.Schedule to promote its configurations instead of searching.
+	HeuristicSchedule = core.HeuristicSchedule
 	// CheckpointOptions configure crash-safe checkpointing of a run.
 	CheckpointOptions = core.CheckpointOptions
 	// AgentStateHarness is implemented by harnesses whose full agent
@@ -83,13 +84,6 @@ type (
 const (
 	NeedBaseline = core.NeedBaseline
 	NeedOptimal  = core.NeedOptimal
-)
-
-// Environment-space searchers.
-const (
-	SearchBO         = core.SearchBO
-	SearchRandom     = core.SearchRandom
-	SearchCoordinate = core.SearchCoordinate
 )
 
 // Fault-injection sites.
@@ -139,9 +133,11 @@ func NewLBHarness(space *Space, rng *rand.Rand) (*LBHarness, error) {
 }
 
 // TrainTraditional runs Algorithm 1: uniform environment sampling with no
-// curriculum, for the given number of iterations.
-func TrainTraditional(h Harness, iters int, rng *rand.Rand) []float64 {
-	return core.TrainTraditional(h, iters, rng)
+// curriculum, for the equal budget opts.TraditionalIters() of a curriculum
+// run with the same options (warm-up plus Rounds × ItersPerRound), calling
+// opts.AfterRound after the warm-up and after every round.
+func TrainTraditional(h Harness, opts Options, rng *rand.Rand) []float64 {
+	return core.TrainTraditional(h, opts, rng)
 }
 
 // NewRand returns a seeded Rand whose stream position is serializable, so a

@@ -49,7 +49,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if len(rep.Rounds) != 1 {
 		t.Fatalf("rounds = %d", len(rep.Rounds))
 	}
-	curve := TrainTraditional(h, 2, rng)
+	curve := TrainTraditional(h, Options{Rounds: 1, ItersPerRound: 1, WarmupIters: 1}, rng)
 	if len(curve) != 2 {
 		t.Fatalf("traditional curve = %d", len(curve))
 	}

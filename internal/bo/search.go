@@ -53,32 +53,12 @@ func (t *Trace) BestAfter(n int) (Result, bool) {
 	return best, true
 }
 
-// BestSeries returns, for each evaluation count 1..len, the best value found
-// so far (the running maximum).
-func (t *Trace) BestSeries() []float64 {
-	out := make([]float64, len(t.Evals))
-	for i, r := range t.Evals {
-		if i == 0 || r.Value > out[i-1] {
-			out[i] = r.Value
-		} else {
-			out[i] = out[i-1]
-		}
-	}
-	return out
-}
-
 // Options configure a BO run.
 type Options struct {
 	// Dims is the search dimensionality (required).
 	Dims int
 	// Steps is the total evaluation budget (Genet default: 15).
 	Steps int
-	// InitRandom is how many uniformly random points seed the GP before
-	// acquisition starts (default: min(5, Steps/3+1)).
-	InitRandom int
-	// Candidates is how many random candidates the acquisition maximizer
-	// scores per step (default 512).
-	Candidates int
 	// Metrics optionally receives the query stream: one "bo/query" event
 	// per objective evaluation (with the winning acquisition value and GP
 	// posterior for acquisition-chosen points) and one "bo/gp" event per
@@ -93,14 +73,23 @@ type Options struct {
 	// including its retries). Like Metrics, recording is observation-only
 	// and never draws from rng.
 	Recorder *obs.Recorder
-	// QueryRetries bounds how many times a failed objective query (injected
-	// fault or NaN result) is retried before the point is recorded with
-	// value -Inf (default 2, i.e. up to 3 attempts). The retry schedule is
-	// deterministic: retries re-evaluate the same point immediately and
-	// consume no randomness, so a fault-free run draws the same rng
-	// sequence whether or not retries are configured.
-	QueryRetries int
 }
+
+const (
+	// maxInitRandom caps how many uniformly random points seed the GP
+	// before acquisition starts: min(maxInitRandom, Steps/3+1).
+	maxInitRandom = 5
+	// candidates is how many random candidates the acquisition maximizer
+	// scores per step.
+	candidates = 512
+	// queryRetries bounds how many times a failed objective query
+	// (injected fault or NaN result) is retried before the point is
+	// recorded with value -Inf, i.e. up to 3 attempts. Retries re-evaluate
+	// the same point immediately and consume no randomness, so a
+	// fault-free run draws the same rng sequence as one with no retry
+	// machinery at all.
+	queryRetries = 2
+)
 
 func (o *Options) defaults() error {
 	if o.Dims <= 0 {
@@ -108,18 +97,6 @@ func (o *Options) defaults() error {
 	}
 	if o.Steps <= 0 {
 		o.Steps = 15
-	}
-	if o.InitRandom <= 0 {
-		o.InitRandom = min(5, o.Steps/3+1)
-	}
-	if o.InitRandom > o.Steps {
-		o.InitRandom = o.Steps
-	}
-	if o.Candidates <= 0 {
-		o.Candidates = 512
-	}
-	if o.QueryRetries <= 0 {
-		o.QueryRetries = 2
 	}
 	return nil
 }
@@ -155,7 +132,7 @@ func Maximize(f Objective, opts Options, rng *rand.Rand) (*Trace, error) {
 			if m.Enabled() {
 				m.Counter("bo/query_failures").Inc()
 			}
-			if attempt >= opts.QueryRetries {
+			if attempt >= queryRetries {
 				return math.Inf(-1)
 			}
 		}
@@ -191,7 +168,8 @@ func Maximize(f Objective, opts Options, rng *rand.Rand) (*Trace, error) {
 			}
 		}
 	}
-	for i := 0; i < opts.InitRandom; i++ {
+	initRandom := min(maxInitRandom, opts.Steps/3+1)
+	for i := 0; i < initRandom; i++ {
 		eval(randPoint(opts.Dims, rng), true, 0, 0, 0)
 	}
 	gp := NewGP()
@@ -228,7 +206,7 @@ func Maximize(f Objective, opts Options, rng *rand.Rand) (*Trace, error) {
 		var bestX []float64
 		bestEI := -1.0
 		var bestMu, bestVar float64
-		for c := 0; c < opts.Candidates; c++ {
+		for c := 0; c < candidates; c++ {
 			x := randPoint(opts.Dims, rng)
 			mu, va := gp.Predict(x)
 			ei := ExpectedImprovement(mu, va, incumbent)

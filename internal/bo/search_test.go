@@ -145,19 +145,6 @@ func TestTraceBestAfter(t *testing.T) {
 	}
 }
 
-func TestTraceBestSeriesMonotone(t *testing.T) {
-	tr := &Trace{Evals: []Result{
-		{Value: 1}, {Value: 0.5}, {Value: 2}, {Value: 1.5},
-	}}
-	s := tr.BestSeries()
-	want := []float64{1, 1, 2, 2}
-	for i := range want {
-		if s[i] != want[i] {
-			t.Fatalf("series = %v", s)
-		}
-	}
-}
-
 func TestStandardize(t *testing.T) {
 	out := standardize([]float64{1, 2, 3})
 	mean := (out[0] + out[1] + out[2]) / 3
@@ -213,7 +200,7 @@ func TestMaximizeExhaustedRetriesPinMinusInf(t *testing.T) {
 		}
 		return x[0]
 	}
-	tr, err := Maximize(f, Options{Dims: 1, Steps: 10, QueryRetries: 1}, rand.New(rand.NewSource(5)))
+	tr, err := Maximize(f, Options{Dims: 1, Steps: 10}, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,20 +210,22 @@ func TestMaximizeExhaustedRetriesPinMinusInf(t *testing.T) {
 	if bad == 0 {
 		t.Skip("seed never sampled the failing half")
 	}
-	sawInf := false
+	pinned := 0
 	for _, r := range tr.Evals {
 		if math.IsNaN(r.Value) {
 			t.Fatal("NaN leaked into the trace")
 		}
 		if math.IsInf(r.Value, -1) {
-			sawInf = true
+			pinned++
 		}
 	}
-	if !sawInf {
+	if pinned == 0 {
 		t.Fatal("exhausted retries did not pin the point at -Inf")
 	}
-	if tr.Failures < 2 {
-		t.Fatalf("Failures = %d, want >= 2 (initial + retry)", tr.Failures)
+	// Every failing point was queried once and retried queryRetries times.
+	if bad != pinned*(queryRetries+1) || tr.Failures != bad {
+		t.Fatalf("%d failing queries and Failures = %d for %d pinned points, want %d each",
+			bad, tr.Failures, pinned, pinned*(queryRetries+1))
 	}
 	if best, ok := tr.Best(); !ok || math.IsInf(best.Value, -1) || best.X[0] < 0.5 {
 		t.Fatalf("best = %+v, %v — failed points must never win", best, ok)
@@ -245,17 +234,25 @@ func TestMaximizeExhaustedRetriesPinMinusInf(t *testing.T) {
 
 func TestMaximizeFaultFreeUnchangedByRetryConfig(t *testing.T) {
 	// With no faults and a finite objective, the retry machinery must be
-	// invisible: identical trace for any QueryRetries setting.
-	f := func(x []float64) float64 { return math.Sin(7*x[0]) + x[1] }
-	run := func(retries int) *Trace {
-		tr, err := Maximize(f, Options{Dims: 2, Steps: 14, QueryRetries: retries}, rand.New(rand.NewSource(9)))
+	// invisible: each point is queried once, and the trace is the same
+	// with an injector attached whose bo-query site never fires.
+	calls := 0
+	f := func(x []float64) float64 { calls++; return math.Sin(7*x[0]) + x[1] }
+	run := func(in *faults.Injector) *Trace {
+		tr, err := Maximize(f, Options{Dims: 2, Steps: 14, Faults: in}, rand.New(rand.NewSource(9)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return tr
 	}
-	if !run(1).Equal(run(5)) {
-		t.Fatal("retry configuration changed a fault-free search")
+	plain := run(nil)
+	if calls != 14 || plain.Failures != 0 {
+		t.Fatalf("fault-free search made %d queries with %d failures, want 14 and 0", calls, plain.Failures)
+	}
+	in := faults.New(3)
+	in.Enable(faults.GradPoison, 1)
+	if !plain.Equal(run(in)) {
+		t.Fatal("an unarmed bo-query site changed a fault-free search")
 	}
 }
 

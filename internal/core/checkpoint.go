@@ -308,9 +308,9 @@ func (t *Trainer) restore(path string) (*runState, *ckpt.Rand, error) {
 		return nil, nil, fmt.Errorf("core: resume: trainer state version %d unsupported (this build reads <= %d)",
 			wire.Version, trainerStateVersion)
 	}
-	if wire.Strategy != t.opts.Objective.Name {
+	if wire.Strategy != t.opts.strategy() {
 		return nil, nil, fmt.Errorf("core: resume: checkpoint was written by strategy %q, trainer is configured for %q",
-			wire.Strategy, t.opts.Objective.Name)
+			wire.Strategy, t.opts.strategy())
 	}
 	ash, ok := t.h.(AgentStateHarness)
 	if !ok {

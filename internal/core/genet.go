@@ -124,9 +124,11 @@ type Options struct {
 	// first promotion ("GENET does begin the training over the whole
 	// space of environments in the first iteration", §4.2). Default 10.
 	WarmupIters int
-	// Search selects the environment-space searcher; BO by default.
-	// The Fig 20 comparison swaps in random or coordinate search.
-	Search SearchKind
+	// Schedule, when non-nil, makes the run CL1 (§5.5): each round
+	// promotes Schedule(round, Rounds, space) instead of searching, so a
+	// round runs no Eval, draws nothing from rng and records no bo/search
+	// span. The report's Strategy is then "cl1-heuristic".
+	Schedule HeuristicSchedule
 	// AfterRound, when non-nil, runs after each curriculum round (and
 	// once with round == -1 after warm-up). Training-curve experiments
 	// use it to checkpoint test rewards.
@@ -176,16 +178,6 @@ type Options struct {
 	AfterRecovery func(RecoveryEvent)
 }
 
-// SearchKind selects how the sequencing module explores the config space.
-type SearchKind int
-
-// Searcher kinds.
-const (
-	SearchBO SearchKind = iota
-	SearchRandom
-	SearchCoordinate
-)
-
 func (o *Options) defaults() {
 	if o.Rounds <= 0 {
 		o.Rounds = 9
@@ -210,6 +202,14 @@ func (o *Options) defaults() {
 	} else if o.WarmupIters == 0 {
 		o.WarmupIters = 10
 	}
+}
+
+// strategy labels the run in its report and checkpoint.
+func (o *Options) strategy() string {
+	if o.Schedule != nil {
+		return "cl1-heuristic"
+	}
+	return o.Objective.Name
 }
 
 // TraditionalIters is the equal-budget rule behind every Genet-vs-RL1–3
@@ -318,7 +318,8 @@ func (t *Trainer) Options() Options { return t.opts }
 //  1. warm-up training over the uniform distribution;
 //  2. per round: search the config space for the objective's maximizer
 //     (restarting the search from scratch each round — the rewarding
-//     environments change when the model changes), promote it into the
+//     environments change when the model changes), or take
+//     Options.Schedule's configuration (CL1), promote it into the
 //     training distribution with weight w, and train ItersPerRound more
 //     iterations.
 func (t *Trainer) Run(rng *rand.Rand) (*Report, error) {
@@ -336,7 +337,7 @@ type runState struct {
 
 func (t *Trainer) newRunState() *runState {
 	rep := &Report{
-		Strategy:     t.opts.Objective.Name,
+		Strategy:     t.opts.strategy(),
 		Distribution: env.NewDistribution(t.h.Space()),
 	}
 	rep.Distribution.SetExplorationFloor(t.opts.ExplorationFloor)
@@ -393,11 +394,14 @@ func (t *Trainer) runLoop(st *runState, rng *rand.Rand, ck *checkpointer) (*Repo
 		round := len(rep.Rounds)
 		t.opts.Status.SetPhase(round)
 		rsp := rec.Start("train/round")
-		cfg, score, tr, err := t.searchOnce(rng)
+		cfg, score, tr, err := t.nextPromotion(round, rng)
 		if err != nil {
 			return nil, fmt.Errorf("core: round %d search: %w", round, err)
 		}
-		evals := len(tr.Evals)
+		evals := 0
+		if tr != nil {
+			evals = len(tr.Evals)
+		}
 		if err := rep.Distribution.Promote(cfg, t.opts.PromoteWeight); err != nil {
 			return nil, fmt.Errorf("core: round %d promote: %w", round, err)
 		}
@@ -524,10 +528,14 @@ func (t *Trainer) runLoop(st *runState, rng *rand.Rand, ck *checkpointer) (*Repo
 	return rep, nil
 }
 
-// searchOnce runs one environment-space search for the current model and
-// returns the best configuration found.
-func (t *Trainer) searchOnce(rng *rand.Rand) (env.Config, float64, *bo.Trace, error) {
+// nextPromotion picks the configuration round promotes: the schedule's,
+// with score 0 and no search trace, when Options.Schedule is set;
+// otherwise the best point of a BO search for the current model.
+func (t *Trainer) nextPromotion(round int, rng *rand.Rand) (env.Config, float64, *bo.Trace, error) {
 	space := t.h.Space()
+	if t.opts.Schedule != nil {
+		return t.opts.Schedule(round, t.opts.Rounds, space), 0, nil, nil
+	}
 	sp := t.opts.Recorder.Start("bo/search")
 	objective := func(x []float64) float64 {
 		cfg, err := space.FromUnit(x)
@@ -537,27 +545,16 @@ func (t *Trainer) searchOnce(rng *rand.Rand) (env.Config, float64, *bo.Trace, er
 		ev := t.h.Eval(cfg, t.opts.EnvsPerEval, t.opts.Objective.Need, rng)
 		return t.opts.Objective.Score(cfg, ev)
 	}
-	var (
-		tr  *bo.Trace
-		err error
-	)
-	switch t.opts.Search {
-	case SearchRandom:
-		tr = bo.RandomSearch(objective, space.NumDims(), t.opts.BOSteps, rng)
-	case SearchCoordinate:
-		tr = bo.CoordinateSearch(objective, space.NumDims(), 5, t.opts.BOSteps, rng)
-	default:
-		tr, err = bo.Maximize(objective, bo.Options{
-			Dims:     space.NumDims(),
-			Steps:    t.opts.BOSteps,
-			Metrics:  t.opts.Metrics,
-			Faults:   t.opts.Faults,
-			Recorder: t.opts.Recorder,
-		}, rng)
-		if err != nil {
-			sp.End()
-			return env.Config{}, 0, nil, err
-		}
+	tr, err := bo.Maximize(objective, bo.Options{
+		Dims:     space.NumDims(),
+		Steps:    t.opts.BOSteps,
+		Metrics:  t.opts.Metrics,
+		Faults:   t.opts.Faults,
+		Recorder: t.opts.Recorder,
+	}, rng)
+	if err != nil {
+		sp.End()
+		return env.Config{}, 0, nil, err
 	}
 	sp.EndArgs(obs.Arg{K: "evals", V: float64(len(tr.Evals))})
 	best, ok := tr.Best()
@@ -614,36 +611,6 @@ func (t *Trainer) publishStatus(rep *Report, newestScore float64) {
 
 // HeuristicSchedule is CL1 (§5.5): instead of searching, promote a
 // hand-scheduled configuration each round — e.g. monotonically increasing
-// bandwidth-fluctuation frequency. Schedule maps (round, totalRounds) to
-// the configuration to promote.
+// bandwidth-fluctuation frequency. It maps (round, totalRounds) to the
+// configuration to promote; set it on Options.Schedule.
 type HeuristicSchedule func(round, totalRounds int, space *env.Space) env.Config
-
-// RunHeuristicCurriculum trains with a CL1-style hand-picked curriculum
-// using the same round structure as Genet.
-func RunHeuristicCurriculum(h Harness, opts Options, schedule HeuristicSchedule, rng *rand.Rand) (*Report, error) {
-	opts.defaults()
-	rep := &Report{
-		Strategy:     "cl1-heuristic",
-		Distribution: env.NewDistribution(h.Space()),
-	}
-	if opts.WarmupIters > 0 {
-		rep.WarmupCurve = h.Train(rep.Distribution, opts.WarmupIters, rng)
-	}
-	if opts.AfterRound != nil {
-		opts.AfterRound(-1)
-	}
-	for round := 0; round < opts.Rounds; round++ {
-		cfg := schedule(round, opts.Rounds, h.Space())
-		if err := rep.Distribution.Promote(cfg, opts.PromoteWeight); err != nil {
-			return nil, fmt.Errorf("core: CL1 round %d: %w", round, err)
-		}
-		curve := h.Train(rep.Distribution, opts.ItersPerRound, rng)
-		rep.Rounds = append(rep.Rounds, RoundReport{
-			Round: round, Promoted: cfg, TrainRewards: curve,
-		})
-		if opts.AfterRound != nil {
-			opts.AfterRound(round)
-		}
-	}
-	return rep, nil
-}

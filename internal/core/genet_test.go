@@ -164,20 +164,6 @@ func TestTrainerAfterRoundHook(t *testing.T) {
 	}
 }
 
-func TestTrainerSearchKinds(t *testing.T) {
-	for _, kind := range []SearchKind{SearchBO, SearchRandom, SearchCoordinate} {
-		h := newFakeHarness(t)
-		tr := NewTrainer(h, Options{Rounds: 1, ItersPerRound: 1, BOSteps: 5, EnvsPerEval: 1, WarmupIters: 1, Search: kind})
-		rep, err := tr.Run(rand.New(rand.NewSource(4)))
-		if err != nil {
-			t.Fatalf("search kind %d: %v", kind, err)
-		}
-		if len(rep.Rounds) != 1 {
-			t.Fatalf("search kind %d: rounds = %d", kind, len(rep.Rounds))
-		}
-	}
-}
-
 func TestObjectives(t *testing.T) {
 	h := newFakeHarness(t)
 	cfg := h.space.Default(nil).With("x", 0.2)
@@ -221,12 +207,26 @@ func TestObjectiveNaNGuard(t *testing.T) {
 	}
 }
 
-func TestRunHeuristicCurriculum(t *testing.T) {
-	h := newFakeHarness(t)
+// evalCountingHarness is a fakeHarness that counts Eval calls.
+type evalCountingHarness struct {
+	*fakeHarness
+	evals int
+}
+
+func (h *evalCountingHarness) Eval(cfg env.Config, n int, need EvalNeed, rng *rand.Rand) EvalResult {
+	h.evals++
+	return h.fakeHarness.Eval(cfg, n, need, rng)
+}
+
+// TestTrainerSchedule: with Options.Schedule set (CL1) each round promotes
+// the schedule's configuration, in order, with no search, no Eval and no
+// rng draw beyond training itself.
+func TestTrainerSchedule(t *testing.T) {
 	schedule := func(round, total int, space *env.Space) env.Config {
 		return space.Default(nil).With("x", float64(round+1)/float64(total))
 	}
-	rep, err := RunHeuristicCurriculum(h, Options{Rounds: 3, ItersPerRound: 2, WarmupIters: 1}, schedule, rand.New(rand.NewSource(6)))
+	h := &evalCountingHarness{fakeHarness: newFakeHarness(t)}
+	rep, err := NewTrainer(h, Options{Rounds: 3, ItersPerRound: 2, WarmupIters: 1, Schedule: schedule}).Run(rand.New(rand.NewSource(6)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,24 +236,57 @@ func TestRunHeuristicCurriculum(t *testing.T) {
 	if len(rep.Rounds) != 3 {
 		t.Fatalf("rounds = %d", len(rep.Rounds))
 	}
-	// The schedule's x values must appear in order.
 	for i, r := range rep.Rounds {
-		want := float64(i+1) / 3
-		if math.Abs(r.Promoted.Get("x")-want) > 1e-9 {
+		if want := float64(i+1) / 3; math.Abs(r.Promoted.Get("x")-want) > 1e-9 {
 			t.Fatalf("round %d promoted x = %v, want %v", i, r.Promoted.Get("x"), want)
 		}
+		if r.SearchEvals != 0 || r.Search != nil {
+			t.Fatalf("round %d searched: %d evals", i, r.SearchEvals)
+		}
+	}
+	if h.evals != 0 {
+		t.Fatalf("harness Eval called %d times", h.evals)
+	}
+
+	// The same promotions replayed by hand on the same stream land on the
+	// same model, so the rounds drew nothing else from rng.
+	ref := newFakeHarness(t)
+	rng := rand.New(rand.NewSource(6))
+	dist := env.NewDistribution(ref.space)
+	ref.Train(dist, 1, rng)
+	for r := 0; r < 3; r++ {
+		if err := dist.Promote(schedule(r, 3, ref.space), 0.3); err != nil {
+			t.Fatal(err)
+		}
+		ref.Train(dist, 2, rng)
+	}
+	if h.theta[0] != ref.theta[0] || h.theta[1] != ref.theta[1] {
+		t.Fatalf("theta = %v, hand-driven rounds give %v", h.theta, ref.theta)
 	}
 }
 
+// TestTrainTraditionalUniform: Algorithm 1 trains the equal budget in the
+// curriculum's cadence, calling AfterRound after warm-up and every round,
+// and lands where one unsplit uniform run of the same length does.
 func TestTrainTraditionalUniform(t *testing.T) {
 	h := newFakeHarness(t)
-	curve := TrainTraditional(h, 5, rand.New(rand.NewSource(7)))
-	if len(curve) != 5 {
+	var calls []int
+	opts := Options{Rounds: 2, ItersPerRound: 2, WarmupIters: 1, AfterRound: func(r int) { calls = append(calls, r) }}
+	curve := TrainTraditional(h, opts, rand.New(rand.NewSource(7)))
+	if len(curve) != opts.TraditionalIters() || len(curve) != 5 {
 		t.Fatalf("curve len = %d", len(curve))
+	}
+	if len(calls) != 3 || calls[0] != -1 || calls[1] != 0 || calls[2] != 1 {
+		t.Fatalf("hook calls = %v, want [-1 0 1]", calls)
 	}
 	// Uniform training pulls theta toward the space center.
 	if math.Abs(h.theta[0]-0.5) > 0.2 || math.Abs(h.theta[1]-0.5) > 0.2 {
 		t.Fatalf("theta after uniform training = %v", h.theta)
+	}
+	ref := newFakeHarness(t)
+	ref.Train(env.NewDistribution(ref.space), 5, rand.New(rand.NewSource(7)))
+	if h.theta[0] != ref.theta[0] || h.theta[1] != ref.theta[1] {
+		t.Fatalf("round-split theta = %v, one run gives %v", h.theta, ref.theta)
 	}
 }
 
@@ -268,16 +301,6 @@ func TestEvalOverDistribution(t *testing.T) {
 		if math.IsNaN(ev.Baseline) {
 			t.Fatal("baseline missing despite NeedBaseline")
 		}
-	}
-}
-
-func TestMeanGap(t *testing.T) {
-	h := newFakeHarness(t)
-	cfg := h.space.Default(nil).With("x", 0.0).With("y", 0.0)
-	gap := MeanGap(h, cfg, 3, rand.New(rand.NewSource(9)))
-	want := h.baseline(cfg) - h.rl(cfg)
-	if math.Abs(gap-want) > 1e-12 {
-		t.Fatalf("gap = %v, want %v", gap, want)
 	}
 }
 

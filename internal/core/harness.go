@@ -464,9 +464,31 @@ func (h *useCaseHarness[A, P]) model() Agent                { return h.sim.kind.
 func (h *useCaseHarness[A, P]) saveModel(w io.Writer) error { return h.Agent.Save(w) }
 
 // TrainTraditional is Algorithm 1: uniform sampling from the full space for
-// the given number of iterations. It returns the training-reward curve.
-func TrainTraditional(h Harness, iters int, rng *rand.Rand) []float64 {
-	return h.Train(env.NewDistribution(h.Space()), iters, rng)
+// opts.TraditionalIters() iterations, the equal budget of a curriculum run
+// with these options. It keeps that run's cadence — the warm-up, then
+// Rounds × ItersPerRound — calling opts.AfterRound(-1) after the warm-up and
+// AfterRound(r) after round r; splitting the iterations moves no bit. Like
+// NewTrainer it attaches the non-nil hooks among opts.Metrics, Guard, Faults
+// and Recorder, but it enforces no round-boundary recovery policy. It
+// returns the training-reward curve.
+func TrainTraditional(h Harness, opts Options, rng *rand.Rand) []float64 {
+	opts.defaults()
+	AttachHooks(h, opts.Metrics, opts.Guard, opts.Faults, opts.Recorder)
+	dist := env.NewDistribution(h.Space())
+	var curve []float64
+	for round := -1; round < opts.Rounds; round++ {
+		iters := opts.ItersPerRound
+		if round < 0 {
+			iters = opts.WarmupIters
+		}
+		if iters > 0 {
+			curve = append(curve, h.Train(dist, iters, rng)...)
+		}
+		if opts.AfterRound != nil {
+			opts.AfterRound(round)
+		}
+	}
+	return curve
 }
 
 // EvalOverDistribution evaluates the harness's model on n configs sampled
@@ -477,12 +499,6 @@ func EvalOverDistribution(h Harness, dist *env.Distribution, n int, need EvalNee
 		out[i] = h.Eval(dist.Sample(rng), 1, need, rng)
 	}
 	return out
-}
-
-// MeanGap estimates the expected gap-to-baseline of cfg over k environments
-// (the CalcBaselineGap routine of Algorithm 2).
-func MeanGap(h Harness, cfg env.Config, k int, rng *rand.Rand) float64 {
-	return h.Eval(cfg, k, NeedBaseline, rng).GapToBaseline()
 }
 
 // nanGuard maps NaN to -inf so broken evaluations never win a search.

@@ -122,9 +122,8 @@ func requireReportsEqual(t *testing.T, straight, resumed *Report) {
 	}
 }
 
-func runResumeGolden(t *testing.T, mkHarness func(t *testing.T) Harness) {
+func runResumeGolden(t *testing.T, opts Options, mkHarness func(t *testing.T) Harness) {
 	t.Helper()
-	opts := tinyOptions()
 	const seed = 11
 
 	// Reference: the whole curriculum in one uninterrupted run.
@@ -185,14 +184,25 @@ func runResumeGolden(t *testing.T, mkHarness func(t *testing.T) Harness) {
 }
 
 func TestResumeGoldenABR(t *testing.T) {
-	runResumeGolden(t, func(t *testing.T) Harness { return tinyABRHarness(t) })
+	runResumeGolden(t, tinyOptions(), func(t *testing.T) Harness { return tinyABRHarness(t) })
 }
 
 func TestResumeGoldenCC(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CC resume golden is slow under -short")
 	}
-	runResumeGolden(t, func(t *testing.T) Harness { return tinyCCHarness(t) })
+	runResumeGolden(t, tinyOptions(), func(t *testing.T) Harness { return tinyCCHarness(t) })
+}
+
+// TestResumeGoldenCL1: a scheduled (CL1) run has the same checkpoint safe
+// points as a searched one and resumes bit-exactly under its own strategy.
+func TestResumeGoldenCL1(t *testing.T) {
+	opts := tinyOptions()
+	opts.Schedule = func(round, total int, space *env.Space) env.Config {
+		d := space.Dims()[0]
+		return space.Default(env.ABRDefaults()).With(d.Name, d.Min+float64(round+1)/float64(total)*(d.Max-d.Min))
+	}
+	runResumeGolden(t, opts, func(t *testing.T) Harness { return tinyABRHarness(t) })
 }
 
 // TestCheckpointedRunMatchesPlainRun pins that checkpointing is pure

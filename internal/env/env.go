@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 )
 
@@ -252,25 +251,6 @@ func (c Config) String() string {
 	return b.String()
 }
 
-// SubRange returns a copy of the space with the named dimension narrowed to
-// [lo, hi] (clamped to the original range). Used to build the RL1/RL2 nested
-// ranges from the full RL3 space.
-func (s *Space) SubRange(name string, lo, hi float64) (*Space, error) {
-	i := s.DimIndex(name)
-	if i < 0 {
-		return nil, fmt.Errorf("env: no dimension %q", name)
-	}
-	dims := s.Dims()
-	d := dims[i]
-	d.Min = math.Max(d.Min, lo)
-	d.Max = math.Min(d.Max, hi)
-	if d.Max < d.Min {
-		return nil, fmt.Errorf("env: sub-range [%v,%v] outside dimension %q", lo, hi, name)
-	}
-	dims[i] = d
-	return NewSpace(dims...)
-}
-
 // Shrink returns a copy of the space with every dimension's width scaled by
 // factor (in (0,1]) around its midpoint — in log space for Log dimensions.
 // The paper defines RL1 as 1/9 and RL2 as 1/3 of the RL3 range for CC
@@ -302,13 +282,5 @@ func (s *Space) Names() []string {
 	for i, d := range s.dims {
 		names[i] = d.Name
 	}
-	return names
-}
-
-// SortedNames returns the dimension names sorted alphabetically (useful for
-// stable map-driven output).
-func (s *Space) SortedNames() []string {
-	names := s.Names()
-	sort.Strings(names)
 	return names
 }

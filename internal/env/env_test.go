@@ -196,24 +196,6 @@ func TestDefaultUsesProvidedAndMidpoints(t *testing.T) {
 	}
 }
 
-func TestSubRange(t *testing.T) {
-	s := testSpace(t)
-	sub, err := s.SubRange("a", 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := sub.Dims()[sub.DimIndex("a")]
-	if d.Min != 2 || d.Max != 4 {
-		t.Fatalf("sub range = [%v, %v]", d.Min, d.Max)
-	}
-	if _, err := s.SubRange("nope", 0, 1); err == nil {
-		t.Fatal("unknown dimension accepted")
-	}
-	if _, err := s.SubRange("a", 20, 30); err == nil {
-		t.Fatal("disjoint sub-range accepted")
-	}
-}
-
 func TestShrinkLinear(t *testing.T) {
 	s := MustSpace(Dimension{Name: "x", Min: 0, Max: 9})
 	half, err := s.Shrink(1.0 / 3)
@@ -264,10 +246,6 @@ func TestNamesOrder(t *testing.T) {
 	names := s.Names()
 	if names[0] != "a" || names[1] != "b" || names[2] != "c" {
 		t.Fatalf("Names = %v", names)
-	}
-	sorted := s.SortedNames()
-	if len(sorted) != 3 {
-		t.Fatalf("SortedNames = %v", sorted)
 	}
 }
 

@@ -81,46 +81,26 @@ func fluctuationSchedule(uc *core.UseCase) core.HeuristicSchedule {
 // runCurves trains uc under each Fig 18 strategy from seed and returns each
 // strategy's test-reward curve, checkpointed after warm-up and after every
 // round. The strategies other than Genet get extraIterMult (at least 1)
-// times the rounds.
+// times the rounds. RL3 trains in the same round cadence; CL1 is the
+// curriculum loop promoting fluctuationSchedule's configurations.
 func runCurves(uc *core.UseCase, b budget, seed int64, extraIterMult int) (map[string][]float64, error) {
 	nTest := max(b.testEnvs/2, 3)
 	curves := make(map[string][]float64)
 	for _, name := range []string{"Genet", "RL3", "CL1", "CL2", "CL3"} {
-		edit := func(h core.Harness, o *core.Options) {
+		mode := name
+		if name == "CL1" {
+			mode = "genet"
+		}
+		if _, err := b.train(uc, mode, seed, func(h core.Harness, o *core.Options) {
 			if name != "Genet" {
 				o.Rounds *= extraIterMult
 			}
+			if name == "CL1" {
+				o.Schedule = fluctuationSchedule(uc)
+			}
 			o.AfterRound = func(int) { curves[name] = append(curves[name], testReward(h, nTest, seed+777)) }
-		}
-		if name != "RL3" && name != "CL1" {
-			// Genet, CL2 and CL3: Algorithm 2 under the strategy's objective.
-			if _, err := b.train(uc, name, seed, edit); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		// RL3 and CL1 are not Algorithm 2, so they are driven here round by
-		// round.
-		rng := rand.New(rand.NewSource(seed))
-		h, err := b.harness(uc, rng)
-		if err != nil {
+		}); err != nil {
 			return nil, err
-		}
-		opts := b.Options()
-		edit(h, &opts)
-		if name == "CL1" {
-			if _, err := core.RunHeuristicCurriculum(h, opts, fluctuationSchedule(uc), rng); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		// RL3: the same checkpoint cadence, uniform distribution throughout.
-		dist := env.NewDistribution(h.Space())
-		h.Train(dist, opts.WarmupIters, rng)
-		opts.AfterRound(-1)
-		for r := 0; r < opts.Rounds; r++ {
-			h.Train(dist, opts.ItersPerRound, rng)
-			opts.AfterRound(r)
 		}
 	}
 	return curves, nil

@@ -48,9 +48,9 @@ type TrainSpec struct {
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
 	// Edit, when non-nil, adjusts the fresh harness (baseline, ensemble,
-	// trace set) and the options (objective, budget, AfterRound) before
-	// training starts and before a traditional mode's iteration budget is
-	// resolved from them.
+	// trace set) and the options (objective, schedule, budget, AfterRound)
+	// before training starts and before a traditional mode's iteration
+	// budget is resolved from them.
 	Edit func(core.Harness, *core.Options)
 }
 
@@ -82,8 +82,8 @@ type Trained struct {
 // Train builds the spec's harness, trains it and writes the model (if
 // Model is set) atomically, even when a curriculum run is interrupted. Curriculum modes
 // run Algorithm 2, checkpointed when CheckpointPath is set and resumed from
-// ResumeFrom; rl1-rl3 run Algorithm 1 for the equal budget
-// core.Options.TraditionalIters.
+// ResumeFrom; rl1-rl3 run Algorithm 1 (core.TrainTraditional) for the equal
+// budget core.Options.TraditionalIters, round by round.
 func (s *TrainSpec) Train() (*Trained, error) {
 	uc, err := core.LookupUseCase(s.Env)
 	if err != nil {
@@ -129,12 +129,8 @@ func (s *TrainSpec) Train() (*Trained, error) {
 	}
 	out := &Trained{UseCase: uc, Harness: h}
 	if !curriculum {
-		// No round structure means no rollback/quarantine policy, but the
-		// per-update scan and rollout containment still apply.
-		core.AttachHooks(h, s.Metrics, s.Guard, s.Faults, s.Recorder)
-		iters := opts.TraditionalIters()
-		logf("training traditional %s on %s for %d iterations...", s.Mode, uc.Name, iters)
-		out.Curve = core.TrainTraditional(h, iters, crng.Rand)
+		logf("training traditional %s on %s for %d iterations...", s.Mode, uc.Name, opts.TraditionalIters())
+		out.Curve = core.TrainTraditional(h, opts, crng.Rand)
 	} else {
 		logf("training %s on %s: %d rounds x %d iterations...", s.Mode, uc.Name, b.Rounds, b.ItersPerRound)
 		co := core.CheckpointOptions{Path: ckPath, Every: s.CheckpointEvery, Stop: s.Stop}

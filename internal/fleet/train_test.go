@@ -1,10 +1,14 @@
 package fleet
 
 import (
+	"bytes"
 	"os"
+	"path/filepath"
 	"testing"
 
+	"github.com/genet-go/genet/internal/ckpt"
 	"github.com/genet-go/genet/internal/core"
+	"github.com/genet-go/genet/internal/env"
 )
 
 // tinyBudget is the smallest budget that still runs a warm-up, a curriculum
@@ -58,5 +62,54 @@ func TestEditRunsBeforeBudgetResolves(t *testing.T) {
 	}
 	if edited != tr.Harness {
 		t.Fatal("Edit did not receive the trained harness")
+	}
+}
+
+// TestTraditionalRunsRoundByRound: an rl3 spec calls the AfterRound its Edit
+// sets after the warm-up and after every round, and the round-split run
+// writes the same model.bin as one unsplit uniform run of the equal budget.
+func TestTraditionalRunsRoundByRound(t *testing.T) {
+	for _, name := range []string{"abr", "cc", "lb"} {
+		t.Run(name, func(t *testing.T) {
+			var calls []int
+			model := filepath.Join(t.TempDir(), "model.bin")
+			spec := TrainSpec{Env: name, Mode: "rl3", Seed: 7, Budget: tinyBudget, Model: model,
+				Edit: func(_ core.Harness, o *core.Options) {
+					o.AfterRound = func(r int) { calls = append(calls, r) }
+				}}
+			if _, err := spec.Train(); err != nil {
+				t.Fatal(err)
+			}
+			if len(calls) != tinyBudget.Rounds+1 {
+				t.Fatalf("AfterRound calls = %v, want -1..%d", calls, tinyBudget.Rounds-1)
+			}
+			for i, r := range calls {
+				if r != i-1 {
+					t.Fatalf("AfterRound calls = %v, want -1..%d", calls, tinyBudget.Rounds-1)
+				}
+			}
+
+			uc, err := core.LookupUseCase(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := ckpt.NewRand(7).Rand
+			h, err := uc.NewHarness(env.RL3, "", tinyBudget.EnvsPerIter, tinyBudget.StepsPerIter, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Train(env.NewDistribution(h.Space()), tinyBudget.Options().TraditionalIters(), rng)
+			var want bytes.Buffer
+			if err := core.SaveModel(h, &want); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Fatal("round-split rl3 run wrote a different model.bin than one unsplit run")
+			}
+		})
 	}
 }

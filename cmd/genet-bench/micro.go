@@ -190,32 +190,48 @@ func benchmark(fn func(b *testing.B), iters int) testing.BenchmarkResult {
 	return testing.Benchmark(fn)
 }
 
-// runScalingSweep benchmarks every curve at its worker counts. Speedup is
-// against the 1-worker point of the same curve. On a single-core machine
-// the curves are flat by construction; the committed BENCH_*.json records
-// NumCPU and GOMAXPROCS so flat curves are interpretable.
+// scalingRounds is how many interleaved rounds runScalingSweep times a
+// curve in: one slow run on a shared host then moves a single round's
+// ratio, not the gated median.
+const scalingRounds = 3
+
+// runScalingSweep benchmarks every curve at its worker counts, in
+// scalingRounds rounds that each time every worker count once, and reduces
+// the rounds with curvePoints. On a single-core machine the curves are
+// flat by construction; the committed BENCH_*.json records NumCPU and
+// GOMAXPROCS so flat curves are interpretable.
 func runScalingSweep(curves []microbench.Curve) ([]scalingPoint, error) {
 	var points []scalingPoint
 	for _, c := range curves {
-		base := 0.0
-		for _, w := range c.Workers {
-			fmt.Fprintf(os.Stderr, "scaling %s workers=%d...\n", c.Name, w)
-			r := testing.Benchmark(c.Bench(w))
-			if r.N == 0 {
-				return nil, fmt.Errorf("scaling %s workers=%d failed", c.Name, w)
+		ns := make([][]float64, scalingRounds)
+		for r := range ns {
+			for _, w := range c.Workers {
+				fmt.Fprintf(os.Stderr, "scaling %s workers=%d (round %d/%d)...\n", c.Name, w, r+1, scalingRounds)
+				res := testing.Benchmark(c.Bench(w))
+				if res.N == 0 {
+					return nil, fmt.Errorf("scaling %s workers=%d failed", c.Name, w)
+				}
+				ns[r] = append(ns[r], float64(res.T.Nanoseconds())/float64(res.N))
 			}
-			ns := float64(r.T.Nanoseconds()) / float64(r.N)
-			if base == 0 {
-				base = ns
-			}
-			points = append(points, scalingPoint{
-				Name:    c.Name,
-				Workers: w,
-				NsPerOp: ns,
-				Speedup: base / ns,
-				Gate:    c.Gate,
-			})
 		}
+		points = append(points, curvePoints(c, ns)...)
 	}
 	return points, nil
+}
+
+// curvePoints reduces rounds of timings of curve c, ns[r][i] being round
+// r's ns/op at c.Workers[i], to the curve's points: NsPerOp is the median
+// over rounds, and Speedup the median over rounds of the ratio of the
+// round's first (1-worker) time to its time at the point.
+func curvePoints(c microbench.Curve, ns [][]float64) []scalingPoint {
+	points := make([]scalingPoint, len(c.Workers))
+	for i, w := range c.Workers {
+		var times, ratios []float64
+		for _, round := range ns {
+			times = append(times, round[i])
+			ratios = append(ratios, round[0]/round[i])
+		}
+		points[i] = scalingPoint{Name: c.Name, Workers: w, NsPerOp: median(times), Speedup: median(ratios), Gate: c.Gate}
+	}
+	return points
 }

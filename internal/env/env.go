@@ -251,31 +251,6 @@ func (c Config) String() string {
 	return b.String()
 }
 
-// Shrink returns a copy of the space with every dimension's width scaled by
-// factor (in (0,1]) around its midpoint — in log space for Log dimensions.
-// The paper defines RL1 as 1/9 and RL2 as 1/3 of the RL3 range for CC
-// (Table 4 caption).
-func (s *Space) Shrink(factor float64) (*Space, error) {
-	if factor <= 0 || factor > 1 {
-		return nil, fmt.Errorf("env: shrink factor %v outside (0,1]", factor)
-	}
-	dims := s.Dims()
-	for i, d := range dims {
-		if d.Log {
-			logMid := (math.Log(d.Min) + math.Log(d.Max)) / 2
-			logHalf := (math.Log(d.Max) - math.Log(d.Min)) / 2 * factor
-			dims[i].Min = math.Exp(logMid - logHalf)
-			dims[i].Max = math.Exp(logMid + logHalf)
-			continue
-		}
-		mid := (d.Min + d.Max) / 2
-		half := (d.Max - d.Min) / 2 * factor
-		dims[i].Min = mid - half
-		dims[i].Max = mid + half
-	}
-	return NewSpace(dims...)
-}
-
 // Names returns the dimension names in order.
 func (s *Space) Names() []string {
 	names := make([]string, len(s.dims))

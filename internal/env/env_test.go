@@ -196,41 +196,6 @@ func TestDefaultUsesProvidedAndMidpoints(t *testing.T) {
 	}
 }
 
-func TestShrinkLinear(t *testing.T) {
-	s := MustSpace(Dimension{Name: "x", Min: 0, Max: 9})
-	half, err := s.Shrink(1.0 / 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := half.Dims()[0]
-	if d.Min != 3 || d.Max != 6 {
-		t.Fatalf("shrink(1/3) = [%v, %v], want [3, 6]", d.Min, d.Max)
-	}
-}
-
-func TestShrinkLog(t *testing.T) {
-	s := MustSpace(Dimension{Name: "x", Min: 1, Max: 100, Log: true})
-	sub, err := s.Shrink(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := sub.Dims()[0]
-	// Log midpoint 10, half width e^(ln(10)/... ): [10^0.5, 10^1.5].
-	if math.Abs(d.Min-math.Sqrt(10)) > 1e-9 || math.Abs(d.Max-10*math.Sqrt(10)) > 1e-9 {
-		t.Fatalf("log shrink = [%v, %v]", d.Min, d.Max)
-	}
-}
-
-func TestShrinkRejectsBadFactor(t *testing.T) {
-	s := testSpace(t)
-	if _, err := s.Shrink(0); err == nil {
-		t.Fatal("factor 0 accepted")
-	}
-	if _, err := s.Shrink(1.5); err == nil {
-		t.Fatal("factor > 1 accepted")
-	}
-}
-
 func TestConfigString(t *testing.T) {
 	s := testSpace(t)
 	str := s.Default(nil).String()

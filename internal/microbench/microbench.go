@@ -187,6 +187,28 @@ var Rows = []Row{
 	// GOMAXPROCS, so allocs/op includes its goroutine spawns.
 	{"EvalABR", 0, evalBench(core.NewABRHarness, env.ABRSpace(env.RL3), env.ABRDefaults())},
 	{"EvalCC", 0, evalBench(core.NewCCHarness, env.CCSpace(env.RL3), env.CCDefaults())},
+	// AdamStep is one Adam step over the CC policy shape (31→32→16→1,
+	// 1,569 parameters): the optimizer apply of every PPO minibatch.
+	{"AdamStep", 0, func(b *testing.B) {
+		rng := rand.New(rand.NewSource(11))
+		m := nn.MustMLP(rng, nn.Tanh, cc.ObsSize, 32, 16, 1)
+		w := m.NewGrads().Wire()
+		for _, rows := range [][][]float64{w.Weights, w.Biases} {
+			for _, row := range rows {
+				for i := range row {
+					row[i] = rng.NormFloat64() * 1e-2
+				}
+			}
+		}
+		g := nn.GradsFromWire(w)
+		opt := nn.NewAdam(3e-3)
+		opt.Step(m, g) // allocates the moment estimates
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			opt.Step(m, g)
+		}
+	}},
 }
 
 // abrPolicy returns an ABR-policy-shaped network (27→64→32→6) and the rng

@@ -498,8 +498,11 @@ GLOBL tanhc<>(SB), RODATA|NOPTR, $768
 // for bit: each lane replays math.tanh — the rational form below 0.625,
 // 1 - 2/(exp(2|x|)+1) up to 0.5*MAXLOG with exp computed exactly as
 // math.archExp's FMA branch, ±1 beyond, x itself at ±0 — as the same IEEE
-// operations in the same order. Both formulas run on every lane and the
-// branch masks pick one per lane.
+// operations in the same order. The |x| >= 0.625 mask is tested once per
+// quad: the exp formula runs only when some lane needs it and the rational
+// formula only when some lane does not, and the branch masks then pick one
+// result per lane. A formula that was skipped leaves a stale register that
+// no lane picks.
 TEXT ·tanhAsm(SB), NOSPLIT, $0-24
 	MOVQ	xs_base+0(FP), SI
 	MOVQ	xs_len+8(FP), CX
@@ -509,6 +512,11 @@ TEXT ·tanhAsm(SB), NOSPLIT, $0-24
 tanh_loop:
 	VMOVUPD	(SI), Y0
 	VANDPD	ABSMASK, Y0, Y1          // z = |x|
+	VANDPD	SIGNMASK, Y0, Y9         // sign of x
+	VCMPPD	$0x1d, RATLIMIT, Y1, Y10 // z >= 0.625 (false at NaN)
+	VMOVMSKPD	Y10, AX
+	CMPL	AX, $15
+	JEQ	tanh_exp                 // every lane takes the exp formula
 
 	// Rational branch: x + x*s*P(s)/Q(s), s = x*x.
 	VMULPD	Y0, Y0, Y2               // s
@@ -525,7 +533,10 @@ tanh_loop:
 	VMULPD	Y3, Y5, Y5               // x*s*P
 	VDIVPD	Y4, Y5, Y5               // x*s*P/Q
 	VADDPD	Y5, Y0, Y5               // rational result
+	TESTL	AX, AX
+	JZ	tanh_pick                // no lane takes the exp formula
 
+tanh_exp:
 	// Exp branch: e = exp(a), a = 2z, as archExp's FMA path.
 	VADDPD	Y1, Y1, Y6               // a = 2z (exact)
 	VMULPD	LOG2E, Y6, Y7
@@ -560,12 +571,11 @@ tanh_loop:
 	VDIVPD	Y6, Y7, Y7               // 2/(s+1)
 	VMOVUPD	ONE, Y6
 	VSUBPD	Y7, Y6, Y6               // 1 - 2/(s+1), positive
-	VANDPD	SIGNMASK, Y0, Y9         // sign of x
 	VORPD	Y9, Y6, Y6               // negated when x < 0
 
+tanh_pick:
 	// Pick one branch per lane.
-	VCMPPD	$0x1d, RATLIMIT, Y1, Y10   // z >= 0.625
-	VBLENDVPD	Y10, Y6, Y5, Y5
+	VBLENDVPD	Y10, Y6, Y5, Y5            // z >= 0.625
 	VORPD	ONE, Y9, Y9                // ±1
 	VCMPPD	$0x1e, HALFMAXLOG, Y1, Y10 // z > 0.5*MAXLOG
 	VBLENDVPD	Y10, Y9, Y5, Y5
@@ -576,5 +586,65 @@ tanh_loop:
 	DECQ	CX
 	JNZ	tanh_loop
 tanh_done:
+	VZEROUPPER
+	RET
+
+// func adamAsm(p, g, m, v []float64, lr, b1, b2, eps, c1, c2 float64)
+// adamUpdate's loop for i < len(g)&^3, four lanes at a time (caller
+// guarantees len(p), len(m), len(v) >= len(g)):
+//	m = b1*m + (1-b1)*g
+//	v = b2*v + ((1-b2)*g)*g
+//	p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)
+// Each lane runs the scalar loop's IEEE operations in its order, unfused
+// and with true divides and square root, so it is bit for bit the scalar
+// loop. Every operation takes its first source operand where the Go
+// compiler's code for that loop does (for an add, the g term), so when
+// both operands are NaN the result carries the same payload.
+TEXT ·adamAsm(SB), NOSPLIT, $0-144
+	MOVQ	p_base+0(FP), DI
+	MOVQ	g_base+24(FP), SI
+	MOVQ	g_len+32(FP), CX
+	MOVQ	m_base+48(FP), R8
+	MOVQ	v_base+72(FP), R9
+	SHRQ	$2, CX
+	JZ	adam_done
+	VBROADCASTSD	lr+96(FP), Y8
+	VBROADCASTSD	b1+104(FP), Y9
+	VBROADCASTSD	b2+112(FP), Y10
+	VBROADCASTSD	eps+120(FP), Y11
+	VBROADCASTSD	c1+128(FP), Y12
+	VBROADCASTSD	c2+136(FP), Y13
+	VBROADCASTSD	tanhc<>+64(SB), Y14 // 1
+	VSUBPD	Y9, Y14, Y15             // 1-b1
+	VSUBPD	Y10, Y14, Y14            // 1-b2
+adam_loop:
+	VMOVUPD	(SI), Y0                 // g
+	VMOVUPD	(R8), Y1
+	VMULPD	Y9, Y1, Y1               // m*b1
+	VMULPD	Y0, Y15, Y2              // (1-b1)*g
+	VADDPD	Y1, Y2, Y1               // m
+	VMOVUPD	Y1, (R8)
+	VMOVUPD	(R9), Y3
+	VMULPD	Y10, Y3, Y3              // v*b2
+	VMULPD	Y0, Y14, Y4              // (1-b2)*g
+	VMULPD	Y4, Y0, Y4               // g*((1-b2)*g)
+	VADDPD	Y3, Y4, Y3               // v
+	VMOVUPD	Y3, (R9)
+	VDIVPD	Y12, Y1, Y1              // m/c1
+	VDIVPD	Y13, Y3, Y3              // v/c2
+	VSQRTPD	Y3, Y3
+	VADDPD	Y11, Y3, Y3              // sqrt(v/c2)+eps
+	VMULPD	Y8, Y1, Y1               // (m/c1)*lr
+	VDIVPD	Y3, Y1, Y1
+	VMOVUPD	(DI), Y2
+	VSUBPD	Y1, Y2, Y2               // p - step
+	VMOVUPD	Y2, (DI)
+	ADDQ	$32, SI
+	ADDQ	$32, DI
+	ADDQ	$32, R8
+	ADDQ	$32, R9
+	DECQ	CX
+	JNZ	adam_loop
+adam_done:
 	VZEROUPPER
 	RET

@@ -203,17 +203,41 @@ func (g *Grads) Zero() {
 	g.count = 0
 }
 
-// Add accumulates other into g scaled by factor.
-func (g *Grads) Add(other *Grads, factor float64) {
+// Add accumulates other into g.
+func (g *Grads) Add(other *Grads) {
 	for l := range g.weights {
-		for i := range g.weights[l] {
-			g.weights[l][i] += factor * other.weights[l][i]
-		}
-		for i := range g.biases[l] {
-			g.biases[l][i] += factor * other.biases[l][i]
-		}
+		addInto(g.weights[l], other.weights[l])
+		addInto(g.biases[l], other.biases[l])
 	}
 	g.count += other.count
+}
+
+// Assign sets g to other in one pass, as 0 + other entry by entry: the
+// bits Zero followed by Add(other) leaves, so a −0 entry becomes +0. A
+// fold of shards that starts with Assign is bit for bit one that starts
+// from Zero.
+func (g *Grads) Assign(other *Grads) {
+	for l := range g.weights {
+		assignSum(g.weights[l], other.weights[l])
+		assignSum(g.biases[l], other.biases[l])
+	}
+	g.count = other.count
+}
+
+// addInto adds src into dst with src as the first operand, so where both
+// are NaN the sum keeps src's payload.
+func addInto(dst, src []float64) {
+	src = src[:len(dst)]
+	for i, v := range src {
+		dst[i] = v + dst[i]
+	}
+}
+
+func assignSum(dst, src []float64) {
+	src = src[:len(dst)]
+	for i, v := range src {
+		dst[i] = 0 + v
+	}
 }
 
 // Scale multiplies all gradients by factor.
@@ -242,12 +266,16 @@ func (g *Grads) GlobalNorm() float64 {
 	return math.Sqrt(sum)
 }
 
-// ClipGlobalNorm rescales gradients so their global L2 norm is at most max.
-func (g *Grads) ClipGlobalNorm(max float64) {
+// ClipGlobalNorm rescales gradients so their global L2 norm is at most max
+// and returns the norm after the clip: the one it measured when it did not
+// rescale, a second GlobalNorm pass when it did.
+func (g *Grads) ClipGlobalNorm(max float64) float64 {
 	n := g.GlobalNorm()
 	if n > max && n > 0 {
 		g.Scale(max / n)
+		return g.GlobalNorm()
 	}
+	return n
 }
 
 // AllFinite reports whether every accumulated gradient entry is a finite

@@ -166,9 +166,14 @@ func TestGradsAccounting(t *testing.T) {
 	if math.Abs(g.GlobalNorm()-2*n) > 1e-9 {
 		t.Fatal("Scale did not double the norm")
 	}
-	g.ClipGlobalNorm(n)
+	if got := g.ClipGlobalNorm(n); got != g.GlobalNorm() {
+		t.Fatalf("ClipGlobalNorm returned %v, the clipped norm is %v", got, g.GlobalNorm())
+	}
 	if g.GlobalNorm() > n*(1+1e-9) {
 		t.Fatal("ClipGlobalNorm did not clip")
+	}
+	if got := g.ClipGlobalNorm(4 * n); got != g.GlobalNorm() {
+		t.Fatalf("unclipped: ClipGlobalNorm returned %v, the norm is %v", got, g.GlobalNorm())
 	}
 	g.Zero()
 	if g.GlobalNorm() != 0 || g.Count() != 0 {
@@ -183,9 +188,10 @@ func TestGradsAdd(t *testing.T) {
 	g2 := m.NewGrads()
 	_, cache := m.ForwardCache([]float64{1, 1})
 	m.Backward(cache, []float64{1, 0}, g1)
-	g2.Add(g1, 2)
+	g2.Add(g1)
+	g2.Add(g1)
 	if math.Abs(g2.GlobalNorm()-2*g1.GlobalNorm()) > 1e-9 {
-		t.Fatal("Add with factor 2 should double the norm")
+		t.Fatal("adding g1 twice should double the norm")
 	}
 }
 

@@ -262,7 +262,7 @@ func (s *SGD) Step(m *MLP, g *Grads) {
 		s.velocity = m.NewGrads()
 	}
 	s.velocity.Scale(s.Momentum)
-	s.velocity.Add(g, 1)
+	s.velocity.Add(g)
 	m.ApplyDelta(s.velocity, -s.LR)
 }
 

@@ -34,4 +34,11 @@ func axpyRowsAsm(dst, x, d []float64, in, dstride, n int)
 //go:noescape
 func tanhAsm(xs []float64)
 
+// adamAsm runs adamUpdate's loop four lanes at a time for i < len(g)&^3,
+// bit for bit; the remainder is the caller's, which must guarantee that
+// p, m and v are at least as long as g.
+//
+//go:noescape
+func adamAsm(p, g, m, v []float64, lr, b1, b2, eps, c1, c2 float64)
+
 var useASM = cpuHasAVX2FMA()

@@ -98,6 +98,42 @@ func FuzzTanhKernel(f *testing.F) {
 	})
 }
 
+// TestTanhKernelQuadRegimes covers tanhAsm's per-quad branch skip: quads
+// whose lanes all take the rational branch (|x| < 0.625), all take the exp
+// branch or beyond (|x| >= 0.625), or mix them, each with a branch edge or
+// an IEEE special at every lane position.
+func TestTanhKernelQuadRegimes(t *testing.T) {
+	if !useASM {
+		t.Skip("no AVX2+FMA kernels on this CPU")
+	}
+	below := []float64{0.1, -0.3, 0.6, math.Nextafter(-0.625, 0)}
+	above := []float64{0.625, -1.5, 30, -0.5 * maxLog}
+	mixed := []float64{0.2, -2, math.Nextafter(0.625, 0), 50}
+	specials := []float64{
+		0.625, -0.625, 0.5 * maxLog, math.Nextafter(0.5*maxLog, math.Inf(1)),
+		0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+	}
+	for _, quad := range [][]float64{below, above, mixed} {
+		checkTanhLanes(t, quad)
+		for _, v := range specials {
+			for lane := 0; lane < 4; lane++ {
+				// Two quads, so a skipped branch in the first cannot leave
+				// stale registers that the second picks up unnoticed.
+				xs := append(append([]float64(nil), quad...), quad...)
+				xs[lane] = v
+				xs[4+(lane+1)%4] = -v
+				checkTanhLanes(t, xs)
+			}
+		}
+	}
+	// Every ordered pair of regimes back to back.
+	for _, a := range [][]float64{below, above, mixed} {
+		for _, b := range [][]float64{below, above, mixed} {
+			checkTanhLanes(t, append(append([]float64(nil), a...), b...))
+		}
+	}
+}
+
 func TestApplyActivationTanhMatchesMathTanh(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for n := 0; n <= 9; n++ {
@@ -314,5 +350,93 @@ func FuzzAxpyRows(f *testing.F) {
 			}
 		}
 		checkAxpyRows(t, dst, x, d, in, dstride, n)
+	})
+}
+
+// adamSpecials are the g, m and v values on which adamAsm must round as
+// adamScalar does: ±0, NaNs (with payloads), ±Inf, subnormals and the
+// normal range.
+func adamSpecials() []float64 {
+	return []float64{
+		0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0x7ff0000000000001),
+		math.Float64frombits(0xfff8000000000abc), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -0x1p-1070, 0x1p-1022 - 0x1p-1074, 0x1p-1022,
+		1, -0.5, 1e-8, 3e300, -1e154, math.MaxFloat64,
+	}
+}
+
+// checkAdam runs adamUpdate (adamAsm on the len&^3 prefix, adamScalar on
+// the tail) and adamScalar over the whole from the same state, and fails on
+// the first entry of p, m or v whose bits differ, NaN payloads included.
+func checkAdam(t *testing.T, p, g, m, v []float64, lr float64, step int) {
+	t.Helper()
+	const b1, b2, eps = 0.9, 0.999, 1e-8
+	c1, c2 := adamCorrections(b1, b2, step)
+	cp := func(xs []float64) []float64 { return append([]float64(nil), xs...) }
+	gp, gm, gv := cp(p), cp(m), cp(v)
+	wp, wm, wv := cp(p), cp(m), cp(v)
+	adamUpdate(gp, g, gm, gv, lr, b1, b2, eps, c1, c2)
+	adamScalar(wp, g, wm, wv, lr, b1, b2, eps, c1, c2)
+	for _, c := range []struct {
+		name      string
+		got, want []float64
+	}{{"p", gp, wp}, {"m", gm, wm}, {"v", gv, wv}} {
+		if i := firstDiff(c.got, c.want); i >= 0 {
+			t.Fatalf("len %d t=%d lr=%v: %s[%d] = %v [%#016x], scalar %v [%#016x] (g %v, m %v, v %v)",
+				len(g), step, lr, c.name, i, c.got[i], math.Float64bits(c.got[i]), c.want[i], math.Float64bits(c.want[i]), g[i], m[i], v[i])
+		}
+	}
+}
+
+// TestAdamKernelMatchesScalar holds adamAsm to adamScalar bit for bit over
+// lengths 0-70 (every tail), at the first step and at steps where the bias
+// corrections have reached 1, with specials mixed into g, m and v.
+func TestAdamKernelMatchesScalar(t *testing.T) {
+	if !useASM {
+		t.Skip("no AVX2+FMA kernels on this CPU")
+	}
+	rng := rand.New(rand.NewSource(6))
+	sp := adamSpecials()
+	for n := 0; n <= 70; n++ {
+		for _, step := range []int{1, 2, 37, 100000, 1 << 40} {
+			// A special replaces each g, m and v entry with chance 1/rate
+			// (rate 0: none).
+			for _, rate := range []int{0, 4, 1} {
+				p, g, m, v := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+				for i := 0; i < n; i++ {
+					p[i], g[i] = rng.NormFloat64(), rng.NormFloat64()*1e-2
+					m[i], v[i] = rng.NormFloat64()*1e-3, rng.Float64()*1e-4
+					for _, x := range []*float64{&g[i], &m[i], &v[i]} {
+						if rate > 0 && rng.Intn(rate) == 0 {
+							*x = sp[rng.Intn(len(sp))]
+						}
+					}
+				}
+				checkAdam(t, p, g, m, v, 3e-4, step)
+			}
+		}
+	}
+}
+
+func FuzzAdamKernel(f *testing.F) {
+	if !useASM {
+		f.Skip("no AVX2+FMA kernels on this CPU")
+	}
+	sp := adamSpecials()
+	for i, x := range sp {
+		f.Add(math.Float64bits(x), math.Float64bits(sp[(i+5)%len(sp)]), math.Float64bits(sp[(i+11)%len(sp)]), uint16(1+i*i*i))
+	}
+	f.Fuzz(func(t *testing.T, a, b, c uint64, step uint16) {
+		x, y, z := math.Float64frombits(a), math.Float64frombits(b), math.Float64frombits(c)
+		vals := []float64{x, y, z, -x, y / 3, z * z, 1e-3, 0, math.Copysign(0, -1), x * y}
+		// Eleven entries: two quads and a three-entry tail.
+		p, g, m, v := make([]float64, 11), make([]float64, 11), make([]float64, 11), make([]float64, 11)
+		for i := range g {
+			p[i] = vals[(7*i+3)%len(vals)]
+			g[i] = vals[i%len(vals)]
+			m[i] = vals[(3*i+1)%len(vals)]
+			v[i] = vals[(5*i+2)%len(vals)]
+		}
+		checkAdam(t, p, g, m, v, 1e-3, int(step)+1)
 	})
 }

@@ -716,9 +716,8 @@ func (c *agent[A]) valueShardGrads(p *shardPass, si int) {
 // foldPolicy sums the first k policy shards into pGrads in index order —
 // stats into *stats, and each shard's aux row into auxSum if non-nil.
 func (c *agent[A]) foldPolicy(k int, stats *UpdateStats, auxSum []float64) {
-	c.pGrads.Zero()
-	for _, sh := range c.pShards[:k] {
-		c.pGrads.Add(sh.grads, 1)
+	for si, sh := range c.pShards[:k] {
+		fold(c.pGrads, sh.grads, si)
 		stats.PolicyLoss += sh.stats.PolicyLoss
 		stats.Entropy += sh.stats.Entropy
 		stats.KL += sh.stats.KL
@@ -732,10 +731,20 @@ func (c *agent[A]) foldPolicy(k int, stats *UpdateStats, auxSum []float64) {
 // foldValue sums the first k value shards into vGrads, and their losses
 // into *loss, in index order.
 func (c *agent[A]) foldValue(k int, loss *float64) {
-	c.vGrads.Zero()
-	for _, sh := range c.vShards[:k] {
-		c.vGrads.Add(sh.grads, 1)
+	for si, sh := range c.vShards[:k] {
+		fold(c.vGrads, sh.grads, si)
 		*loss += sh.loss
+	}
+}
+
+// fold adds shard si's gradient into the sum g of shards 0..si-1. Shard 0
+// sets g in one pass, with the bits zeroing g and adding it would leave;
+// with one shard, which is every PPO minibatch, that is the whole fold.
+func fold(g, shard *nn.Grads, si int) {
+	if si == 0 {
+		g.Assign(shard)
+	} else {
+		g.Add(shard)
 	}
 }
 
@@ -774,10 +783,10 @@ func (c *agent[A]) check(o guard.UpdateObs, steps int) bool {
 }
 
 // clipPolicy clips the policy gradient to clipNorm and returns its
-// post-clip norm.
+// post-clip norm, measuring it again only when the clip rescaled.
 func (c *agent[A]) clipPolicy() float64 {
 	if c.clipNorm > 0 {
-		c.pGrads.ClipGlobalNorm(c.clipNorm)
+		return c.pGrads.ClipGlobalNorm(c.clipNorm)
 	}
 	return c.pGrads.GlobalNorm()
 }

@@ -275,13 +275,7 @@ func newAdamVec(lr float64, n int) *adamVec {
 
 func (a *adamVec) step(params, grad []float64) {
 	a.T++
-	c1 := 1 - math.Pow(a.B1, float64(a.T))
-	c2 := 1 - math.Pow(a.B2, float64(a.T))
-	for i, g := range grad {
-		a.M[i] = a.B1*a.M[i] + (1-a.B1)*g
-		a.V[i] = a.B2*a.V[i] + (1-a.B2)*g*g
-		params[i] -= a.LR * (a.M[i] / c1) / (math.Sqrt(a.V[i]/c2) + a.Eps)
-	}
+	nn.AdamUpdate(params, grad, a.M, a.V, a.LR, a.B1, a.B2, a.Eps, a.T)
 }
 
 // allFinite reports whether every entry of xs is a finite number (the

@@ -199,6 +199,10 @@ type useCaseHarness[A rlAgent[A], P any] struct {
 	// agent, rl/rollout and rl/update); set it via SetRecorder.
 	Recorder *obs.Recorder
 
+	// iters counts the training iterations this harness has run, across
+	// Train calls: the train/iter events and spans number by it.
+	iters int
+
 	space *env.Space
 	uc    *UseCase
 	sim   *useCaseSim[A, P]
@@ -310,7 +314,9 @@ func (s *useCaseSim[A, P]) newHarness(u *UseCase, space *env.Space, baseline str
 func (h *useCaseHarness[A, P]) Space() *env.Space { return h.space }
 
 // Train implements Harness. Telemetry and spans are observation-only —
-// they never draw from rng — so attaching them cannot change a run.
+// they never draw from rng — so attaching them cannot change a run. They
+// number iterations by the harness's running count, so a warm-up and the
+// rounds after it read as one increasing sequence.
 func (h *useCaseHarness[A, P]) Train(dist *env.Distribution, iters int, rng *rand.Rand) []float64 {
 	envs, steps := h.EnvsPerIter, h.StepsPerIter
 	if envs <= 0 {
@@ -323,6 +329,8 @@ func (h *useCaseHarness[A, P]) Train(dist *env.Distribution, iters int, rng *ran
 	h.Agent.Reserve(envs * steps)
 	curve := make([]float64, iters)
 	for i := range curve {
+		iter := float64(h.iters)
+		h.iters++
 		sp := h.Recorder.Start("train/iter")
 		reward := iterate(h.Agent, steps, rng)
 		curve[i] = reward
@@ -330,14 +338,14 @@ func (h *useCaseHarness[A, P]) Train(dist *env.Distribution, iters int, rng *ran
 			h.Metrics.Counter("train/iters").Inc()
 			h.Metrics.Gauge("train/last_reward").Set(reward)
 			h.Metrics.Emit("train/iter",
-				metrics.F{K: "iter", V: float64(i)},
+				metrics.F{K: "iter", V: iter},
 				metrics.F{K: "reward", V: reward})
 		}
 		// The Enabled guard keeps the disabled path free of the variadic
 		// arg slice.
 		if h.Recorder.Enabled() {
 			sp.EndArgs(
-				obs.Arg{K: "iter", V: float64(i)},
+				obs.Arg{K: "iter", V: iter},
 				obs.Arg{K: "reward", V: reward})
 		}
 	}
@@ -419,7 +427,7 @@ func (h *useCaseHarness[A, P]) Eval(cfg env.Config, n int, need EvalNeed, rng *r
 	return res
 }
 
-// Snapshot implements Harness.
+// Snapshot implements Harness. The copy keeps the iteration count.
 func (h *useCaseHarness[A, P]) Snapshot() Harness {
 	cp := *h
 	cp.Agent = h.Agent.Clone()

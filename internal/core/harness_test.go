@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,6 +10,8 @@ import (
 	"github.com/genet-go/genet/internal/cc"
 	"github.com/genet-go/genet/internal/env"
 	"github.com/genet-go/genet/internal/lb"
+	"github.com/genet-go/genet/internal/metrics"
+	"github.com/genet-go/genet/internal/obs"
 	"github.com/genet-go/genet/internal/trace"
 )
 
@@ -42,6 +45,49 @@ func TestHarnessTrainCurveLength(t *testing.T) {
 		curve := h.Train(env.NewDistribution(h.Space()), 3, rand.New(rand.NewSource(2)))
 		if len(curve) != 3 {
 			t.Errorf("%s: curve len = %d, want 3", name, len(curve))
+		}
+	}
+}
+
+// TestTrainNumbersIterationsAcrossCalls runs a warm-up and two rounds,
+// three Train calls, and checks that their train/iter events and spans
+// number the iterations 0, 1, 2, ... instead of restarting each call.
+func TestTrainNumbersIterationsAcrossCalls(t *testing.T) {
+	for name, h := range realHarnesses(t) {
+		var buf bytes.Buffer
+		sink := metrics.NewJSONLSink(&buf)
+		reg := metrics.NewRegistry()
+		reg.SetSink(sink)
+		rec := obs.NewRecorder(1024)
+		TrainTraditional(h, Options{Rounds: 2, ItersPerRound: 2, WarmupIters: 3, Metrics: reg, Recorder: rec},
+			rand.New(rand.NewSource(3)))
+		if err := sink.Close(); err != nil {
+			t.Fatal(err)
+		}
+		events, err := metrics.ReadEvents(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fromEvents, fromSpans []float64
+		for _, e := range events {
+			if e.Name == "train/iter" {
+				fromEvents = append(fromEvents, e.Fields["iter"])
+			}
+		}
+		for _, e := range rec.Events() {
+			if e.Name == "train/iter" {
+				fromSpans = append(fromSpans, e.Args["iter"])
+			}
+		}
+		for what, iters := range map[string][]float64{"events": fromEvents, "spans": fromSpans} {
+			if len(iters) != 7 {
+				t.Fatalf("%s: %d train/iter %s, want 7", name, len(iters), what)
+			}
+			for i, it := range iters {
+				if it != float64(i) {
+					t.Fatalf("%s: train/iter %s number %v, want 0..6", name, what, iters)
+				}
+			}
 		}
 	}
 }

@@ -90,8 +90,8 @@ var Rows = []Row{
 			m.BackwardBatch(s, gradOut, grads)
 		}
 	}},
-	// RLUpdate isolates the sharded minibatch update (GAE + gradients +
-	// optimizer step) on a 200-transition ABR batch, recollected outside
+	// RLUpdate isolates the A2C update (GAE + the one-step gradient pass +
+	// optimizer steps) on a 200-transition ABR batch, recollected outside
 	// the timer because an update invalidates the rollout cache.
 	{"RLUpdate", 0, func(b *testing.B) {
 		agent, rng := abrAgent(b, 10)
@@ -404,7 +404,10 @@ type Curve struct {
 //     rollout workers;
 //   - RLUpdateCC: one PPO update of the Gaussian agent at the CC shape over
 //     an 800-transition batch, at 1 and 2 update workers (its policy and
-//     value lanes one after the other, then concurrently).
+//     value lanes one after the other, then concurrently);
+//   - RLUpdateABR: one A2C update of the discrete agent over a
+//     400-transition ABR batch (train-abr's StepsPerIter), at 1 and 2
+//     update workers, recollected outside the timer like RLUpdate.
 var Curves = []Curve{
 	{Name: "VecCollectABR", Workers: []int{1, 2, 4, 8}, Bench: func(w int) func(b *testing.B) {
 		const (
@@ -438,6 +441,21 @@ var Curves = []Curve{
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				agent.Update(bt, rng)
+			}
+		}
+	}},
+	{Name: "RLUpdateABR", Workers: []int{1, 2}, Gate: true, Bench: func(w int) func(b *testing.B) {
+		return func(b *testing.B) {
+			agent, rng := abrAgent(b, 10)
+			agent.UpdateWorkers = w
+			e := abr.NewRLEnv(rl1Gen())
+			bt := agent.Collect(e, 400, rng)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				agent.Update(bt)
+				b.StopTimer()
+				bt = agent.Collect(e, 400, rng)
+				b.StartTimer()
 			}
 		}
 	}},

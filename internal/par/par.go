@@ -6,23 +6,24 @@
 // reduce in index order afterwards. Under that discipline results are
 // bit-identical to the sequential loop regardless of scheduling.
 //
-// Reduction-order contract: when iterations accumulate floating point (the
-// rl update shards), the work must be partitioned into fixed-size chunks
-// whose boundaries do not depend on the worker count, each iteration must
-// write only to its own chunk's accumulator in a fixed intra-chunk order,
-// and the caller must fold the chunk accumulators together sequentially in
-// increasing index order after ForN returns. Float addition is not
-// associative, so any partition or fold order that varies with workers (or
-// with scheduling) silently breaks the repo-wide "same seed, same floats"
-// guarantee. See internal/rl's updateShardSize for the canonical use.
+// Reduction-order contract: when iterations accumulate floating point, the
+// work must be partitioned into fixed-size chunks whose boundaries do not
+// depend on the worker count, each iteration must write only to its own
+// chunk's accumulator in a fixed intra-chunk order, and the caller must
+// fold the chunk accumulators together sequentially in increasing index
+// order after ForN returns. Float addition is not associative, so any
+// partition or fold order that varies with workers (or with scheduling)
+// silently breaks the repo-wide "same seed, same floats" guarantee.
+// internal/rl's update keeps such a partition (updateShardSize) and folds
+// it in index order inside each lane.
 //
 // The other sanctioned shape is independent lanes: each iteration runs a
 // whole sequential chain of work that writes no state another iteration
-// reads or writes (internal/rl's runLanes: a PPO update's policy and value
-// chains). Each lane keeps its own accumulation order, so the result is the
-// same as running the lanes one after the other. Where lanes must agree on
-// a decision, they meet at a barrier and one lane decides from state the
-// other has finished writing.
+// reads or writes (internal/rl's runLanes: an update's policy and value
+// chains, for both learners). Each lane keeps its own accumulation order,
+// so the result is the same as running the lanes one after the other.
+// Where lanes must agree on a decision, they meet at a barrier and one lane
+// decides from state the other has finished writing.
 package par
 
 import (

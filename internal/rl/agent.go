@@ -19,13 +19,12 @@ import (
 // (checkpoint resume, guard rollback) carries it over whole.
 type Runtime struct {
 	// UpdateWorkers caps the goroutines an update uses (0 means
-	// GOMAXPROCS). The A2C update fans its fixed gradient shards out over
-	// up to that many workers. The PPO update runs its policy and value
-	// chains as two lanes (see runLanes): on two workers from a cap of 2
-	// up, one after the other on the caller at 1. The result is
-	// bit-identical for every value: the shard partition is fixed (see
-	// updateShardSize), shards reduce in index order, and the two lanes
-	// write no shared state, so workers only changes who computes what.
+	// GOMAXPROCS). Both heads' updates run their policy and value chains
+	// as two lanes (see runLanes): on two workers from a cap of 2 up, one
+	// after the other on the caller at 1. The result is bit-identical for
+	// every value: the shard partition is fixed (see updateShardSize),
+	// each lane folds its shards in index order, and the two lanes write
+	// no shared state, so workers only changes who computes what.
 	UpdateWorkers int
 
 	// RolloutWorkers caps the goroutines used for rollout collection in
@@ -95,11 +94,20 @@ type policyHead[A any] interface {
 	// row wide) as workspace, and returns it with a transition carrying
 	// the action and its log-probability.
 	sample(out, ws []float64, rng *rand.Rand, ar *floatArena) (A, Transition)
-	// update runs the learner's update over a merged batch.
-	update(b *Batch, rng *rand.Rand) UpdateStats
 	// shardGrads accumulates the policy loss gradient of rows [start,end)
-	// of pass p into sh; the core computes the critic half (valueShardGrads).
+	// of pass p into sh; the core computes the critic half (valuePass).
 	shardGrads(sh *policyShard, p *shardPass, start, end int)
+	// startStep readies the head for the policy half of one update step
+	// and returns the row the shards' aux rows fold into (nil: none).
+	startStep() []float64
+	// stepExtra steps the head's own parameters after the policy step.
+	stepExtra()
+	// health returns the entropy and the finiteness of the head's own
+	// gradients that the guard checks for the step in flight on pl.
+	health(pl *lane) (entropy float64, finite bool)
+	// finish applies the head's end-of-update fix-up to s and returns the
+	// head's extra rl/update telemetry fields.
+	finish(s UpdateStats) (UpdateStats, []metrics.F)
 }
 
 // learner holds the hyperparameters the core reads.
@@ -109,9 +117,10 @@ type learner struct {
 	clipNorm      float64 // global gradient clip (0 disables)
 	valueCoef     float64 // weight of the critic loss in its gradient
 	minibatch     int     // rows per update pass (0 = the whole batch)
+	epochs        int     // passes over the batch per update (PPO)
 	// replay marks a learner whose update is one step that replays the
 	// rollout's recorded activations (A2C); only then are the per-slot
-	// caches merged. The others gather minibatches and run as two lanes.
+	// caches merged. The others gather shuffled minibatches.
 	replay bool
 }
 
@@ -130,15 +139,12 @@ type agent[A any] struct {
 	// it and an update only trusts a cache stamped with the current version.
 	paramsVersion uint64
 
-	// Update workspaces. shardFn runs both halves of one shard of upd; it
-	// is built once so a shard pass allocates no closure. perm holds every
-	// epoch's shuffled row ids of a lane update, permN rows each.
+	// Update workspaces: the lanes, each lane's gradient shard, and every
+	// epoch's shuffled row ids of a minibatch update, permN rows each.
 	obsBuf, advBuf, retBuf []float64
-	pShards                []*policyShard
-	vShards                []*valueShard
-	upd                    shardPass
-	shardFn                func(si int)
 	lanes                  [2]lane
+	pShard                 *policyShard
+	vShard                 *valueShard
 	perm                   []int
 	permN                  int
 
@@ -174,9 +180,9 @@ func (p *shardPass) row(r int) int {
 	return p.rows[r]
 }
 
-// policyShard and valueShard are the private, reused workspaces of one
-// fixed-size gradient shard's two halves, so shards never contend. They are
-// separate allocations: the two lanes of an update write them concurrently.
+// policyShard and valueShard are the reused workspaces of one fixed-size
+// gradient shard's two halves, one per lane. They are separate
+// allocations: the two lanes of an update write them concurrently.
 type policyShard struct {
 	grads *nn.Grads
 	s     *nn.Scratch
@@ -189,7 +195,6 @@ type valueShard struct {
 	grads *nn.Grads
 	s     *nn.Scratch
 	vOut  []float64 // [shard x 1] dLoss/dV
-	loss  float64
 }
 
 // init wires the core to its head and networks, with fresh optimizers.
@@ -198,10 +203,6 @@ func (c *agent[A]) init(head policyHead[A], l learner, policy, value *nn.MLP) {
 	c.policy, c.value = policy, value
 	c.pOpt, c.vOpt = nn.NewAdam(l.lr), nn.NewAdam(l.lr)
 	c.pGrads, c.vGrads = policy.NewGrads(), value.NewGrads()
-	c.shardFn = func(si int) {
-		c.policyShardGrads(&c.upd, si)
-		c.valueShardGrads(&c.upd, si)
-	}
 }
 
 // netSizes returns the policy and value layer widths of an agent.
@@ -230,20 +231,33 @@ func (c *agent[A]) Value(obs []float64) float64 {
 	return v[0]
 }
 
-// Reserve pre-sizes the update buffers and shard pool for batches of up to
-// steps transitions, so the first training iterations run allocation-free.
+// Reserve pre-sizes the update workspaces for batches of up to steps
+// transitions, so the first training iterations run allocation-free.
 // Growth remains automatic; Reserve is an optional warm-up and is idempotent.
 func (c *agent[A]) Reserve(steps int) {
 	if steps <= 0 {
 		return
 	}
-	rows := c.passRows(steps)
+	if c.pShard == nil {
+		out := c.policy.OutSize()
+		c.pShard = &policyShard{
+			grads: c.policy.NewGrads(),
+			s:     c.policy.NewScratch(updateShardSize),
+			gOut:  make([]float64, updateShardSize*out),
+			aux:   make([]float64, out),
+		}
+		c.vShard = &valueShard{
+			grads: c.value.NewGrads(),
+			s:     c.value.NewScratch(updateShardSize),
+			vOut:  make([]float64, updateShardSize),
+		}
+	}
 	if !c.replay {
+		rows := c.passRows(steps)
 		for i := range c.lanes {
 			c.lanes[i].pass.obs = grow(c.lanes[i].pass.obs, rows*c.policy.InSize())
 		}
 	}
-	c.ensureShards(numShards(rows))
 }
 
 // passRows returns the rows of one update pass over an n-transition batch.
@@ -252,23 +266,6 @@ func (c *agent[A]) passRows(n int) int {
 		return c.minibatch
 	}
 	return n
-}
-
-func (c *agent[A]) ensureShards(k int) {
-	out := c.policy.OutSize()
-	for len(c.pShards) < k {
-		c.pShards = append(c.pShards, &policyShard{
-			grads: c.policy.NewGrads(),
-			s:     c.policy.NewScratch(updateShardSize),
-			gOut:  make([]float64, updateShardSize*out),
-			aux:   make([]float64, out),
-		})
-		c.vShards = append(c.vShards, &valueShard{
-			grads: c.value.NewGrads(),
-			s:     c.value.NewScratch(updateShardSize),
-			vOut:  make([]float64, updateShardSize),
-		})
-	}
 }
 
 // --- rollout ---
@@ -577,7 +574,7 @@ func (c *agent[A]) mergeAndUpdate(batches []*Batch, rng *rand.Rand) (float64, Up
 	}
 	ut := c.Metrics.StartTimer("rl/update_seconds")
 	usp := c.Recorder.Start("rl/update")
-	stats := c.head.update(merged, rng)
+	stats := c.update(merged, rng)
 	ut.Stop()
 	if c.Recorder.Enabled() {
 		usp.EndArgs(
@@ -639,84 +636,19 @@ func (c *agent[A]) advantages(b *Batch) (adv, returns []float64) {
 	return adv, returns
 }
 
-// runShards computes pass p's gradient into the agent's accumulators: fixed
-// shards run both halves on parallel workers and fold in shard index order
-// (see foldPolicy and foldValue), so the result is independent of the
-// worker count. rl/kernel_seconds times the shard fan-out.
-func (c *agent[A]) runShards(p shardPass, stats *UpdateStats, auxSum []float64) {
-	k := numShards(p.n)
-	c.ensureShards(k)
-	c.upd = p
-	kt := c.Metrics.StartTimer("rl/kernel_seconds")
-	par.ForN(k, workers(c.UpdateWorkers), c.shardFn)
-	kt.Stop()
-	c.foldPolicy(k, stats, auxSum)
-	c.foldValue(k, &stats.ValueLoss)
-}
-
-// policyPass computes pass p's policy gradient into pGrads, running its
-// shards in index order on the calling goroutine (one lane).
+// policyPass computes pass p's policy gradient into pGrads on the calling
+// goroutine (the policy lane), one fixed shard at a time in index order:
+// each shard's gradient accumulates in the lane's shard workspace and then
+// folds into the sum, its stats into *stats and its aux row into auxSum if
+// non-nil.
 func (c *agent[A]) policyPass(p *shardPass, stats *UpdateStats, auxSum []float64) {
-	k := numShards(p.n)
-	for si := 0; si < k; si++ {
-		c.policyShardGrads(p, si)
-	}
-	c.foldPolicy(k, stats, auxSum)
-}
-
-// valuePass computes pass p's value gradient into vGrads and adds the
-// shards' losses to *loss, shards in index order on the calling goroutine.
-func (c *agent[A]) valuePass(p *shardPass, loss *float64) {
-	k := numShards(p.n)
-	for si := 0; si < k; si++ {
-		c.valueShardGrads(p, si)
-	}
-	c.foldValue(k, loss)
-}
-
-func (c *agent[A]) policyShardGrads(p *shardPass, si int) {
-	sh := c.pShards[si]
-	sh.grads.Zero()
-	clear(sh.aux)
-	sh.stats = UpdateStats{}
-	start, end := shardBounds(si, p.n)
-	c.head.shardGrads(sh, p, start, end)
-}
-
-// valueShardGrads is the critic half of shard si of pass p, shared by both
-// heads: the loss 0.5*(V - R)^2 averaged over the pass, with its gradient
-// weighted by valueCoef. It replays the rows' value activations when the
-// pass carries them and runs the value forward over p.obs otherwise.
-func (c *agent[A]) valueShardGrads(p *shardPass, si int) {
-	sh := c.vShards[si]
-	sh.grads.Zero()
-	sh.loss = 0
-	start, end := shardBounds(si, p.n)
-	b := end - start
-	n := float64(p.n)
-	var v []float64
-	if p.vc != nil {
-		v = p.vc.Output()[start:end]
-	} else {
-		d := c.value.InSize()
-		v = c.value.ForwardBatchCache(sh.s, p.obs[start*d:end*d], b)
-	}
-	for r := 0; r < b; r++ {
-		diff := v[r] - p.returns[p.row(start+r)]
-		sh.loss += 0.5 * diff * diff / n
-		sh.vOut[r] = c.valueCoef * diff / n
-	}
-	if p.vc != nil {
-		c.value.BackwardBatchRows(p.vc, start, end, sh.vOut[:b], sh.s, sh.grads)
-	} else {
-		c.value.BackwardBatchParams(sh.s, sh.vOut[:b], sh.grads)
-	}
-}
-
-// foldPolicy sums the first k policy shards into pGrads in index order —
-// stats into *stats, and each shard's aux row into auxSum if non-nil.
-func (c *agent[A]) foldPolicy(k int, stats *UpdateStats, auxSum []float64) {
-	for si, sh := range c.pShards[:k] {
+	sh := c.pShard
+	for si := 0; si < numShards(p.n); si++ {
+		sh.grads.Zero()
+		clear(sh.aux)
+		sh.stats = UpdateStats{}
+		start, end := shardBounds(si, p.n)
+		c.head.shardGrads(sh, p, start, end)
 		fold(c.pGrads, sh.grads, si)
 		stats.PolicyLoss += sh.stats.PolicyLoss
 		stats.Entropy += sh.stats.Entropy
@@ -728,12 +660,38 @@ func (c *agent[A]) foldPolicy(k int, stats *UpdateStats, auxSum []float64) {
 	}
 }
 
-// foldValue sums the first k value shards into vGrads, and their losses
-// into *loss, in index order.
-func (c *agent[A]) foldValue(k int, loss *float64) {
-	for si, sh := range c.vShards[:k] {
+// valuePass is the critic half of pass p, shared by both heads and sharded
+// like policyPass: the loss 0.5*(V - R)^2 averaged over the pass, added to
+// *loss, with its gradient weighted by valueCoef and folded into vGrads.
+// It replays the rows' value activations when the pass carries them and
+// runs the value forward over p.obs otherwise.
+func (c *agent[A]) valuePass(p *shardPass, loss *float64) {
+	sh := c.vShard
+	n := float64(p.n)
+	for si := 0; si < numShards(p.n); si++ {
+		sh.grads.Zero()
+		start, end := shardBounds(si, p.n)
+		b := end - start
+		var v []float64
+		if p.vc != nil {
+			v = p.vc.Output()[start:end]
+		} else {
+			d := c.value.InSize()
+			v = c.value.ForwardBatchCache(sh.s, p.obs[start*d:end*d], b)
+		}
+		shardLoss := 0.0
+		for r := 0; r < b; r++ {
+			diff := v[r] - p.returns[p.row(start+r)]
+			shardLoss += 0.5 * diff * diff / n
+			sh.vOut[r] = c.valueCoef * diff / n
+		}
+		if p.vc != nil {
+			c.value.BackwardBatchRows(p.vc, start, end, sh.vOut[:b], sh.s, sh.grads)
+		} else {
+			c.value.BackwardBatchParams(sh.s, sh.vOut[:b], sh.grads)
+		}
 		fold(c.vGrads, sh.grads, si)
-		*loss += sh.loss
+		*loss += shardLoss
 	}
 }
 
@@ -789,19 +747,6 @@ func (c *agent[A]) clipPolicy() float64 {
 		return c.pGrads.ClipGlobalNorm(c.clipNorm)
 	}
 	return c.pGrads.GlobalNorm()
-}
-
-// clipValue clips the value gradient to clipNorm.
-func (c *agent[A]) clipValue() {
-	if c.clipNorm > 0 {
-		c.vGrads.ClipGlobalNorm(c.clipNorm)
-	}
-}
-
-// stepPolicy applies the policy gradient and counts the optimizer step.
-func (c *agent[A]) stepPolicy() {
-	c.pOpt.Step(c.policy, c.pGrads)
-	c.paramsVersion++
 }
 
 // recordUpdate counts one update over n transitions and emits its

@@ -79,22 +79,6 @@ func TestDiscreteAgentValidation(t *testing.T) {
 	}
 }
 
-func TestDiscreteProbsSumToOne(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	agent, err := NewDiscreteAgent(DefaultDiscreteConfig(4, 5), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := agent.Probs([]float64{0.1, 0.2, 0.3, 0.4})
-	sum := 0.0
-	for _, v := range p {
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("probs sum = %v", sum)
-	}
-}
-
 func TestDiscreteCollectEpisodeAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	agent, err := NewDiscreteAgent(DefaultDiscreteConfig(3, 3), rng)
@@ -145,11 +129,11 @@ func TestDiscreteCloneIndependent(t *testing.T) {
 	}
 	clone := agent.Clone()
 	obs := []float64{1, 0, 0}
-	before := agent.Probs(obs)
+	before := agent.policy.Forward(obs)
 	for i := 0; i < 20; i++ {
 		clone.TrainIterationVec(banditVec(1), 32, rng)
 	}
-	after := agent.Probs(obs)
+	after := agent.policy.Forward(obs)
 	for i := range before {
 		if before[i] != after[i] {
 			t.Fatal("training a clone mutated the original")
@@ -173,7 +157,7 @@ func TestDiscreteSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	obs := []float64{0.1, 0.2, 0.3, 0.4}
-	a, b := agent.Probs(obs), back.Probs(obs)
+	a, b := agent.policy.Forward(obs), back.policy.Forward(obs)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("loaded agent differs")
@@ -373,7 +357,7 @@ func TestTrainIterationDeterministicUnderParallelism(t *testing.T) {
 		a2.TrainIterationVec(banditVec(4), 64, rng2)
 	}
 	obs := []float64{1, 0, 0}
-	p1, p2 := a1.Probs(obs), a2.Probs(obs)
+	p1, p2 := a1.policy.Forward(obs), a2.policy.Forward(obs)
 	for i := range p1 {
 		if p1[i] != p2[i] {
 			t.Fatalf("parallel training nondeterministic: %v vs %v", p1, p2)

@@ -11,14 +11,14 @@ import (
 	"github.com/genet-go/genet/internal/guard"
 )
 
-// The parallel update is required to be bit-deterministic in the worker
-// count: shards are a fixed 64-transition partition of the batch reduced in
-// index order, so 1 worker and N workers must produce identical floats (see
-// updateShardSize). These tests train two identically-seeded agents that
-// differ only in UpdateWorkers and demand bit-equal UpdateStats and
-// bit-equal serialized parameters after several iterations. Batches span
-// multiple shards (>64 transitions) so the reduction order is actually
-// exercised.
+// The update is required to be bit-deterministic in the worker count:
+// each lane reduces a fixed 64-transition shard partition in index order,
+// so 1 worker and N workers must produce identical floats (see
+// updateShardSize). TestUpdateWorkerCountInvariance trains identically
+// seeded agents that differ only in UpdateWorkers and demands bit-equal
+// UpdateStats and bit-equal serialized state after several iterations.
+// Batches span multiple shards (>64 transitions) so the reduction order is
+// actually exercised.
 
 func savedParams(t *testing.T, save func(io.Writer) error) []byte {
 	t.Helper()
@@ -27,36 +27,6 @@ func savedParams(t *testing.T, save func(io.Writer) error) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-func TestDiscreteUpdateWorkerCountInvariance(t *testing.T) {
-	cfg := DefaultDiscreteConfig(3, 3)
-	a1, err := NewDiscreteAgent(cfg, rand.New(rand.NewSource(21)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a8, err := NewDiscreteAgent(cfg, rand.New(rand.NewSource(21)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a1.UpdateWorkers = 1
-	a8.UpdateWorkers = 8
-
-	rng1 := rand.New(rand.NewSource(99))
-	rng8 := rand.New(rand.NewSource(99))
-	for i := 0; i < 5; i++ {
-		// 2 envs x 100 steps = 200 transitions = 4 shards per update.
-		_, s1 := a1.TrainIterationVec(banditVec(2), 100, rng1)
-		_, s8 := a8.TrainIterationVec(banditVec(2), 100, rng8)
-		if s1 != s8 {
-			t.Fatalf("iter %d: UpdateStats diverge between 1 and 8 workers:\n%+v\n%+v", i, s1, s8)
-		}
-	}
-	p1 := savedParams(t, a1.Save)
-	p8 := savedParams(t, a8.Save)
-	if !bytes.Equal(p1, p8) {
-		t.Fatal("serialized parameters diverge between 1 and 8 workers")
-	}
 }
 
 // ccObsSize is cc.ObsSize, the width of the CC harness's observations
@@ -104,44 +74,80 @@ func ccShapedVec(k int) ContinuousVecEnv {
 	return VecContinuous(envs...)
 }
 
-// TestGaussianUpdateWorkerCountInvariance trains the PPO agent at the CC
-// shape on 800-transition batches (12 full minibatches of 64 and a ragged
-// one of 32), with 64-row minibatches and with full-batch passes of 13
-// shards, guard armed and not. One, two and eight update workers must give
-// bit-equal UpdateStats, parameters, log-std and Adam moments (SaveState),
-// and leave rng at the same next draw: the interleaved one-goroutine loop,
-// the free-running lanes and the lanes meeting at the guard's barrier all
-// take the same steps.
-func TestGaussianUpdateWorkerCountInvariance(t *testing.T) {
+// updateAgent is one head behind the calls TestUpdateWorkerCountInvariance
+// needs: its runtime attachments, one training iteration on rng, its full
+// state stream, and the merged batch of its last iteration.
+type updateAgent struct {
+	rt     *Runtime
+	train  func(rng *rand.Rand) UpdateStats
+	save   func(io.Writer) error
+	merged *Batch
+}
+
+// TestUpdateWorkerCountInvariance trains each head, guard armed and not, at
+// one, two and eight update workers. They must give bit-equal UpdateStats
+// and agent state (parameters, log-std and Adam moments: SaveState), and
+// leave rng at the same next draw: the interleaved one-goroutine loop, the
+// free-running lanes and the lanes meeting at the guard's barrier all take
+// the same steps. The A2C head updates 200-transition bandit batches in one
+// step of four shards. The PPO head runs at the CC shape on
+// 800-transition batches, in 64-row minibatches (12 full and a ragged one
+// of 32) and in full-batch passes of 13 shards.
+func TestUpdateWorkerCountInvariance(t *testing.T) {
+	type head struct {
+		name string
+		n    int // transitions per iteration
+		mk   func(t *testing.T) updateAgent
+	}
+	heads := []head{{"discrete", 200, func(t *testing.T) updateAgent {
+		a, err := NewDiscreteAgent(DefaultDiscreteConfig(3, 3), rand.New(rand.NewSource(21)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		train := func(rng *rand.Rand) UpdateStats {
+			_, s := a.TrainIterationVec(banditVec(2), 200, rng)
+			return s
+		}
+		return updateAgent{&a.Runtime, train, a.SaveState, &a.merged}
+	}}}
+	for _, mb := range []int{64, 0} {
+		heads = append(heads, head{fmt.Sprintf("gaussian/mb=%d", mb), 800, func(t *testing.T) updateAgent {
+			cfg := DefaultGaussianConfig(ccObsSize, 1)
+			cfg.Minibatch = mb
+			a, err := NewGaussianAgent(cfg, rand.New(rand.NewSource(22)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			train := func(rng *rand.Rand) UpdateStats {
+				_, s := a.TrainIterationVec(ccShapedVec(2), 800, rng)
+				return s
+			}
+			return updateAgent{&a.Runtime, train, a.SaveState, &a.merged}
+		}})
+	}
 	type result struct {
 		stats []UpdateStats
 		state []byte
 		next  int64
 	}
-	for _, mb := range []int{64, 0} {
+	for _, h := range heads {
 		for _, armed := range []bool{false, true} {
-			t.Run(fmt.Sprintf("minibatch=%d/guard=%v", mb, armed), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/guard=%v", h.name, armed), func(t *testing.T) {
 				run := func(workers int) result {
-					cfg := DefaultGaussianConfig(ccObsSize, 1)
-					cfg.Minibatch = mb
-					a, err := NewGaussianAgent(cfg, rand.New(rand.NewSource(22)))
-					if err != nil {
-						t.Fatal(err)
-					}
-					a.UpdateWorkers = workers
+					a := h.mk(t)
+					a.rt.UpdateWorkers = workers
 					if armed {
-						a.Guard = guard.New(guard.Config{})
+						a.rt.Guard = guard.New(guard.Config{})
 					}
 					rng := rand.New(rand.NewSource(77))
 					var r result
-					for i := 0; i < 3; i++ {
-						_, s := a.TrainIterationVec(ccShapedVec(2), 800, rng)
-						if n := len(a.merged.Transitions); n != 800 {
-							t.Fatalf("batch of %d transitions, want 800", n)
+					for i := 0; i < 4; i++ {
+						r.stats = append(r.stats, a.train(rng))
+						if n := len(a.merged.Transitions); n != h.n {
+							t.Fatalf("batch of %d transitions, want %d", n, h.n)
 						}
-						r.stats = append(r.stats, s)
 					}
-					r.state = savedParams(t, a.SaveState)
+					r.state = savedParams(t, a.save)
 					r.next = rng.Int63()
 					return r
 				}

@@ -5,7 +5,7 @@ import (
 	"math"
 	"math/rand"
 
-	"github.com/genet-go/genet/internal/guard"
+	"github.com/genet-go/genet/internal/metrics"
 	"github.com/genet-go/genet/internal/nn"
 )
 
@@ -69,11 +69,6 @@ func newDiscrete(cfg DiscreteConfig, policy, value *nn.MLP) *DiscreteAgent {
 // Config returns the agent's configuration.
 func (a *DiscreteAgent) Config() DiscreteConfig { return a.cfg }
 
-// Probs returns the action distribution at obs.
-func (a *DiscreteAgent) Probs(obs []float64) []float64 {
-	return nn.Softmax(a.policy.Forward(obs))
-}
-
 // maxStackActions bounds the action count whose logits Greedy keeps on
 // the stack; every use case in the repository has at most 10 actions.
 const maxStackActions = 16
@@ -110,56 +105,28 @@ func (a *DiscreteAgent) sample(logits, probs []float64, rng *rand.Rand, _ *float
 	return action, Transition{Action: action, LogProb: math.Log(math.Max(probs[action], 1e-12))}
 }
 
-func (a *DiscreteAgent) update(b *Batch, _ *rand.Rand) UpdateStats { return a.Update(b) }
-
 // Update performs one actor-critic gradient step on the batch: policy
 // gradient with GAE advantages and entropy bonus, plus an MSE critic update.
+// It is the one-step case of the core's two-lane update (see update).
 //
 // A2C is on-policy: parameters are frozen between collection and update, so
 // when the batch carries this agent's rollout activations at its current
 // parameter version the update replays them and runs no forward at all.
 // Other batches (hand-built ones, a second Update on one batch) first run
 // both networks over their observations into the agent's merged caches —
-// the same rows collection would have recorded, bit for bit. Fixed-size
-// shards of transitions then replay the cached rows through the batched
-// backward kernels on parallel workers and reduce in index order, so the
-// result is deterministic and independent of the worker count.
-func (a *DiscreteAgent) Update(batch *Batch) UpdateStats {
-	n := len(batch.Transitions)
-	if n == 0 {
-		return UpdateStats{}
-	}
-	adv, returns := a.advantages(batch)
-	pc, vc := batch.pCache, batch.vCache
-	if !a.replayable(batch) {
-		d := a.cfg.ObsSize
-		a.obsBuf = grow(a.obsBuf, n*d)
-		for i := range batch.Transitions {
-			copy(a.obsBuf[i*d:(i+1)*d], batch.Transitions[i].Obs)
-		}
-		pc, vc = a.mergedCaches(n)
-		a.policy.ForwardBatchAppend(pc, a.obsBuf, n)
-		a.value.ForwardBatchAppend(vc, a.obsBuf, n)
-	}
-	var stats UpdateStats
-	a.runShards(shardPass{batch: batch, adv: adv, returns: returns, n: n, pc: pc, vc: vc}, &stats, nil)
-	a.poison()
-	ok := a.check(guard.UpdateObs{
-		PolicyLoss: stats.PolicyLoss, ValueLoss: stats.ValueLoss,
-		Entropy: stats.Entropy, ParamsFinite: true,
-	}, n)
-	a.clipValue()
-	stats.GradNorm = a.clipPolicy()
-	if !ok {
-		// Parameters, optimizer moments and paramsVersion keep their values.
-		stats.Skipped = true
-		return stats
-	}
-	a.stepPolicy()
-	a.vOpt.Step(a.value, a.vGrads)
-	a.recordUpdate(stats, n)
-	return stats
+// the same rows collection would have recorded, bit for bit.
+func (a *DiscreteAgent) Update(batch *Batch) UpdateStats { return a.update(batch, nil) }
+
+// startStep, stepExtra, health and finish implement policyHead: the
+// categorical head has no parameters of its own, hands the guard the
+// step's mean per-row entropy, and adds nothing to the update's stats or
+// telemetry.
+func (a *DiscreteAgent) startStep() []float64 { return nil }
+func (a *DiscreteAgent) stepExtra()           {}
+func (a *DiscreteAgent) health(pl *lane) (float64, bool) {
+	return pl.stats.Entropy - pl.mark.Entropy, true
 }
+func (a *DiscreteAgent) finish(s UpdateStats) (UpdateStats, []metrics.F) { return s, nil }
 
 // shardGrads implements policyHead: the A2C policy loss gradient of rows
 // [start,end) of pass p, replayed from its activation caches.

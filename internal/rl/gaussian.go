@@ -57,7 +57,8 @@ type GaussianAgent struct {
 	logStd []float64
 	sOpt   *adamVec
 	sGrads []float64
-	stdBuf []float64 // std snapshot of the minibatch in flight
+	stdBuf []float64    // std snapshot of the minibatch in flight
+	extra  [2]metrics.F // PPO's rl/update fields, filled by finish
 }
 
 // NewGaussianAgent builds an agent with freshly initialized networks.
@@ -83,7 +84,7 @@ func newGaussian(cfg GaussianConfig, policy, value *nn.MLP, logStd []float64) *G
 		sGrads: make([]float64, cfg.ActionDim),
 		stdBuf: make([]float64, cfg.ActionDim),
 	}
-	a.init(a, learner{lr: cfg.LR, gamma: cfg.Gamma, lambda: cfg.Lambda, clipNorm: cfg.ClipNorm, valueCoef: 1, minibatch: cfg.Minibatch}, policy, value)
+	a.init(a, learner{lr: cfg.LR, gamma: cfg.Gamma, lambda: cfg.Lambda, clipNorm: cfg.ClipNorm, valueCoef: 1, minibatch: cfg.Minibatch, epochs: cfg.Epochs}, policy, value)
 	return a
 }
 
@@ -144,69 +145,45 @@ func (a *GaussianAgent) sample(mean, std []float64, rng *rand.Rand, ar *floatAre
 	return action, Transition{ActionC: action, LogProb: a.logProb(mean, std, action)}
 }
 
-func (a *GaussianAgent) update(b *Batch, rng *rand.Rand) UpdateStats { return a.Update(b, rng) }
-
 // Update performs a PPO update: Epochs passes of clipped-surrogate
 // minibatch gradient steps over the batch, each pass over a fresh shuffle
-// drawn from rng.
-//
-// Every shuffle is drawn up front; then the policy chain (policy net and
-// log-std) and the value chain (value net) run as two lanes, each
-// gathering a minibatch's observations into a contiguous [mb x ObsSize]
-// matrix for its sharded gradient pass. Results do not depend on the
-// worker count (see runLanes).
+// drawn from rng. Every shuffle is drawn up front; then the core's two
+// lanes take the steps, each gathering a minibatch's observations into a
+// contiguous [mb x ObsSize] matrix for its sharded gradient pass (see
+// update).
 func (a *GaussianAgent) Update(batch *Batch, rng *rand.Rand) UpdateStats {
-	n := len(batch.Transitions)
-	if n == 0 {
-		return UpdateStats{}
-	}
-	adv, returns := a.advantages(batch)
-	a.Reserve(n)
-	steps := a.shuffle(n, max(1, a.cfg.Epochs), rng)
-	stats, taken := a.runLanes(batch, adv, returns, steps)
-	if taken > 0 {
-		updates := float64(taken)
-		stats.PolicyLoss /= updates
-		stats.ValueLoss /= updates
-		stats.KL /= updates
-		stats.ClipFrac /= updates
-		stats.GradNorm /= updates
-	}
-	stats.Entropy += gaussianEntropy(a.stdInto(a.stdBuf))
-	a.recordUpdate(stats, n,
-		metrics.F{K: "approx_kl", V: stats.KL},
-		metrics.F{K: "clip_frac", V: stats.ClipFrac})
-	return stats
+	return a.update(batch, rng)
 }
 
-// policyGrads is the policy lane's half of minibatch step m: snapshot the
-// std, then compute the policy and log-std gradients.
-func (a *GaussianAgent) policyGrads(m int) {
-	l := &a.lanes[0]
-	a.gather(l, a.stepRows(m))
+// startStep implements policyHead: snapshot the std the step's shards read
+// and zero the log-std gradient they fold into.
+func (a *GaussianAgent) startStep() []float64 {
 	a.stdInto(a.stdBuf)
 	clear(a.sGrads)
-	l.mark = l.stats
-	a.policyPass(&l.pass, &l.stats, a.sGrads)
-	a.poison()
+	return a.sGrads
 }
 
-// policyStep clips and applies the policy gradient of the minibatch in
-// flight, then steps the log-std and keeps the std in a sane band; on a
-// veto it rolls the minibatch back instead.
-func (a *GaussianAgent) policyStep(ok bool) {
-	l := &a.lanes[0]
-	if !ok {
-		l.rollback()
-		return
-	}
-	l.stats.GradNorm += a.clipPolicy()
-	a.stepPolicy()
+// stepExtra implements policyHead: step the log-std and keep the std in a
+// sane band.
+func (a *GaussianAgent) stepExtra() {
 	a.sOpt.step(a.logStd, a.sGrads)
 	for k := range a.logStd {
 		a.logStd[k] = min(max(a.logStd[k], math.Log(a.cfg.MinStd)), math.Log(2.0))
 	}
-	l.steps++
+}
+
+// health implements policyHead: the entropy of the step's std snapshot and
+// the finiteness of its log-std gradient.
+func (a *GaussianAgent) health(*lane) (float64, bool) {
+	return gaussianEntropy(a.stdBuf), allFinite(a.sGrads)
+}
+
+// finish implements policyHead: add the entropy of the std the update ends
+// with, and report PPO's approx_kl and clip_frac.
+func (a *GaussianAgent) finish(s UpdateStats) (UpdateStats, []metrics.F) {
+	s.Entropy += gaussianEntropy(a.stdInto(a.stdBuf))
+	a.extra = [2]metrics.F{{K: "approx_kl", V: s.KL}, {K: "clip_frac", V: s.ClipFrac}}
+	return s, a.extra[:]
 }
 
 // shardGrads implements policyHead: the clipped-surrogate gradient of

@@ -23,13 +23,18 @@ import (
 // guardAgent is one policy head behind the calls the table-driven guard
 // tests need: its runtime attachments, a TrainIterationVec over k fresh toy
 // envs and the same iteration over the scalar oracle (oracle_test.go), a
-// full state snapshot, and a finiteness check of its networks.
+// full state snapshot, a finiteness check of its networks, the optimizer
+// steps of its last update and the step counts of its optimizers, and the
+// stats an update reports when the guard vetoes every step.
 type guardAgent struct {
-	rt     *Runtime
-	train  func(k, steps int, rng *rand.Rand) UpdateStats
-	oracle func(k, steps int, rng *rand.Rand)
-	state  func(t *testing.T) []byte
-	finite func() bool
+	rt       *Runtime
+	train    func(k, steps int, rng *rand.Rand) UpdateStats
+	oracle   func(k, steps int, rng *rand.Rand)
+	state    func(t *testing.T) []byte
+	finite   func() bool
+	steps    func() int
+	optSteps func() []int
+	vetoed   func() UpdateStats
 }
 
 // guardHeads builds each head's guardAgent from rng: the categorical head
@@ -56,8 +61,11 @@ var guardHeads = []struct {
 				}
 				oracleIteration(&a.agent, envs, steps, rng)
 			},
-			state:  func(t *testing.T) []byte { return stateBytes(t, a.SaveState) },
-			finite: func() bool { return a.policy.AllFinite() && a.value.AllFinite() },
+			state:    func(t *testing.T) []byte { return stateBytes(t, a.SaveState) },
+			finite:   func() bool { return a.policy.AllFinite() && a.value.AllFinite() },
+			steps:    func() int { return 1 },
+			optSteps: func() []int { return []int{a.pOpt.Wire().T, a.vOpt.Wire().T} },
+			vetoed:   func() UpdateStats { return UpdateStats{Skipped: true} },
 		}
 	}},
 	{"gaussian", func(t *testing.T, rng *rand.Rand) guardAgent {
@@ -81,6 +89,14 @@ var guardHeads = []struct {
 			state: func(t *testing.T) []byte { return stateBytes(t, a.SaveState) },
 			finite: func() bool {
 				return a.policy.AllFinite() && a.value.AllFinite() && allFinite(a.logStd)
+			},
+			steps: func() int {
+				mb := a.passRows(len(a.merged.Transitions))
+				return a.cfg.Epochs * ((len(a.merged.Transitions) + mb - 1) / mb)
+			},
+			optSteps: func() []int { return []int{a.pOpt.Wire().T, a.vOpt.Wire().T, a.sOpt.T} },
+			vetoed: func() UpdateStats {
+				return UpdateStats{Skipped: true, Entropy: gaussianEntropy(a.Std())}
 			},
 		}
 	}},
@@ -121,32 +137,128 @@ func TestGuardEnabledIsBitIdenticalWithoutFaults(t *testing.T) {
 	}
 }
 
+// TestGradPoisonSkipsUpdateAndPreservesParams pins the one veto rule on
+// both heads, at one and two update workers. With every apply poisoned the
+// guard vetoes every step: the update reports Skipped with its stats rolled
+// back (the Gaussian head still adds the entropy of its std), and the agent
+// state is untouched. With exactly one step of a three-update run poisoned,
+// neither the first nor the last, both lanes skip that step and only it,
+// no NaN reaches the parameters or the stats, and two lanes meeting at the
+// barrier end in the one-worker state.
 func TestGradPoisonSkipsUpdateAndPreservesParams(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	agent, err := NewDiscreteAgent(DefaultDiscreteConfig(3, 3), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := guard.New(guard.Config{})
-	agent.Guard = g
-	in := faults.New(1)
-	in.Enable(faults.GradPoison, 1) // poison every apply
-	agent.Faults = in
+	for _, h := range guardHeads {
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/workers=%d", h.name, workers), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(3))
+				a := h.mk(t, rng)
+				a.rt.UpdateWorkers = workers
+				g := guard.New(guard.Config{})
+				a.rt.Guard = g
+				in := faults.New(1)
+				in.Enable(faults.GradPoison, 1) // poison every apply
+				a.rt.Faults = in
 
-	before := stateBytes(t, agent.SaveState)
-	_, stats := agent.TrainIterationVec(banditVec(2), 64, rng)
-	if !stats.Skipped {
-		t.Fatal("poisoned update not reported as skipped")
+				before := a.state(t)
+				if s, want := a.train(2, 64, rng), a.vetoed(); s != want {
+					t.Fatalf("poisoned update reported %+v, want the rolled-back %+v", s, want)
+				}
+				if !bytes.Equal(before, a.state(t)) {
+					t.Fatal("skipped update still mutated agent state")
+				}
+				steps := a.steps()
+				if st := g.Snapshot(); st.Updates != steps || st.NonFinite != steps || st.Skipped != steps {
+					t.Fatalf("guard stats %+v, want %d non-finite skips", st, steps)
+				}
+				if in.Calls(faults.GradPoison) != uint64(steps) || in.Fired(faults.GradPoison) != uint64(steps) {
+					t.Fatalf("injector %d calls, %d fired; want %d each", in.Calls(faults.GradPoison), in.Fired(faults.GradPoison), steps)
+				}
+			})
+		}
+		t.Run(h.name+"/one step", func(t *testing.T) { poisonOneStep(t, h.mk) })
 	}
-	after := stateBytes(t, agent.SaveState)
-	if !bytes.Equal(before, after) {
-		t.Fatal("skipped update still mutated agent state")
+}
+
+// poisonOneStep trains three 200-transition updates with the GradPoison
+// site firing on exactly one optimizer step k, 0 < k < last, at one and two
+// update workers.
+func poisonOneStep(t *testing.T, mk func(t *testing.T, rng *rand.Rand) guardAgent) {
+	const iters, n = 3, 200
+	steps := 0
+	dry := mk(t, rand.New(rand.NewSource(12)))
+	for i := 0; i < iters; i++ {
+		dry.train(2, n, rand.New(rand.NewSource(13)))
+		steps += dry.steps()
 	}
-	if st := g.Snapshot(); st.NonFinite != 1 || st.Skipped != 1 {
+	// Pick an injector that poisons exactly one step k of the run, not the
+	// first or the last, by replaying its schedule.
+	seed, k := int64(0), -1
+	for k < 0 {
+		seed++
+		ref := faults.New(seed)
+		ref.Enable(faults.GradPoison, steps)
+		var fired []int
+		for m := 0; m < steps; m++ {
+			if ref.Fire(faults.GradPoison) {
+				fired = append(fired, m)
+			}
+		}
+		if len(fired) == 1 && fired[0] > 0 && fired[0] < steps-1 {
+			k = fired[0]
+		}
+	}
+	run := func(workers int) (guardAgent, []UpdateStats, *guard.Guard) {
+		a := mk(t, rand.New(rand.NewSource(12)))
+		a.rt.UpdateWorkers = workers
+		g := guard.New(guard.Config{})
+		a.rt.Guard = g
+		in := faults.New(seed)
+		in.Enable(faults.GradPoison, steps)
+		a.rt.Faults = in
+		rng := rand.New(rand.NewSource(13))
+		var stats []UpdateStats
+		for i := 0; i < iters; i++ {
+			stats = append(stats, a.train(2, n, rng))
+		}
+		if in.Calls(faults.GradPoison) != uint64(steps) || in.Fired(faults.GradPoison) != 1 {
+			t.Fatalf("%d calls, %d fired; want %d calls, 1 fired", in.Calls(faults.GradPoison), in.Fired(faults.GradPoison), steps)
+		}
+		return a, stats, g
+	}
+	a, stats, g := run(2)
+	skipped := 0
+	for i, s := range stats {
+		if s.Skipped {
+			skipped++
+		}
+		if math.IsNaN(s.PolicyLoss) || math.IsNaN(s.ValueLoss) || math.IsNaN(s.Entropy) || math.IsNaN(s.GradNorm) {
+			t.Fatalf("poisoned step %d leaked NaN into update %d's stats: %+v", k, i, s)
+		}
+	}
+	if skipped != 1 {
+		t.Fatalf("poisoned step %d: %d updates report a skip, want 1", k, skipped)
+	}
+	if st := g.Snapshot(); st.Skipped != 1 || st.NonFinite != 1 {
 		t.Fatalf("guard stats %+v, want one non-finite skip", st)
 	}
-	if in.Fired(faults.GradPoison) != 1 {
-		t.Fatalf("injector fired %d, want 1", in.Fired(faults.GradPoison))
+	// Every optimizer skipped step k and only it.
+	for i, got := range a.optSteps() {
+		if got != steps-1 {
+			t.Fatalf("optimizer %d took %d steps, want %d", i, got, steps-1)
+		}
+	}
+	if !a.finite() {
+		t.Fatal("poison reached the parameters")
+	}
+	// The lanes meeting at the barrier take exactly the steps of the
+	// one-goroutine loop.
+	ref, refStats, _ := run(1)
+	for i := range stats {
+		if refStats[i] != stats[i] {
+			t.Fatalf("update %d: two-lane stats %+v, one-worker %+v", i, stats[i], refStats[i])
+		}
+	}
+	if !bytes.Equal(ref.state(t), a.state(t)) {
+		t.Fatal("two-lane poisoned run diverges from the one-worker run")
 	}
 }
 
@@ -239,122 +351,6 @@ func TestTraceCorruptionSurfacesAsSkippedUpdate(t *testing.T) {
 			}
 		})
 	}
-}
-
-func TestGaussianGradPoisonSkips(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	cfg := DefaultGaussianConfig(4, 2)
-	agent, err := NewGaussianAgent(cfg, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := guard.New(guard.Config{})
-	agent.Guard = g
-	in := faults.New(6)
-	in.Enable(faults.GradPoison, 1)
-	agent.Faults = in
-
-	_, stats := agent.TrainIterationVec(ccToyVec(2), 64, rng)
-	if !stats.Skipped {
-		t.Fatal("poisoned PPO update not reported as skipped")
-	}
-	if math.IsNaN(stats.PolicyLoss) || math.IsNaN(stats.GradNorm) {
-		t.Fatalf("skipped minibatches leaked NaN into reported stats: %+v", stats)
-	}
-	if st := g.Snapshot(); st.NonFinite == 0 {
-		t.Fatalf("guard stats %+v, want non-finite skips", st)
-	}
-
-	t.Run("one minibatch on two lanes", func(t *testing.T) {
-		// 800 transitions in 64-row minibatches over 4 epochs: 52 steps.
-		const steps = 52
-		// Pick an injector that poisons exactly one step k of the update,
-		// not the first or the last, by replaying its schedule.
-		seed, k := int64(0), -1
-		for k < 0 {
-			seed++
-			ref := faults.New(seed)
-			ref.Enable(faults.GradPoison, steps)
-			var fired []int
-			for m := 0; m < steps; m++ {
-				if ref.Fire(faults.GradPoison) {
-					fired = append(fired, m)
-				}
-			}
-			if len(fired) == 1 && fired[0] > 0 && fired[0] < steps-1 {
-				k = fired[0]
-			}
-		}
-		run := func(workers int) (*GaussianAgent, UpdateStats, *guard.Guard) {
-			a, err := NewGaussianAgent(DefaultGaussianConfig(ccObsSize, 1), rand.New(rand.NewSource(12)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			a.UpdateWorkers = workers
-			g := guard.New(guard.Config{})
-			a.Guard = g
-			in := faults.New(seed)
-			in.Enable(faults.GradPoison, steps)
-			a.Faults = in
-			_, s := a.TrainIterationVec(ccShapedVec(2), 800, rand.New(rand.NewSource(13)))
-			if in.Calls(faults.GradPoison) != steps || in.Fired(faults.GradPoison) != 1 {
-				t.Fatalf("%d calls, %d fired; want %d calls, 1 fired", in.Calls(faults.GradPoison), in.Fired(faults.GradPoison), steps)
-			}
-			return a, s, g
-		}
-		a, s, g := run(2)
-		if !s.Skipped || math.IsNaN(s.PolicyLoss) || math.IsNaN(s.ValueLoss) || math.IsNaN(s.GradNorm) {
-			t.Fatalf("poisoned step %d: stats %+v", k, s)
-		}
-		if st := g.Snapshot(); st.Skipped != 1 || st.NonFinite != 1 {
-			t.Fatalf("guard stats %+v, want one non-finite skip", st)
-		}
-		// Both lanes skipped step k and only it.
-		if p, v := a.pOpt.Wire().T, a.vOpt.Wire().T; p != steps-1 || v != steps-1 || a.sOpt.T != steps-1 {
-			t.Fatalf("optimizer steps policy %d value %d log-std %d, want %d each", p, v, a.sOpt.T, steps-1)
-		}
-		if !a.policy.AllFinite() || !a.value.AllFinite() || !allFinite(a.logStd) {
-			t.Fatal("poison reached the parameters")
-		}
-		// The lanes meeting at the barrier take exactly the steps of the
-		// one-goroutine loop.
-		ref, rs, _ := run(1)
-		if rs != s || !bytes.Equal(stateBytes(t, ref.SaveState), stateBytes(t, a.SaveState)) {
-			t.Fatal("two-lane poisoned update diverges from the one-worker update")
-		}
-	})
-}
-
-// ccToy is a minimal continuous env: reward is the negative squared
-// distance of the action from a fixed target.
-type ccToy struct {
-	dim, adim int
-	step      int
-}
-
-func (e *ccToy) ObsSize() int   { return e.dim }
-func (e *ccToy) ActionDim() int { return e.adim }
-func (e *ccToy) Reset(rng *rand.Rand) []float64 {
-	e.step = 0
-	return make([]float64, e.dim)
-}
-func (e *ccToy) Step(action []float64) ([]float64, float64, bool) {
-	r := 0.0
-	for _, a := range action {
-		r -= (a - 0.5) * (a - 0.5)
-	}
-	e.step++
-	return make([]float64, e.dim), r, e.step >= 8
-}
-
-// ccToyVec returns k fresh ccToy envs (4-dim obs, 2-dim actions) as one
-// vectorized env.
-func ccToyVec(k int) ContinuousVecEnv {
-	envs := make([]ContinuousEnv, k)
-	for i := range envs {
-		envs[i] = &ccToy{dim: 4, adim: 2}
-	}
-	return VecContinuous(envs...)
 }
 
 // TestGaussianLanePanicPropagates pins that a panic in the policy lane of a

@@ -127,13 +127,16 @@ func sameBatch(t *testing.T, tag string, want, got *Batch) {
 // scalar loop: with the guard, EnvStepPanic and TraceCorrupt armed (the
 // armedRun setup), both heads must take the same steps, contain the same
 // slots and end in the same state, guard counters and fault-site call
-// counts, at every RolloutWorkers value.
+// counts, at every RolloutWorkers and UpdateWorkers value. The oracle
+// updates on one worker, so from two update workers the lanes' barrier
+// path is held to the interleaved loop.
 func TestArmedTrainIterationMatchesOracle(t *testing.T) {
 	const k, steps, iters = 4, 160, 8
 	for _, h := range guardHeads {
 		t.Run(h.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(17))
 			ref := h.mk(t, rng)
+			ref.rt.UpdateWorkers = 1
 			refGuard, refFaults := armRollouts(ref.rt)
 			for i := 0; i < iters; i++ {
 				ref.oracle(k, steps, rng)
@@ -143,21 +146,23 @@ func TestArmedTrainIterationMatchesOracle(t *testing.T) {
 				t.Fatalf("oracle run contained nothing or skipped nothing: %s", want)
 			}
 			for _, w := range []int{1, 2, 4} {
-				rng := rand.New(rand.NewSource(17))
-				a := h.mk(t, rng)
-				a.rt.RolloutWorkers = w
-				g, in := armRollouts(a.rt)
-				for i := 0; i < iters; i++ {
-					a.train(k, steps, rng)
-				}
-				if got := g.Snapshot(); got != want {
-					t.Fatalf("workers %d: guard %s, oracle %s", w, got, want)
-				}
-				if in.String() != refFaults.String() {
-					t.Fatalf("workers %d: faults %s, oracle %s", w, in, refFaults)
-				}
-				if !bytes.Equal(a.state(t), ref.state(t)) {
-					t.Fatalf("workers %d: agent state diverges from the oracle", w)
+				for _, uw := range []int{1, 2, 4} {
+					rng := rand.New(rand.NewSource(17))
+					a := h.mk(t, rng)
+					a.rt.RolloutWorkers, a.rt.UpdateWorkers = w, uw
+					g, in := armRollouts(a.rt)
+					for i := 0; i < iters; i++ {
+						a.train(k, steps, rng)
+					}
+					if got := g.Snapshot(); got != want {
+						t.Fatalf("workers %d/%d: guard %s, oracle %s", w, uw, got, want)
+					}
+					if in.String() != refFaults.String() {
+						t.Fatalf("workers %d/%d: faults %s, oracle %s", w, uw, in, refFaults)
+					}
+					if !bytes.Equal(a.state(t), ref.state(t)) {
+						t.Fatalf("workers %d/%d: agent state diverges from the oracle", w, uw)
+					}
 				}
 			}
 		})

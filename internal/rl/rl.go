@@ -6,16 +6,18 @@
 // continuous action spaces (the algorithm used by Aurora-style congestion
 // control).
 //
-// Both learners are one rollout/training core (agent.go), generic over the
-// action type: networks, optimizers, Runtime attachments, pools, the one
-// collect loop (the lockstep engine, which Collect runs at width 1 and
-// TrainIterationVec runs over a vectorized env, guard and faults armed or
-// not), TrainIterationVec and the checks around every optimizer apply. A
-// scalar environment is a slot view of a vectorized one (DiscreteSlot,
+// Both learners are one rollout/training core (agent.go, lanes.go),
+// generic over the action type: networks, optimizers, Runtime attachments,
+// pools, the one collect loop (the lockstep engine, which Collect runs at
+// width 1 and TrainIterationVec runs over a vectorized env, guard and
+// faults armed or not), TrainIterationVec, and the one update driver: an
+// update is a number of optimizer steps, each run as a policy lane and a
+// value lane with one guard verdict and one veto rule. A scalar
+// environment is a slot view of a vectorized one (DiscreteSlot,
 // ContinuousSlot). Each learner is a small policy head on it: the
-// categorical DiscreteAgent with a single-pass A2C update replaying the
-// rollout's activations, and the diagonal-Gaussian GaussianAgent with PPO
-// epochs over shuffled minibatches and a log-std Adam.
+// categorical DiscreteAgent, whose A2C update is one step replaying the
+// rollout's activations, and the diagonal-Gaussian GaussianAgent, whose
+// PPO update is epochs of shuffled minibatch steps with a log-std Adam.
 //
 // Everything is deterministic given the caller-provided random sources.
 package rl

@@ -59,22 +59,20 @@ func TestFoldMatchesZeroAdd(t *testing.T) {
 		}
 		return rng.NormFloat64()
 	}
-	a.ensureShards(2)
-	for si := 0; si < 2; si++ {
-		a.pShards[si].grads = gradsLike(a.pGrads, draw)
-		a.vShards[si].grads = gradsLike(a.vGrads, draw)
+	var pShards, vShards [2]*nn.Grads
+	for si := range pShards {
+		pShards[si] = gradsLike(a.pGrads, draw)
+		vShards[si] = gradsLike(a.vGrads, draw)
 	}
 	for k := 1; k <= 2; k++ {
 		a.pGrads = gradsLike(a.pGrads, func() float64 { return 7 })
 		a.vGrads = gradsLike(a.vGrads, func() float64 { return 7 })
-		var stats UpdateStats
-		var loss float64
-		a.foldPolicy(k, &stats, nil)
-		a.foldValue(k, &loss)
 		wantP, wantV := a.policy.NewGrads(), a.value.NewGrads()
 		for si := 0; si < k; si++ {
-			wantP.Add(a.pShards[si].grads)
-			wantV.Add(a.vShards[si].grads)
+			fold(a.pGrads, pShards[si], si)
+			fold(a.vGrads, vShards[si], si)
+			wantP.Add(pShards[si])
+			wantV.Add(vShards[si])
 		}
 		sameGradBits(t, "policy fold", a.pGrads, wantP)
 		sameGradBits(t, "value fold", a.vGrads, wantV)

@@ -127,7 +127,7 @@ func referenceIteration[A any](c *agent[A], envs []scalarEnv[A], totalSteps int,
 		merged.Episodes += b.Episodes
 		merged.TotalReward += b.TotalReward
 	}
-	return merged.MeanEpisodeReward(), c.head.update(merged, rng)
+	return merged.MeanEpisodeReward(), c.update(merged, rng)
 }
 
 // TestTrainIterationVecMatchesTrainIteration trains two identically-seeded
